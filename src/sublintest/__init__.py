@@ -7,16 +7,14 @@ from .core import (BitString, FiniteDistribution, PairDistribution, SeededRng,
                    xor_shift)
 from .oracles import (BudgetExhausted, ComparisonOracle, DistSampler, FunctionOracle,
                       MarginalSampler, PairSampler, PreconditionViolated, QueryLedger,
-                      ShiftedSampler, Verdict, ledger_report)
-from .dlmodel import (GeneralDLRep, MonotoneDLRep, dominates, dominates_with_value,
-                      eval_dl, eval_mdl, min_index, monotonize, random_dl, random_mdl,
-                      table_target)
+                      ShiftedSampler, Verdict)
+from .dlmodel import (GeneralDLRep, MonotoneDLRep, dominates, eval_dl, eval_mdl,
+                      min_index, monotonize, random_dl, random_mdl, table_target)
 from .total_order import (TotalConstants, TotalSketch, budget_total, find_block_total,
                           sketch_total, test_local_cycles, test_long_cycles,
                           test_total_ordering)
 from .mdl import (BigBlockSet, MdlConstants, MdlRun, MdlSketch, budget_mdl,
-                  find_big_blocks, find_block_mdl, find_rep, max_index,
-                  monotone_dl_tester, preprocess, sketch_mdl, test_type)
+                  find_block_mdl, find_rep, monotone_dl_tester, sketch_mdl)
 from .dl import (DlConstants, HybridFunction, budget_dl, check_dl, decision_list_tester,
                  index_search, monotone_dl_amplified, test_dl)
 from .instances import (InstanceBundle, PlantInfeasible, gen_dl_yes, gen_groups4,

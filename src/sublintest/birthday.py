@@ -74,21 +74,20 @@ def experiment_from_json(doc: dict) -> CollisionExperiment:
 
 def _draw_sets(weight_map: dict, m: int, trials: int, rng: SeededRng):
     """Per-trial boolean membership matrix over the listed vertices; leftover
-    mass goes to the null symbol."""
+    mass goes to the null symbol, whose extra last column is dropped.  Rows
+    are filled one trial at a time from one stream, so memory stays at the
+    matrix itself."""
     verts = sorted(weight_map)
     probs = np.array([weight_map[v] for v in verts], dtype=float)
     total = probs.sum()
     if total > 1 + 1e-9:
         raise ValueError("vertex weights exceed 1")
     cum = np.cumsum(probs)
-    u = rng.random_block(trials * m).reshape(trials, m)
-    idx = np.searchsorted(cum, u, side="right")  # == len(verts) means the null symbol
-    member = np.zeros((trials, len(verts)), dtype=bool)
-    rows = np.repeat(np.arange(trials), m)
-    flat = idx.ravel()
-    keep = flat < len(verts)
-    member[rows[keep], flat[keep]] = True
-    return verts, member
+    member = np.zeros((trials, len(verts) + 1), dtype=bool)
+    for row in member:
+        # == len(verts) means the null symbol
+        row[np.searchsorted(cum, rng.random_block(m), side="right")] = True
+    return verts, member[:, :-1]
 
 
 def run_bipartite_birthday(exp: CollisionExperiment, rng: SeededRng) -> float:

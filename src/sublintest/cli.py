@@ -22,7 +22,7 @@ def _parse_consts(entries) -> dict:
         if "=" not in item:
             raise ValueError(f"--const expects name=value, got {item!r}")
         name, value = item.split("=", 1)
-        out[name] = float(value)
+        out[name] = value  # the harness converts it to its field's type
     return out
 
 
@@ -67,8 +67,8 @@ def _emit(text: str, path: str | None):
 
 
 def _run_tester(tester: str, args, default_family: str) -> int:
-    cfg = _make_cfg(tester, args, default_family)
     try:
+        cfg = _make_cfg(tester, args, default_family)
         cfg.validate()
         report = run_trials(cfg)
     except (ValueError, FileNotFoundError) as exc:
@@ -166,8 +166,8 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if cmd == "scaling":
-        cfg = _make_cfg("total", args, args.family or "total-yes")
         try:
+            cfg = _make_cfg("total", args, args.family or "total-yes")
             n_list = [int(x) for x in args.n_list.split(",")]
             csv_text, summaries = scaling_experiment(cfg, n_list)
         except ValueError as exc:
@@ -186,8 +186,8 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if cmd == "gen-instance":
-        cfg = _make_cfg("mdl", args, args.family or "mdl-yes")
         try:
+            cfg = _make_cfg("mdl", args, args.family or "mdl-yes")
             bundle = build_instance(cfg)
             doc = save_bundle(bundle)
         except ValueError as exc:

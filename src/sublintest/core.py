@@ -9,6 +9,7 @@ the sampler handles of :mod:`sublintest.oracles`.
 from __future__ import annotations
 
 import math
+from dataclasses import field
 
 import numpy as np
 
@@ -29,6 +30,11 @@ def clamped_log2(x: float) -> float:
 def ceil_pos(x: float) -> int:
     """Ceiling as a positive integer count."""
     return max(1, math.ceil(x))
+
+
+def const(default, name: str):
+    """Dataclass field for a tuning constant that `--const name=value` sets."""
+    return field(default=default, metadata={"const": name})
 
 
 class BitString:

@@ -5,24 +5,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BitString, FiniteDistribution, SeededRng, ceil_pos, clamped_log2
-from .oracles import DistSampler, FunctionOracle, PreconditionViolated, Verdict
-from .mdl import DEFAULT_MDL, MdlConstants, MdlRun, budget_mdl, budget_mdl_samples
+from .core import BitString, FiniteDistribution, SeededRng, ceil_pos, clamped_log2, const
+from .oracles import DistSampler, FunctionOracle, PreconditionViolated, Verdict, accounted
+from .mdl import (DEFAULT_MDL, MdlConstants, MdlRun, _extract, _runs, budget_mdl,
+                  budget_mdl_samples)
 
 
 @dataclass(frozen=True)
 class DlConstants:
     mdl: MdlConstants = DEFAULT_MDL
-    t_amplify: int | None = None        # default: ceil(6 * log2 n)
-    outer_factor: float = 100.0         # rounds: ceil(outer_factor / eps)
-    inner_factor: float = 100.0         # per-round runs: ceil(inner_factor * log2(n/eps))
-    accept_threshold: float | None = None  # default: log2(n/eps)
-    outer_rounds: int | None = None     # absolute overrides for scaled-down runs
-    inner_rounds: int | None = None
+    t_amplify: int | None = const(None, "t_amplify")  # default: ceil(6 * log2 n)
+    outer_factor: float = const(100.0, "c_outer")  # rounds: ceil(outer_factor / eps)
+    # per-round runs: ceil(inner_factor * log2(n/eps))
+    inner_factor: float = const(100.0, "c_inner")
+    accept_threshold: float | None = const(None, "c_accept_threshold")  # default: log2(n/eps)
+    # absolute overrides for scaled-down runs
+    outer_rounds: int | None = const(None, "outer_rounds")
+    inner_rounds: int | None = const(None, "inner_rounds")
     dist_rounds_factor: float = 10.0    # hybrid-distance stage: ceil(10 log2 n / eps)
     dist_reject_factor: float = 2.0     # reject when count >= 2 log2(n) / eps
-    sketch_source: str = "full"         # "full" | "light": strings replayed into the sketch
+    # "full" | "light": strings replayed into the sketch
+    sketch_source: str = const("full", "sketch_source")
     light_weight_cap: int = 6
+
+    def __post_init__(self):
+        if self.sketch_source not in ("full", "light"):
+            raise ValueError(f"sketch_source must be 'full' or 'light', got {self.sketch_source!r}")
 
 
 DEFAULT_DL = DlConstants()
@@ -34,6 +42,7 @@ def _amplify_count(n: int, constants: DlConstants) -> int:
     return ceil_pos(6.0 * clamped_log2(n))
 
 
+@accounted
 def monotone_dl_amplified(f: FunctionOracle, d, eps: float, rng: SeededRng,
                           constants: DlConstants = DEFAULT_DL,
                           sampler=None) -> Verdict:
@@ -43,7 +52,6 @@ def monotone_dl_amplified(f: FunctionOracle, d, eps: float, rng: SeededRng,
     need = t // 2 + 1
     accepts = rejects = 0
     last_reject = None
-    before = f.ledger.snapshot()
     for i in range(t):
         run = MdlRun(f, d, eps, rng.derive(i), constants.mdl)
         if sampler is not None:
@@ -56,13 +64,9 @@ def monotone_dl_amplified(f: FunctionOracle, d, eps: float, rng: SeededRng,
             last_reject = v
         if accepts >= need or rejects >= need:
             break
-    after = f.ledger.snapshot()
     decision = "accept" if accepts >= rejects else "reject"
-    out = Verdict(decision, witness=None if decision == "accept" else
-                  (last_reject.witness if last_reject else None))
-    out.queries = after[0] - before[0]
-    out.samples = after[1] - before[1]
-    return out
+    return Verdict(decision, witness=None if decision == "accept" else
+                   (last_reject.witness if last_reject else None))
 
 
 class _RecordingOracle(FunctionOracle):
@@ -171,13 +175,13 @@ def index_search(f: FunctionOracle, r: BitString, y: BitString) -> int | None:
     return None
 
 
+@accounted
 def test_dl(f: FunctionOracle, d: FiniteDistribution, eps: float,
             r: BitString, z: BitString, rng: SeededRng,
             constants: DlConstants = DEFAULT_DL, sampler=None) -> Verdict:
     """Estimate how far the shifted view is from its pivot truncation, then
     run the amplified monotone tester on the truncation at eps/2."""
     n = f.n
-    before = f.ledger.snapshot()
     h = HybridFunction(f, r, z)
     base_sampler = sampler if sampler is not None else DistSampler(d, rng, f.ledger)
     shifted = base_sampler.shifted(z)
@@ -192,14 +196,9 @@ def test_dl(f: FunctionOracle, d: FiniteDistribution, eps: float,
         if diff >= cutoff:
             break
     if diff >= cutoff:
-        out = Verdict("reject", witness=("hybrid_distance", diff, rounds))
-    else:
-        out = monotone_dl_amplified(h, None, eps / 2.0, rng.derive(0x7D1),
-                                    constants, sampler=shifted)
-    after = f.ledger.snapshot()
-    out.queries = after[0] - before[0]
-    out.samples = after[1] - before[1]
-    return out
+        return Verdict("reject", witness=("hybrid_distance", diff, rounds))
+    return monotone_dl_amplified(h, None, eps / 2.0, rng.derive(0x7D1),
+                                 constants, sampler=shifted)
 
 
 def _sketch_inputs(rec: _RecordingOracle, constants: DlConstants) -> list[int]:
@@ -209,85 +208,42 @@ def _sketch_inputs(rec: _RecordingOracle, constants: DlConstants) -> list[int]:
     return [v for v in rec.order if v]
 
 
-def _extraction_replay(g: FunctionOracle, vs: list[int], n: int):
+def _extraction_replay(g: FunctionOracle, vs: list[int]):
     """Rerun the sketch extraction on the recorded strings, stopping after the
     interval grouping (no consistency verification).  Returns the extraction
     sequence with values and the interval runs."""
-    xs = [BitString(n, v) for v in vs]
-    vals = [g.query(x) for x in xs]
-    order0 = [v for v, b in zip(vs, vals) if b == 0]
-    order1 = [v for v, b in zip(vs, vals) if b == 1]
-    from .mdl import _OrTree
-    trees = (_OrTree(order0), _OrTree(order1))
-    lists = (order0, order1)
-    extracted = []
-    for _ in range(len(xs)):
-        if trees[0].alive and trees[1].alive:
-            union_v = trees[0].or_all() | trees[1].or_all()
-            b = g.query_raw(union_v)
-            tree = trees[b]
-            other_v = trees[1 - b].or_all()
-            g.query_raw(union_v)
-            a, c = 0, tree.alive
-            while c > 1:
-                half = c // 2
-                if g.query_raw(tree.or_range(a, a + half) | other_v) == b:
-                    c = half
-                else:
-                    a += half
-                    c -= half
-            pos = tree.kth_alive(a)
-            extracted.append((lists[b][pos], b))
-            tree.remove(pos)
-        else:
-            b = 0 if trees[0].alive else 1
-            pos = trees[b].kth_alive(0)
-            extracted.append((lists[b][pos], b))
-            trees[b].remove(pos)
-    runs = []
-    for v, b in extracted:
-        if runs and runs[-1][1] == b:
-            runs[-1][0].append(v)
-        else:
-            runs.append(([v], b))
-    return extracted, runs
+    extracted = _extract(g, vs, [g.query_raw(v) for v in vs])
+    return extracted, _runs(extracted)
 
 
+@accounted
 def check_dl(f: FunctionOracle, d: FiniteDistribution, eps: float, r: BitString,
              rng: SeededRng, constants: DlConstants = DEFAULT_DL) -> Verdict:
     """One acceptance attempt for the pivot candidate r: test the shifted view
     directly, then search the replayed sketch for a better shift."""
     n = f.n
-    before = f.ledger.snapshot()
-
-    def finish(v: Verdict) -> Verdict:
-        after = f.ledger.snapshot()
-        v.queries = after[0] - before[0]
-        v.samples = after[1] - before[1]
-        return v
-
     rec = _RecordingOracle(f, r)
     base_sampler = DistSampler(d, rng, f.ledger)
     shifted = base_sampler.shifted(r)
     v1 = monotone_dl_amplified(rec, None, eps, rng.derive(0xA1), constants,
                                sampler=shifted)
     if v1.accepted:
-        return finish(Verdict("accept"))
+        return Verdict("accept")
 
     b = f.query(r)
     source = _sketch_inputs(rec, constants)
     if not source or all(rec.seen[v] == rec.seen[source[0]] for v in source):
-        return finish(Verdict("reject", witness=("no_mixed_values",)))
-    extracted, runs = _extraction_replay(rec, source, n)
+        return Verdict("reject", witness=("no_mixed_values",))
+    extracted, runs = _extraction_replay(rec, source)
 
     opp = [v for v, val in extracted if val != b]
     if not opp:
-        return finish(Verdict("reject", witness=("no_opposite_strings",)))
+        return Verdict("reject", witness=("no_opposite_strings",))
     x_star = opp[-1]
     v2 = test_dl(f, d, eps, r, BitString(n, x_star ^ r.v), rng.derive(0xA2),
                  constants, sampler=base_sampler)
     if v2.accepted:
-        return finish(Verdict("accept"))
+        return Verdict("accept")
 
     last_opp = None
     last_same = None
@@ -297,7 +253,7 @@ def check_dl(f: FunctionOracle, d: FiniteDistribution, eps: float, r: BitString,
         else:
             last_opp = members
     if last_opp is None or last_same is None:
-        return finish(Verdict("reject", witness=("no_final_intervals",)))
+        return Verdict("reject", witness=("no_final_intervals",))
 
     results = []
     for xv in last_opp:
@@ -306,24 +262,22 @@ def check_dl(f: FunctionOracle, d: FiniteDistribution, eps: float, r: BitString,
     nil_entries = [xv for xv, idx in results if idx is None]
     if nil_entries:
         z = BitString(n, nil_entries[0] ^ r.v)
-        v3 = test_dl(f, d, eps, r, z, rng.derive(0xA3), constants, sampler=base_sampler)
-        return finish(Verdict(v3.decision, witness=v3.witness))
+        return test_dl(f, d, eps, r, z, rng.derive(0xA3), constants, sampler=base_sampler)
     for xv, idx in results:
         if any((yv >> (idx - 1)) & 1 for yv in last_same):
             flipped = BitString(n, r.v ^ (1 << (idx - 1)))
-            v4 = test_dl(f, d, eps, r, flipped, rng.derive(0xA4), constants,
-                         sampler=base_sampler)
-            return finish(Verdict(v4.decision, witness=v4.witness))
-    return finish(Verdict("reject", witness=("no_candidate_shift",)))
+            return test_dl(f, d, eps, r, flipped, rng.derive(0xA4), constants,
+                           sampler=base_sampler)
+    return Verdict("reject", witness=("no_candidate_shift",))
 
 
+@accounted
 def decision_list_tester(f: FunctionOracle, d: FiniteDistribution, eps: float,
                          rng: SeededRng, constants: DlConstants = DEFAULT_DL) -> Verdict:
     """Accept iff some sampled pivot wins enough acceptance attempts."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     n = f.n
-    before = f.ledger.snapshot()
     outer = constants.outer_rounds
     if outer is None:
         outer = ceil_pos(constants.outer_factor / eps)
@@ -334,7 +288,6 @@ def decision_list_tester(f: FunctionOracle, d: FiniteDistribution, eps: float,
     if threshold is None:
         threshold = clamped_log2(n / eps)
     sampler = DistSampler(d, rng, f.ledger)
-    out = None
     for rd in range(outer):
         r = sampler.draw()
         count = 0
@@ -346,14 +299,8 @@ def decision_list_tester(f: FunctionOracle, d: FiniteDistribution, eps: float,
             if count >= threshold:
                 break
         if count >= threshold:
-            out = Verdict("accept")
-            break
-    if out is None:
-        out = Verdict("reject", witness=("no_accepting_round",))
-    after = f.ledger.snapshot()
-    out.queries = after[0] - before[0]
-    out.samples = after[1] - before[1]
-    return out
+            return Verdict("accept")
+    return Verdict("reject", witness=("no_accepting_round",))
 
 
 def budget_checkdl(n: int, eps: float, constants: DlConstants = DEFAULT_DL) -> int:

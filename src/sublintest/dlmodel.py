@@ -129,11 +129,6 @@ def dominates(f: FunctionOracle, x: BitString, y: BitString) -> bool:
     return f.query(bit_or(x, y)) == fx
 
 
-def dominates_with_value(f: FunctionOracle, x: BitString, y: BitString, fx: int) -> bool:
-    """One-query dominance for callers that already hold f(x)."""
-    return f.query(bit_or(x, y)) == fx
-
-
 def random_mdl(n: int, rng: SeededRng) -> MonotoneDLRep:
     pi = rng.permutation(n)
     nu = [rng.coin() for _ in range(n + 1)]

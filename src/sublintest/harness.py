@@ -8,7 +8,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import BitString, FiniteDistribution, PairDistribution, SeededRng
 from .dlmodel import GeneralDLRep, MonotoneDLRep, table_target
@@ -16,10 +16,9 @@ from .exact import dist_mdl
 from .instances import (InstanceBundle, gen_dl_yes, gen_groups4, gen_mdl_yes,
                         gen_pentagon, gen_total_yes)
 from .mdl import DEFAULT_MDL, MdlConstants, budget_mdl, budget_mdl_samples, monotone_dl_tester
-from .dl import DEFAULT_DL, DlConstants, budget_dl, budget_dl_samples, decision_list_tester
+from .dl import DlConstants, budget_dl, budget_dl_samples, decision_list_tester
 from .oracles import BudgetExhausted, QueryLedger
-from .total_order import (DEFAULT_TOTAL, TotalConstants, budget_total,
-                          budget_total_samples, test_total_ordering)
+from .total_order import TotalConstants, budget_total, budget_total_samples, test_total_ordering
 
 CSV_COLUMNS = ["family", "n", "eps", "delta", "trial", "seed", "verdict",
                "queries", "samples", "runtime_ms"]
@@ -65,6 +64,7 @@ class RunConfig:
             raise ValueError("trials must be positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0,1)")
+        _constants_for(self)
 
 
 @dataclass
@@ -117,33 +117,31 @@ def build_instance(cfg: RunConfig) -> InstanceBundle:
     raise ValueError(f"unknown family {fam!r}")
 
 
+# --const name -> (constants class, field), read from the fields' metadata
+CONSTS = {f.metadata["const"]: (cls, f) for cls in (TotalConstants, MdlConstants, DlConstants)
+          for f in fields(cls) if "const" in f.metadata}
+
+
+def _const_value(name: str, value):
+    """value (text or number) converted to the type of the field it sets."""
+    if name not in CONSTS:
+        raise ValueError(f"unknown constant {name!r} (accepted: {', '.join(CONSTS)})")
+    kind = CONSTS[name][1].type.split(" ")[0]  # "int | None" -> "int"
+    try:
+        return {"int": int, "float": float, "str": str}[kind](value)
+    except (TypeError, ValueError):
+        raise ValueError(f"constant {name} expects {kind}, got {value!r}") from None
+
+
 def _constants_for(cfg: RunConfig):
-    c = cfg.consts
-    mdl = MdlConstants(
-        delta=cfg.delta,
-        type_factor=c.get("c_type", DEFAULT_MDL.type_factor),
-        nil_factor=c.get("c_nil", DEFAULT_MDL.nil_factor),
-        block_cap_factor=c.get("c_blockcap", DEFAULT_MDL.block_cap_factor),
-        pair_cap_factor=c.get("c_paircap", DEFAULT_MDL.pair_cap_factor),
-        t2_factor=c.get("c_t2", DEFAULT_MDL.t2_factor),
-    )
-    total = TotalConstants(
-        sketch_factor=c.get("c_sk", DEFAULT_TOTAL.sketch_factor),
-        local_factor=c.get("c_lc", DEFAULT_TOTAL.local_factor),
-        long_samples=c.get("c_long", DEFAULT_TOTAL.long_samples),
-        crowd_factor=c.get("c_crowd", DEFAULT_TOTAL.crowd_factor),
-    )
-    dl = DlConstants(
-        mdl=mdl,
-        t_amplify=int(c["t_amplify"]) if "t_amplify" in c else DEFAULT_DL.t_amplify,
-        outer_factor=c.get("c_outer", DEFAULT_DL.outer_factor),
-        inner_factor=c.get("c_inner", DEFAULT_DL.inner_factor),
-        accept_threshold=c.get("c_accept_threshold", DEFAULT_DL.accept_threshold),
-        outer_rounds=int(c["outer_rounds"]) if "outer_rounds" in c else None,
-        inner_rounds=int(c["inner_rounds"]) if "inner_rounds" in c else None,
-        sketch_source=c.get("sketch_source", DEFAULT_DL.sketch_source),
-    )
-    return total, mdl, dl
+    chosen = {cls: {} for cls in (TotalConstants, MdlConstants, DlConstants)}
+    for name, value in cfg.consts.items():
+        value = _const_value(name, value)
+        cls, fld = CONSTS[name]
+        chosen[cls][fld.name] = value
+    mdl = MdlConstants(delta=cfg.delta, **chosen[MdlConstants])
+    return (TotalConstants(**chosen[TotalConstants]), mdl,
+            DlConstants(mdl=mdl, **chosen[DlConstants]))
 
 
 def run_one_trial(cfg: RunConfig, bundle: InstanceBundle, trial: int):

@@ -6,18 +6,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BitString, FiniteDistribution, SeededRng, ceil_pos, clamped_log2, unit
-from .oracles import DistSampler, FunctionOracle, Verdict
+from .core import (BitString, FiniteDistribution, SeededRng, ceil_pos, clamped_log2, const,
+                   unit)
+from .oracles import DistSampler, FunctionOracle, Verdict, accounted
 
 
 @dataclass(frozen=True)
 class MdlConstants:
     delta: float = 1.0 / 6.0
-    type_factor: float = 8.0      # sample factor for the type-1/3/4/5 stages
-    nil_factor: float = 8.0       # nil-probe count: ceil(nil_factor / eps)
-    block_cap_factor: float = 16.0  # small-block size bound: 16 n^delta log2(n) / eps
-    pair_cap_factor: float = 2.0  # per-point partner cap multiplier in types 3-5
-    t2_factor: float = 1.0        # boost for the tiny type-2 first sample set
+    type_factor: float = const(8.0, "c_type")     # sample factor for the type-1/3/4/5 stages
+    nil_factor: float = const(8.0, "c_nil")       # nil-probe count: ceil(nil_factor / eps)
+    # small-block size bound: 16 n^delta log2(n) / eps
+    block_cap_factor: float = const(16.0, "c_blockcap")
+    # per-point partner cap multiplier in types 3-5
+    pair_cap_factor: float = const(2.0, "c_paircap")
+    t2_factor: float = const(1.0, "c_t2")         # boost for the tiny type-2 first sample set
 
 
 DEFAULT_MDL = MdlConstants()
@@ -127,11 +130,20 @@ class _OrTree:
         return go(1, a, b)
 
 
-def _or_units(indices) -> int:
-    v = 0
-    for i in indices:
-        v |= 1 << (i - 1)
-    return v
+def _or_all(vs) -> int:
+    out = 0
+    for v in vs:
+        out |= v
+    return out
+
+
+def _rep_search(f: FunctionOracle, vs: list[int], y_v: int) -> int:
+    """find_rep over backing ints: some v in vs, found against the union y_v."""
+    b = f.query_raw(_or_all(vs) | y_v)
+    while len(vs) > 1:
+        left, right = vs[:len(vs) // 2], vs[len(vs) // 2:]
+        vs = left if f.query_raw(_or_all(left) | y_v) == b else right
+    return vs[0]
 
 
 def find_rep(f: FunctionOracle, xs: list[BitString], ys: list[BitString]) -> BitString:
@@ -139,39 +151,51 @@ def find_rep(f: FunctionOracle, xs: list[BitString], ys: list[BitString]) -> Bit
     list, the result's rule outranks every other rule fired in xs or ys."""
     if not xs:
         raise ValueError("xs must be nonempty")
-    y_v = 0
-    for y in ys:
-        y_v |= y.v
-    all_v = y_v
-    for x in xs:
-        all_v |= x.v
-    b = f.query_raw(all_v)
-    r = list(xs)
-    while len(r) > 1:
-        half = len(r) // 2
-        left = r[:half]
-        lv = y_v
-        for x in left:
-            lv |= x.v
-        if f.query_raw(lv) == b:
-            r = left
-        else:
-            r = r[half:]
-    return r[0]
+    return BitString(f.n, _rep_search(f, [x.v for x in xs], _or_all(y.v for y in ys)))
 
 
-def _find_rep_indices(f: FunctionOracle, idxs: list[int], y_v: int) -> int:
-    """find_rep specialized to singleton strings, passed as 1-based indices."""
-    b = f.query_raw(_or_units(idxs) | y_v)
-    r = idxs
-    while len(r) > 1:
-        half = len(r) // 2
-        left = r[:half]
-        if f.query_raw(_or_units(left) | y_v) == b:
-            r = left
+def _extract(g: FunctionOracle, vs: list[int], vals: list[int]) -> list[tuple[int, int]]:
+    """Order the strings vs (with values vals) by priority, highest first:
+    each step queries the union of the alive strings, then halving-searches
+    the alive strings of that value for the one whose rule fires on it.
+    Returns (backing int, value) pairs in extraction order."""
+    lists = ([v for v, b in zip(vs, vals) if b == 0], [v for v, b in zip(vs, vals) if b == 1])
+    trees = (_OrTree(lists[0]), _OrTree(lists[1]))
+    extracted = []
+    for _ in range(len(vs)):
+        if trees[0].alive and trees[1].alive:
+            union_v = trees[0].or_all() | trees[1].or_all()
+            b = g.query_raw(union_v)
+            tree = trees[b]
+            other_v = trees[1 - b].or_all()
+            # inner halving search over the alive prefix order
+            g.query_raw(union_v)  # the search recomputes its own reference value
+            a, c = 0, tree.alive
+            while c > 1:
+                half = c // 2
+                if g.query_raw(tree.or_range(a, a + half) | other_v) == b:
+                    c = half
+                else:
+                    a += half
+                    c -= half
         else:
-            r = r[half:]
-    return r[0]
+            b = 0 if trees[0].alive else 1
+            tree, a = trees[b], 0
+        pos = tree.kth_alive(a)
+        extracted.append((lists[b][pos], b))
+        tree.remove(pos)
+    return extracted
+
+
+def _runs(extracted: list[tuple[int, int]]) -> list[tuple[list[int], int]]:
+    """Maximal same-value runs of an extraction sequence."""
+    runs = []
+    for v, b in extracted:
+        if runs and runs[-1][1] == b:
+            runs[-1][0].append(v)
+        else:
+            runs.append(([v], b))
+    return runs
 
 
 def sketch_mdl(f: FunctionOracle, T: list[BitString]) -> MdlSketch | None:
@@ -184,50 +208,7 @@ def sketch_mdl(f: FunctionOracle, T: list[BitString]) -> MdlSketch | None:
         raise ValueError("T must contain strings of both values")
     if any(x.v == 0 for x in T):
         raise ValueError("T must not contain the all-zero string")
-
-    class_of = {}
-    per_class = ([], [])
-    for x, b in zip(T, vals):
-        class_of[x.v] = b
-        per_class[b].append(x.v)
-    trees = (_OrTree(per_class[0]), _OrTree(per_class[1]))
-    lists = per_class
-
-    extracted = []  # (backing int, value)
-    for _ in range(len(T)):
-        if trees[0].alive and trees[1].alive:
-            union_v = trees[0].or_all() | trees[1].or_all()
-            b = f.query_raw(union_v)
-            tree = trees[b]
-            other_v = trees[1 - b].or_all()
-            # inner halving search over the alive prefix order
-            f.query_raw(union_v)  # the search recomputes its own reference value
-            a, c = 0, tree.alive
-            while c > 1:
-                half = c // 2
-                if f.query_raw(tree.or_range(a, a + half) | other_v) == b:
-                    c = half
-                else:
-                    a += half
-                    c -= half
-            pos = tree.kth_alive(a)
-            extracted.append((lists[b][pos], b))
-            tree.remove(pos)
-        else:
-            b = 0 if trees[0].alive else 1
-            pos = trees[b].kth_alive(0)
-            extracted.append((lists[b][pos], b))
-            trees[b].remove(pos)
-
-    # maximal same-value runs
-    strings = []
-    values = []
-    for v, b in extracted:
-        if values and values[-1] == b:
-            strings[-1] |= v
-        else:
-            strings.append(v)
-            values.append(b)
+    strings = [_or_all(members) for members, _ in _runs(_extract(f, [x.v for x in T], vals))]
     if len(strings) < 2:
         return None
     if any(s == 0 for s in strings):
@@ -287,43 +268,6 @@ def find_block_mdl(f: FunctionOracle, sk: MdlSketch, x: BitString) -> int:
     return _find_block_ex(f, sk, x)[0]
 
 
-def _max_index_impl(run, x: BitString) -> int | None:
-    f, sk, L = run.f, run.sk, run.L
-    n = f.n
-    ell, fx = run.find_block_ex(x)
-    s_next_v = sk.next_of(ell)
-    supp = x.support()
-    if ell in L:
-        i = _find_rep_indices(f, supp, s_next_v)
-        li, fi = run.find_block_ex(unit(i, n))
-        return i if (li == ell and fi == fx) else None
-    cap = ceil_pos(run.c.block_cap_factor * (n ** run.c.delta) * clamped_log2(n) / run.eps)
-    E = list(supp)
-    U = []
-    while len(U) < cap and E:
-        if f.query_raw(s_next_v | _or_units(E)) != fx:
-            break
-        z = _find_rep_indices(f, E, s_next_v)
-        U.append(z)
-        E.remove(z)
-    rest_v = _or_units(E)
-    for i in U:
-        li, fi = run.find_block_ex(unit(i, n))
-        if li == ell and fi == fx and f.query_raw((1 << (i - 1)) | rest_v) == fx:
-            return i
-    return None
-
-
-def max_index(f: FunctionOracle, sk: MdlSketch, L: BigBlockSet, x: BitString,
-              eps: float, constants: MdlConstants = DEFAULT_MDL) -> int | None:
-    """Highest-priority same-value index of x's support, or None when the
-    consistency checks fail.  Deterministic."""
-    if x.v == 0:
-        raise ValueError("x must be nonzero")
-    run = MdlRun.from_parts(f, None, eps, None, constants, sk, L)
-    return _max_index_impl(run, x)
-
-
 class MdlRun:
     """One tester run: owns the sketch, the big-block set and the replay
     caches.  The deterministic sub-procedures are cached per input string;
@@ -341,7 +285,7 @@ class MdlRun:
         self.sk: MdlSketch | None = None
         self.L: BigBlockSet | None = None
         self.NL: frozenset = frozenset()
-        self._fb_cache: dict[int, tuple[int, int, int]] = {}
+        self._fb_cache: dict[int, tuple[tuple[int, int], int]] = {}
         self._mi_cache: dict[int, tuple[int | None, int]] = {}
 
     @classmethod
@@ -352,27 +296,50 @@ class MdlRun:
         run.NL = L.neighbors() if L is not None else frozenset()
         return run
 
-    def find_block_ex(self, x: BitString) -> tuple[int, int]:
-        hit = self._fb_cache.get(x.v)
-        if hit is not None:
-            ell, fx, cost = hit
-            self.f.ledger.charge_queries(cost)
-            return ell, fx
-        before = self.f.ledger.function_queries
-        ell, fx = _find_block_ex(self.f, self.sk, x)
-        self._fb_cache[x.v] = (ell, fx, self.f.ledger.function_queries - before)
-        return ell, fx
-
-    def max_index(self, x: BitString) -> int | None:
-        hit = self._mi_cache.get(x.v)
+    def _replayed(self, cache: dict, x: BitString, compute):
+        """compute(x) through cache: a hit recharges the recorded query cost."""
+        hit = cache.get(x.v)
         if hit is not None:
             res, cost = hit
             self.f.ledger.charge_queries(cost)
             return res
         before = self.f.ledger.function_queries
-        res = _max_index_impl(self, x)
-        self._mi_cache[x.v] = (res, self.f.ledger.function_queries - before)
+        res = compute(x)
+        cache[x.v] = (res, self.f.ledger.function_queries - before)
         return res
+
+    def find_block_ex(self, x: BitString) -> tuple[int, int]:
+        return self._replayed(self._fb_cache, x, lambda x: _find_block_ex(self.f, self.sk, x))
+
+    def max_index(self, x: BitString) -> int | None:
+        """Highest-priority same-value index of x's support, or None when the
+        consistency checks fail.  Deterministic."""
+        return self._replayed(self._mi_cache, x, self._max_index)
+
+    def _max_index(self, x: BitString) -> int | None:
+        f, sk, L = self.f, self.sk, self.L
+        n = f.n
+        ell, fx = self.find_block_ex(x)
+        s_next_v = sk.next_of(ell)
+        units = [1 << (i - 1) for i in x.support()]
+        if ell in L:
+            e = _rep_search(f, units, s_next_v)
+            le, fe = self.find_block_ex(BitString(n, e))
+            return e.bit_length() if (le == ell and fe == fx) else None
+        cap = ceil_pos(self.c.block_cap_factor * (n ** self.c.delta) * clamped_log2(n) / self.eps)
+        U = []
+        while len(U) < cap and units:
+            if f.query_raw(s_next_v | _or_all(units)) != fx:
+                break
+            z = _rep_search(f, units, s_next_v)
+            U.append(z)
+            units.remove(z)
+        rest_v = _or_all(units)
+        for e in U:
+            le, fe = self.find_block_ex(BitString(n, e))
+            if le == ell and fe == fx and f.query_raw(e | rest_v) == fx:
+                return e.bit_length()
+        return None
 
     # -- preprocessing ------------------------------------------------------
 
@@ -603,46 +570,13 @@ class MdlRun:
         return Verdict("accept")
 
 
-def preprocess(f: FunctionOracle, d: FiniteDistribution, eps: float, rng: SeededRng,
-               constants: MdlConstants = DEFAULT_MDL):
-    """Early accept, reject with a nil sketch, or an (MdlSketch, BigBlockSet)
-    pair for the type stages."""
-    run = MdlRun(f, d, eps, rng, constants)
-    early = run.preprocess()
-    if early is not None:
-        return early
-    return (run.sk, run.L)
-
-
-def find_big_blocks(f: FunctionOracle, d: FiniteDistribution, eps: float,
-                    sk: MdlSketch, rng: SeededRng,
-                    constants: MdlConstants = DEFAULT_MDL) -> BigBlockSet:
-    run = MdlRun(f, d, eps, rng, constants)
-    run.sk = sk
-    return run._find_big_blocks()
-
-
-def test_type(c: int, f: FunctionOracle, d: FiniteDistribution, eps: float,
-              sk: MdlSketch, L: BigBlockSet, rng: SeededRng,
-              constants: MdlConstants = DEFAULT_MDL) -> Verdict:
-    if c not in (1, 2, 3, 4, 5):
-        raise ValueError("type stage must be 1..5")
-    run = MdlRun(f, d, eps, rng, constants)
-    run.sk, run.L, run.NL = sk, L, L.neighbors()
-    return run.test_type(c)
-
-
+@accounted
 def monotone_dl_tester(f: FunctionOracle, d: FiniteDistribution, eps: float,
                        rng: SeededRng, constants: MdlConstants = DEFAULT_MDL) -> Verdict:
     """Full monotone-decision-list tester; accepts iff no stage rejects."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    before = f.ledger.snapshot()
-    out = MdlRun(f, d, eps, rng, constants).execute()
-    after = f.ledger.snapshot()
-    out.queries = after[0] - before[0]
-    out.samples = after[1] - before[1]
-    return out
+    return MdlRun(f, d, eps, rng, constants).execute()
 
 
 def budget_mdl(n: int, eps: float, constants: MdlConstants = DEFAULT_MDL) -> int:

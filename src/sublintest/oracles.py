@@ -7,6 +7,7 @@ report is just the ledger's two counters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,18 +47,6 @@ class QueryLedger:
     def snapshot(self) -> tuple[int, int]:
         return (self.function_queries, self.samples_drawn)
 
-    def merge(self, other: "QueryLedger") -> "QueryLedger":
-        out = QueryLedger()
-        out.function_queries = self.function_queries + other.function_queries
-        out.samples_drawn = self.samples_drawn + other.samples_drawn
-        return out
-
-
-def ledger_report(obj) -> tuple[int, int]:
-    """(function_queries, samples_drawn) for anything carrying a ledger."""
-    ledger = obj if isinstance(obj, QueryLedger) else obj.ledger
-    return ledger.snapshot()
-
 
 @dataclass
 class Verdict:
@@ -76,6 +65,23 @@ class Verdict:
     @property
     def rejected(self) -> bool:
         return self.decision == "reject"
+
+
+def accounted(tester):
+    """Decorate a tester whose first argument is its oracle: the returned
+    Verdict's queries and samples become what the call charged to that
+    oracle's ledger."""
+
+    @functools.wraps(tester)
+    def run(oracle, *args, **kwargs) -> Verdict:
+        before = oracle.ledger.snapshot()
+        out = tester(oracle, *args, **kwargs)
+        after = oracle.ledger.snapshot()
+        out.queries = after[0] - before[0]
+        out.samples = after[1] - before[1]
+        return out
+
+    return run
 
 
 class FunctionOracle:
@@ -98,32 +104,6 @@ class FunctionOracle:
     def query_raw(self, v: int) -> int:
         self.ledger.charge_queries()
         return self.target(v)
-
-
-class MemoizedOracle(FunctionOracle):
-    """Experiment-only wrapper answering repeated points from a memo without
-    charging them.  Never used by the testers themselves, whose ledgers must
-    count repeats exactly as the procedures make them."""
-
-    __slots__ = ("memo",)
-
-    def __init__(self, base: FunctionOracle):
-        self.n = base.n
-        self.target = base.target
-        self.ledger = base.ledger
-        self.memo = {}
-
-    def query_raw(self, v: int) -> int:
-        hit = self.memo.get(v)
-        if hit is not None:
-            return hit
-        self.ledger.charge_queries()
-        out = self.target(v)
-        self.memo[v] = out
-        return out
-
-    def query(self, x: BitString) -> int:
-        return self.query_raw(x.v)
 
 
 class ComparisonOracle:

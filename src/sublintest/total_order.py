@@ -5,16 +5,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PairDistribution, SeededRng, ceil_pos, clamped_log2, vertex_marginal
-from .oracles import ComparisonOracle, MarginalSampler, PairSampler, Verdict
+from .core import PairDistribution, SeededRng, ceil_pos, clamped_log2, const, vertex_marginal
+from .oracles import ComparisonOracle, MarginalSampler, PairSampler, Verdict, accounted
 
 
 @dataclass(frozen=True)
 class TotalConstants:
-    sketch_factor: float = 8.0   # sketch draws: ceil(factor * sqrt(n) / eps)
-    local_factor: float = 8.0    # long/local stage draws: ceil(factor * sqrt(n) / eps)
-    long_samples: float = 100.0  # long-edge stage draws: ceil(long_samples / eps)
-    crowd_factor: float = 1000.0  # per-block cap: crowd_factor * log2(n)
+    sketch_factor: float = const(8.0, "c_sk")  # sketch draws: ceil(factor * sqrt(n) / eps)
+    # long/local stage draws: ceil(factor * sqrt(n) / eps)
+    local_factor: float = const(8.0, "c_lc")
+    long_samples: float = const(100.0, "c_long")  # long-edge stage draws: ceil(long_samples / eps)
+    crowd_factor: float = const(1000.0, "c_crowd")  # per-block cap: crowd_factor * log2(n)
 
 
 DEFAULT_TOTAL = TotalConstants()
@@ -156,28 +157,20 @@ def test_local_cycles(cmp: ComparisonOracle, d: PairDistribution, eps: float,
     return Verdict("accept")
 
 
+@accounted
 def test_total_ordering(cmp: ComparisonOracle, d: PairDistribution, eps: float,
                         rng: SeededRng,
                         constants: TotalConstants = DEFAULT_TOTAL) -> Verdict:
     """Sketch, then long-edge and local-triangle stages; accept iff all pass."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    before = cmp.ledger.snapshot()
-
-    def finish(v: Verdict) -> Verdict:
-        after = cmp.ledger.snapshot()
-        v.queries = after[0] - before[0]
-        v.samples = after[1] - before[1]
-        return v
-
     sk = sketch_total(cmp, d, eps, rng, constants)
     if isinstance(sk, Verdict):
-        return finish(sk)
+        return sk
     v = test_long_cycles(cmp, d, eps, rng, sk, constants)
     if v.rejected:
-        return finish(v)
-    v = test_local_cycles(cmp, d, eps, rng, sk, constants)
-    return finish(v)
+        return v
+    return test_local_cycles(cmp, d, eps, rng, sk, constants)
 
 
 def verify_total_witness(cmp: ComparisonOracle, sk, witness) -> bool:

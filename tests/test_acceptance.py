@@ -15,10 +15,9 @@ from sublintest.birthday import (CollisionExperiment, run_bipartite_birthday,
 from sublintest.harness import RunConfig, budget_for, oracle_check, run_trials
 from sublintest.instances import (InstanceBundle, gen_dl_yes, gen_groups4, gen_mdl_yes,
                                   gen_pentagon, gen_total_yes)
-from sublintest.mdl import (BigBlockSet, MdlRun, budget_mdl, budget_mdl_samples,
-                            find_block_mdl, find_rep, max_index, monotone_dl_tester,
-                            preprocess, sketch_mdl)
-from sublintest.mdl import test_type as type_stage
+from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, budget_mdl,
+                            budget_mdl_samples, find_block_mdl, find_rep, monotone_dl_tester,
+                            sketch_mdl)
 from sublintest.oracles import FunctionOracle, QueryLedger, Verdict
 from sublintest.total_order import (budget_total, budget_total_samples, sketch_total,
                                     TotalSketch)
@@ -82,13 +81,16 @@ def test_criterion_2_one_sided_stages():
         i += 1
         bundle = gen_mdl_yes(256, 96, rng.derive(50_000 + i))
         f = bundle.function_oracle()
-        out = preprocess(f, bundle.dist, 0.2, rng.derive(60_000 + i))
+        run = MdlRun(f, bundle.dist, 0.2, rng.derive(60_000 + i))
+        out = run.preprocess()
         if isinstance(out, Verdict):
             continue  # single-valued support: the stages never ran
-        sk, L = out
+        sk, L = run.sk, run.L
         ran += 1
         for c in (1, 3, 4, 5):
-            v = type_stage(c, f, bundle.dist, 0.2, sk, L, rng.derive(70_000 + 8 * i + c))
+            stage = MdlRun.from_parts(f, bundle.dist, 0.2, rng.derive(70_000 + 8 * i + c),
+                                      MdlConstants(), sk, L)
+            v = stage.test_type(c)
             stage_rejects += v.rejected
     ok = order_rejects == 0 and stage_rejects == 0
     report(2, ok, f"ordering-stage rejections {order_rejects}/500, "
@@ -137,7 +139,7 @@ def test_criterion_4_dl_contract():
         rejects += v.rejected
     ok = accepts >= 75 and rejects >= 75
     report(4, ok, f"dl-yes accept {accepts}/100, groups4-no reject {rejects}/100 "
-                  f"(desk round profile, see decisions ledger)")
+                  f"(desk round profile, see README)")
 
 
 def _random_table_bundle(n, rng):
@@ -284,7 +286,9 @@ def test_criterion_7_deterministic_postconditions():
         sk = sketch_mdl(f, T)
         supp = {int(rng.integer(1, n + 1)) for _ in range(3)}
         x = BitString.from_support(n, supp)
-        mi = max_index(f, sk, BigBlockSet(frozenset(), sk.k), x, 0.2)
+        run = MdlRun.from_parts(f, None, 0.2, None, MdlConstants(), sk,
+                                BigBlockSet(frozenset(), sk.k))
+        mi = run.max_index(x)
         if mi is None:
             failures.append(("max_index_nil", i))
         else:

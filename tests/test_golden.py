@@ -2,8 +2,7 @@
 fixed-seed corpus, plus fixed-seed collision rates, compared byte for byte
 against tests/data/golden_verdicts.json.
 
-The file was written once, from the code as it stood before the extraction,
-halving-search and ledger-accounting code was shared, with
+The file was written once with
 
     json.dumps(golden_corpus(), indent=1) + "\\n"
 

@@ -4,7 +4,7 @@ import pytest
 
 from sublintest.core import SeededRng
 from sublintest.cli import main as cli_main
-from sublintest.harness import (CSV_COLUMNS, RunConfig, budget_for, build_instance,
+from sublintest.harness import (CONSTS, CSV_COLUMNS, RunConfig, budget_for, build_instance,
                                 load_bundle, oracle_check, report_csv, run_trials,
                                 save_bundle, scaling_experiment, wilson_interval)
 from sublintest.instances import gen_groups4, gen_mdl_yes, gen_pentagon, gen_total_yes
@@ -141,6 +141,30 @@ def test_cli_gen_instance_round_trip(tmp_path):
                     instance_path=str(path))
     report = run_trials(cfg)
     assert report.rows[0]["verdict"] == "accept"
+
+
+def test_cli_dl_desk_profile_runs(tmp_path):
+    out = tmp_path / "dl.csv"
+    code = cli_main(["test-dl", "--n", "64", "--eps", "0.2", "--trials", "1", "--seed", "3",
+                     "--const", "t_amplify=3", "--const", "outer_rounds=6",
+                     "--const", "inner_rounds=8", "--const", "c_accept_threshold=3",
+                     "--const", "sketch_source=light", "--out", str(out)])
+    assert code == 0
+    assert out.read_text().splitlines()[1].split(",")[6] in ("accept", "reject")
+
+
+@pytest.mark.parametrize("const", ["bogus=1", "t_amplify=x", "sketch_source=lite"])
+def test_cli_bad_const_is_usage_error(const, capsys):
+    code = cli_main(["test-dl", "--n", "64", "--trials", "1", "--const", const])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_const_names_come_from_the_constants():
+    assert sorted(CONSTS) == sorted([
+        "c_sk", "c_lc", "c_long", "c_crowd", "c_type", "c_nil", "c_blockcap", "c_paircap",
+        "c_t2", "t_amplify", "c_outer", "c_inner", "c_accept_threshold", "outer_rounds",
+        "inner_rounds", "sketch_source"])
 
 
 def test_env_seed_respected(monkeypatch, tmp_path):

@@ -4,9 +4,8 @@ from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_or, un
 from sublintest.dlmodel import MonotoneDLRep, eval_mdl, min_index, random_mdl
 from sublintest.instances import gen_groups4, gen_mdl_yes, gen_planted_violation
 from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, MdlSketch, budget_mdl,
-                            budget_mdl_samples, find_block_mdl, find_rep, max_index,
-                            monotone_dl_tester, preprocess, sketch_mdl)
-from sublintest.mdl import test_type as type_stage
+                            budget_mdl_samples, find_block_mdl, find_rep,
+                            monotone_dl_tester, sketch_mdl)
 from sublintest.oracles import FunctionOracle, QueryLedger, Verdict
 
 
@@ -203,13 +202,14 @@ def test_max_index_singleton_and_domination():
         f = oracle_for(rep)
         L = BigBlockSet(frozenset(), sk.k)
         i = rng.integer(1, n + 1)
-        assert max_index(f, sk, L, unit(i, n), 0.2) == i
+        run = MdlRun.from_parts(f, None, 0.2, None, MdlConstants(), sk, L)
+        assert run.max_index(unit(i, n)) == i
         # weight-3 string: returned index must dominate the whole support
         supp = {rng.integer(1, n + 1) for _ in range(3)}
         x = BitString.from_support(n, supp)
         if x.v == 0:
             continue
-        mi = max_index(f, sk, L, x, 0.2)
+        mi = MdlRun.from_parts(f, None, 0.2, None, MdlConstants(), sk, L).max_index(x)
         assert mi is not None and mi in x.support()
         fmi = f.query(unit(mi, n))
         assert fmi == eval_mdl(rep, x)
@@ -239,7 +239,8 @@ def test_max_index_nil_on_crafted_table():
     if sk is None:
         pytest.skip("crafted chain inconsistent")
     L = BigBlockSet(frozenset(), sk.k)
-    out = max_index(f, sk, L, BitString(4, 0b1111), 0.5)
+    run = MdlRun.from_parts(f, None, 0.5, None, MdlConstants(), sk, L)
+    out = run.max_index(BitString(4, 0b1111))
     assert out is None or f.query(unit(out, 4)) == 1
 
 
@@ -247,7 +248,8 @@ def test_preprocess_point_mass_on_zero_accepts():
     rep = random_mdl(8, SeededRng(9))
     d = FiniteDistribution.point_mass(BitString.zeros(8))
     f = oracle_for(rep)
-    out = preprocess(f, d, 0.3, SeededRng(10))
+    run = MdlRun(f, d, 0.3, SeededRng(10))
+    out = run.preprocess()
     assert isinstance(out, Verdict) and out.accepted
 
 
@@ -255,7 +257,8 @@ def test_preprocess_single_valued_accepts():
     rep = MonotoneDLRep(6, tuple(range(1, 7)), (1,) * 7)
     d = FiniteDistribution.uniform(weight2_set(6, 5, SeededRng(11)))
     f = oracle_for(rep)
-    out = preprocess(f, d, 0.3, SeededRng(12))
+    run = MdlRun(f, d, 0.3, SeededRng(12))
+    out = run.preprocess()
     assert isinstance(out, Verdict) and out.accepted
 
 
@@ -264,11 +267,12 @@ def test_preprocess_returns_pair_for_true_lists():
     for trial in range(10):
         bundle = gen_mdl_yes(64, 32, rng.derive(trial))
         f = bundle.function_oracle()
-        out = preprocess(f, bundle.dist, 0.2, rng.derive(100 + trial))
+        run = MdlRun(f, bundle.dist, 0.2, rng.derive(100 + trial))
+        out = run.preprocess()
         if isinstance(out, Verdict):
             assert out.accepted  # single-valued support can legally early-accept
         else:
-            sk, L = out
+            sk, L = run.sk, run.L
             assert isinstance(sk, MdlSketch) and isinstance(L, BigBlockSet)
             assert L.neighbors().isdisjoint(L.members)
 
@@ -284,9 +288,10 @@ def test_big_blocks_flag_conjunction_block():
     atoms += [bit_or(unit(i, n), unit(i + 1, n)) for i in range(2, 80, 2)]
     d = FiniteDistribution.uniform(atoms)
     f = oracle_for(rep)
-    out = preprocess(f, d, eps, rng)
+    run = MdlRun(f, d, eps, rng)
+    out = run.preprocess()
     assert not isinstance(out, Verdict)
-    sk, L = out
+    sk, L = run.sk, run.L
     blocks = {find_block_mdl(oracle_for(rep), sk, unit(i, n)) for i in (300, 900, 2100)}
     assert any(b in L for b in blocks)
 
@@ -296,9 +301,10 @@ def test_big_blocks_empty_for_scattered_lists():
     rng = SeededRng(141)
     bundle = gen_mdl_yes(512, 200, rng)
     f = bundle.function_oracle()
-    out = preprocess(f, bundle.dist, 0.25, rng.derive(1))
+    run = MdlRun(f, bundle.dist, 0.25, rng.derive(1))
+    out = run.preprocess()
     if not isinstance(out, Verdict):
-        _, L = out
+        L = run.L
         assert len(L.members) == 0
 
 
@@ -307,13 +313,16 @@ def test_type_stages_accept_true_lists():
     for trial in range(10):
         bundle = gen_mdl_yes(128, 64, rng.derive(trial))
         f = bundle.function_oracle()
-        out = preprocess(f, bundle.dist, 0.15, rng.derive(300 + trial))
+        run = MdlRun(f, bundle.dist, 0.15, rng.derive(300 + trial))
+        out = run.preprocess()
         if isinstance(out, Verdict):
             assert out.accepted
             continue
-        sk, L = out
+        sk, L = run.sk, run.L
         for c in (1, 3, 4, 5):
-            v = type_stage(c, f, bundle.dist, 0.15, sk, L, rng.derive(400 + 10 * trial + c))
+            stage = MdlRun.from_parts(f, bundle.dist, 0.15, rng.derive(400 + 10 * trial + c),
+                                      MdlConstants(), sk, L)
+            v = stage.test_type(c)
             assert v.accepted, f"stage {c} rejected a true list"
 
 
@@ -327,12 +336,14 @@ def test_planted_violation_detected(c):
         base = gen_mdl_yes(256, 64, rng.derive(trial))
         bundle = gen_planted_violation(base, c, 0.3, rng.derive(700 + trial))
         f = bundle.function_oracle()
-        out = preprocess(f, bundle.dist, 0.15, rng.derive(800 + trial), consts)
+        run = MdlRun(f, bundle.dist, 0.15, rng.derive(800 + trial), consts)
+        out = run.preprocess()
         if isinstance(out, Verdict):
             hits += out.rejected
             continue
-        sk, L = out
-        v = type_stage(c, f, bundle.dist, 0.15, sk, L, rng.derive(900 + trial), consts)
+        sk, L = run.sk, run.L
+        stage = MdlRun.from_parts(f, bundle.dist, 0.15, rng.derive(900 + trial), consts, sk, L)
+        v = stage.test_type(c)
         hits += v.rejected
     assert hits >= 0.8 * trials
 
@@ -349,12 +360,14 @@ def test_planted_type2_detected():
         base = gen_mdl_yes(1024, 64, rng.derive(trial))
         bundle = gen_planted_violation(base, 2, 0.9, rng.derive(700 + trial))
         f = bundle.function_oracle()
-        out = preprocess(f, bundle.dist, 0.45, rng.derive(800 + trial), consts)
+        run = MdlRun(f, bundle.dist, 0.45, rng.derive(800 + trial), consts)
+        out = run.preprocess()
         if isinstance(out, Verdict):
             hits += out.rejected
             continue
-        sk, L = out
-        v = type_stage(2, f, bundle.dist, 0.45, sk, L, rng.derive(900 + trial), consts)
+        sk, L = run.sk, run.L
+        stage = MdlRun.from_parts(f, bundle.dist, 0.45, rng.derive(900 + trial), consts, sk, L)
+        v = stage.test_type(2)
         hits += v.rejected
     assert hits >= 0.8 * trials
 
@@ -447,11 +460,14 @@ def test_type5_witness_reverifies_with_fresh_queries():
         base = gen_mdl_yes(256, 64, rng.derive(trial))
         bundle = gen_planted_violation(base, 5, 0.3, rng.derive(700 + trial))
         f = bundle.function_oracle()
-        out = preprocess(f, bundle.dist, 0.15, rng.derive(800 + trial))
+        run = MdlRun(f, bundle.dist, 0.15, rng.derive(800 + trial))
+        out = run.preprocess()
         if isinstance(out, Verdict):
             continue
-        sk, L = out
-        v = type_stage(5, f, bundle.dist, 0.15, sk, L, rng.derive(900 + trial))
+        sk, L = run.sk, run.L
+        stage = MdlRun.from_parts(f, bundle.dist, 0.15, rng.derive(900 + trial),
+                                  MdlConstants(), sk, L)
+        v = stage.test_type(5)
         if not v.rejected:
             continue
         _, _, (u1, u2, u3, u4) = v.witness

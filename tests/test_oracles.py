@@ -2,8 +2,7 @@ import pytest
 
 from sublintest.core import BitString, FiniteDistribution, SeededRng, unit
 from sublintest.oracles import (BudgetExhausted, ComparisonOracle, DistSampler,
-                                FunctionOracle, PreconditionViolated, QueryLedger,
-                                ledger_report)
+                                FunctionOracle, PreconditionViolated, QueryLedger)
 
 
 def test_constant_target_counts():
@@ -25,7 +24,7 @@ def test_mdl_target_through_oracle():
 
 def test_fresh_ledger_report():
     f = FunctionOracle(2, lambda v: 0)
-    assert ledger_report(f) == (0, 0)
+    assert f.ledger.snapshot() == (0, 0)
     d = FiniteDistribution.point_mass(unit(1, 2))
     s = DistSampler(d, SeededRng(1), f.ledger)
     f.query(BitString.zeros(2))
@@ -33,17 +32,7 @@ def test_fresh_ledger_report():
         f.query(unit(1, 2))
     s.draw()
     s.draw()
-    assert ledger_report(f) == (6, 2)
-
-
-def test_ledger_merge_componentwise():
-    a, b = QueryLedger(), QueryLedger()
-    a.charge_queries(5)
-    a.charge_samples(2)
-    b.charge_queries(1)
-    b.charge_samples(9)
-    merged = a.merge(b)
-    assert merged.snapshot() == (6, 11)
+    assert f.ledger.snapshot() == (6, 2)
 
 
 def test_budget_exhaustion_counter_stops_at_budget():
@@ -129,13 +118,3 @@ def test_shifted_sampler_is_exact_shift():
     explicit = xor_shift(base, r)
     support = {a.v for a in explicit.atoms}
     assert all(x.v in support for x in shifted_lazy.draw_list(200))
-
-
-def test_memoized_wrapper_skips_repeat_charges():
-    from sublintest.oracles import MemoizedOracle
-    base = FunctionOracle(4, lambda v: v & 1)
-    memo = MemoizedOracle(base)
-    x = unit(1, 4)
-    for _ in range(5):
-        assert memo.query(x) == 1
-    assert base.ledger.function_queries == 1

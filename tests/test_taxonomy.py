@@ -6,16 +6,17 @@ import pytest
 
 from sublintest.core import SeededRng, unit
 from sublintest.instances import gen_mdl_yes, gen_planted_violation
-from sublintest.mdl import MdlConstants, MdlRun, preprocess
+from sublintest.mdl import MdlConstants, MdlRun
 from sublintest.oracles import Verdict
 
 
 def build_graph(bundle, eps, seed):
     f = bundle.function_oracle()
-    out = preprocess(f, bundle.dist, eps, SeededRng(seed))
+    run = MdlRun(f, bundle.dist, eps, SeededRng(seed))
+    out = run.preprocess()
     if isinstance(out, Verdict):
         return None
-    sk, L = out
+    sk, L = run.sk, run.L
     run = MdlRun.from_parts(f, None, eps, None, MdlConstants(), sk, L)
     n = bundle.n
 
@@ -125,10 +126,11 @@ def test_pushforward_masses_partition_unit():
     rng = SeededRng(501)
     bundle = gen_mdl_yes(32, 12, rng)
     f = bundle.function_oracle()
-    out = preprocess(f, bundle.dist, 0.25, rng.derive(1))
+    run = MdlRun(f, bundle.dist, 0.25, rng.derive(1))
+    out = run.preprocess()
     if isinstance(out, Verdict):
         pytest.skip("degenerate draw")
-    sk, L = out
+    sk, L = run.sk, run.L
     run = MdlRun.from_parts(f, None, 0.25, None, MdlConstants(), sk, L)
     total = 0.0
     for x, w in zip(bundle.dist.atoms, bundle.dist.weights):
