@@ -13,7 +13,8 @@ from .birthday import CollisionExperiment, run_bipartite_birthday, run_hypergrap
 from .harness import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, RunConfig, build_instance,
                       oracle_check, report_csv, run_trials, save_bundle,
                       scaling_experiment, wilson_interval)
-from .instances import gen_mdl_yes
+from .exact import MAX_DL_N
+from .instances import gen_mdl_yes, gen_random_table
 
 
 def _parse_consts(entries) -> dict:
@@ -180,8 +181,18 @@ def main(argv=None) -> int:
 
     if cmd == "oracle-check":
         seed = args.seed if args.seed is not None else int(os.environ.get("SUBLINTEST_SEED", "1"))
-        bundles = [gen_mdl_yes(args.n, 3, SeededRng(seed, i)) for i in range(args.bundles)]
-        out = oracle_check(bundles, args.eps, args.trials, seed)
+        # mdl-yes lists fill the zero-distance stratum and random truth
+        # tables the far one, as in acceptance criterion 5
+        tables = SeededRng(seed, 0x7AB1E)
+        try:
+            if not 3 <= args.n <= MAX_DL_N:
+                raise ValueError(f"--n must lie in 3..{MAX_DL_N} for exact distances")
+            bundles = [gen_mdl_yes(args.n, 3, SeededRng(seed, i)) for i in range(args.bundles)]
+            bundles += [gen_random_table(args.n, tables.derive(i)) for i in range(args.bundles)]
+            out = oracle_check(bundles, args.eps, args.trials, seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         _emit(json.dumps(out, indent=2, default=str) + "\n", args.out)
         return EXIT_OK
 

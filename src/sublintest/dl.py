@@ -73,24 +73,21 @@ class _RecordingOracle(FunctionOracle):
     """Shifted view g(x) = f(x xor r) that records every distinct queried
     string in first-query order, together with its value."""
 
-    __slots__ = ("base", "shift_v", "order", "seen")
+    __slots__ = ("base", "shift_v", "seen")
 
     def __init__(self, base: FunctionOracle, r: BitString):
         self.n = base.n
         self.base = base
         self.shift_v = r.v
         self.ledger = base.ledger
-        self.order = []
-        self.seen = {}
+        self.seen = {}  # insertion-ordered: first-query order
 
     def query(self, x: BitString) -> int:
         return self.query_raw(x.v)
 
     def query_raw(self, v: int) -> int:
         out = self.base.query_raw(v ^ self.shift_v)
-        if v not in self.seen:
-            self.seen[v] = out
-            self.order.append(v)
+        self.seen.setdefault(v, out)
         return out
 
 
@@ -115,7 +112,7 @@ class HybridFunction(FunctionOracle):
         return self.base.query_raw(v ^ self.z_v)
 
     def query_raw(self, v: int) -> int:
-        gv = self.g_raw(v)
+        gv = self.base.query_raw(v ^ self.z_v)
         if gv == self.pivot_value:
             return gv
         # g(x) != b: keep it only when x dominates the pivot image
@@ -204,8 +201,8 @@ def test_dl(f: FunctionOracle, d: FiniteDistribution, eps: float,
 def _sketch_inputs(rec: _RecordingOracle, constants: DlConstants) -> list[int]:
     if constants.sketch_source == "light":
         cap = constants.light_weight_cap
-        return [v for v in rec.order if v and v.bit_count() <= cap]
-    return [v for v in rec.order if v]
+        return [v for v in rec.seen if v and v.bit_count() <= cap]
+    return [v for v in rec.seen if v]
 
 
 def _extraction_replay(g: FunctionOracle, vs: list[int]):

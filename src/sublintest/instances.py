@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import BitString, FiniteDistribution, PairDistribution, SeededRng, clamped_log2
-from .dlmodel import GeneralDLRep, MonotoneDLRep, random_mdl
+from .dlmodel import GeneralDLRep, MonotoneDLRep, random_mdl, table_target
 from .exact import MAX_DL_N, dist_mdl
 from .oracles import ComparisonOracle, FunctionOracle, QueryLedger
 
@@ -16,21 +16,27 @@ class PlantInfeasible(ValueError):
     """The requested violation cannot be placed in this base instance."""
 
 
-def _cached(target, cap: int = 1 << 18):
-    """Value-memoized view of a raw target; purely a speed device, the query
-    ledger still charges per oracle call."""
-    cache: dict[int, int] = {}
+class _Memo(dict):
+    """Target values by backing int; a miss evaluates the target and keeps
+    the value while fewer than cap are stored."""
 
-    def wrapped(v: int) -> int:
-        hit = cache.get(v)
-        if hit is not None:
-            return hit
-        out = target(v)
-        if len(cache) < cap:
-            cache[v] = out
+    __slots__ = ("target", "cap")
+
+    def __init__(self, target, cap: int):
+        self.target = target
+        self.cap = cap
+
+    def __missing__(self, v: int) -> int:
+        out = self.target(v)
+        if len(self) < self.cap:
+            self[v] = out
         return out
 
-    return wrapped
+
+def _cached(target, cap: int = 1 << 18):
+    """Value-memoized view of a raw target; purely a speed device, the query
+    ledger still charges per oracle call.  A hit runs no Python frame."""
+    return _Memo(target, cap).__getitem__
 
 
 @dataclass
@@ -174,6 +180,21 @@ def gen_dl_yes(n: int, support_size: int, rng: SeededRng) -> InstanceBundle:
     return InstanceBundle(kind="boolean", family="dl-yes", n=n, seed=seed,
                           params={"rep": rep, "support_size": support_size},
                           dist=dist, ground_truth=("yes",), target=rep.target())
+
+
+def gen_random_table(n: int, rng: SeededRng) -> InstanceBundle:
+    """Uniformly random truth table with a uniform distribution on 2 to 2^n
+    random distinct strings; its distance is unknown until computed exactly,
+    so it is the far side of the tiny-width exact-oracle cross-check."""
+    bits = [rng.coin() for _ in range(1 << n)]
+    size = 2 + int(rng.integer(0, (1 << n) - 1))
+    chosen = set()
+    while len(chosen) < size:
+        chosen.add(int(rng.integer(0, 1 << n)))
+    atoms = [BitString(n, v) for v in sorted(chosen)]
+    return InstanceBundle(kind="boolean", family="table", n=n, seed=rng.stream_id,
+                          params={"bits": bits}, dist=FiniteDistribution.uniform(atoms),
+                          ground_truth=("unknown",), target=table_target(bits))
 
 
 # -- the group-of-four construction ------------------------------------------

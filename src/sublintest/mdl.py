@@ -68,7 +68,9 @@ class BigBlockSet:
 
 class _OrTree:
     """Binary tree over a fixed string list supporting deletion, k-th alive
-    selection and OR over alive-rank ranges, all in O(log m)."""
+    selection and OR over alive-rank ranges, all in O(log m) without
+    recursion.  Node i has children 2i and 2i+1; cnt holds each subtree's
+    alive count and orv the OR of its alive strings."""
 
     __slots__ = ("size", "cnt", "orv")
 
@@ -95,39 +97,79 @@ class _OrTree:
         return self.orv[1]
 
     def remove(self, pos: int):
+        cnt, orv = self.cnt, self.orv
         i = self.size + pos
-        self.cnt[i] = 0
-        self.orv[i] = 0
-        i //= 2
+        cnt[i] = 0
+        orv[i] = 0
+        i >>= 1
         while i:
-            self.cnt[i] = self.cnt[2 * i] + self.cnt[2 * i + 1]
-            self.orv[i] = self.orv[2 * i] | self.orv[2 * i + 1]
-            i //= 2
+            left = 2 * i
+            cnt[i] = cnt[left] + cnt[left + 1]
+            orv[i] = orv[left] | orv[left + 1]
+            i >>= 1
 
     def kth_alive(self, k: int) -> int:
+        cnt, size = self.cnt, self.size
         node = 1
-        while node < self.size:
-            lc = self.cnt[2 * node]
-            if k < lc:
-                node = 2 * node
-            else:
-                k -= lc
-                node = 2 * node + 1
-        return node - self.size
+        while node < size:
+            node *= 2
+            if k >= cnt[node]:
+                k -= cnt[node]
+                node += 1
+        return node - size
 
     def or_range(self, a: int, b: int) -> int:
-        """OR of alive elements with alive-rank in [a, b)."""
-
-        def go(node, a, b):
-            c = self.cnt[node]
-            if c == 0 or b <= 0 or a >= c:
-                return 0
-            if a <= 0 and b >= c:
-                return self.orv[node]
-            lc = self.cnt[2 * node]
-            return go(2 * node, a, b) | go(2 * node + 1, a - lc, b - lc)
-
-        return go(1, a, b)
+        """OR of alive elements with alive-rank in [a, b), the window clamped
+        to [0, alive).  One top-down walk: descend while the window lies in
+        one child; at the split node, walk the left child's suffix from rank
+        a OR-ing in right siblings, then the right child's prefix up to rank
+        b OR-ing in left siblings.  Dead leaves hold 0, so whole subtrees
+        can be OR-ed in."""
+        cnt, orv = self.cnt, self.orv
+        if a < 0:
+            a = 0
+        if b > cnt[1]:
+            b = cnt[1]
+        if a >= b:
+            return 0
+        node = 1
+        while True:
+            if a == 0 and b == cnt[node]:
+                return orv[node]
+            left = 2 * node
+            lc = cnt[left]
+            if b <= lc:
+                node = left
+            elif a >= lc:
+                a -= lc
+                b -= lc
+                node = left + 1
+            else:
+                break
+        out = 0
+        node = left  # suffix [a, lc) of the left child
+        while a:
+            child = 2 * node
+            c = cnt[child]
+            if a < c:
+                out |= orv[child + 1]
+                node = child
+            else:
+                a -= c
+                node = child + 1
+        out |= orv[node]
+        node = left + 1  # prefix [0, b - lc) of the right child
+        b -= lc
+        while b < cnt[node]:
+            child = 2 * node
+            c = cnt[child]
+            if b > c:
+                out |= orv[child]
+                b -= c
+                node = child + 1
+            else:
+                node = child
+        return out | orv[node]
 
 
 def _or_all(vs) -> int:
@@ -161,19 +203,21 @@ def _extract(g: FunctionOracle, vs: list[int], vals: list[int]) -> list[tuple[in
     Returns (backing int, value) pairs in extraction order."""
     lists = ([v for v, b in zip(vs, vals) if b == 0], [v for v, b in zip(vs, vals) if b == 1])
     trees = (_OrTree(lists[0]), _OrTree(lists[1]))
+    query = g.query_raw
     extracted = []
     for _ in range(len(vs)):
         if trees[0].alive and trees[1].alive:
             union_v = trees[0].or_all() | trees[1].or_all()
-            b = g.query_raw(union_v)
+            b = query(union_v)
             tree = trees[b]
+            or_range = tree.or_range
             other_v = trees[1 - b].or_all()
             # inner halving search over the alive prefix order
-            g.query_raw(union_v)  # the search recomputes its own reference value
+            query(union_v)  # the search recomputes its own reference value
             a, c = 0, tree.alive
             while c > 1:
                 half = c // 2
-                if g.query_raw(tree.or_range(a, a + half) | other_v) == b:
+                if query(or_range(a, a + half) | other_v) == b:
                     c = half
                 else:
                     a += half

@@ -13,8 +13,8 @@ from sublintest.exact import min_vertex_cover_weight
 from sublintest.birthday import (CollisionExperiment, run_bipartite_birthday,
                                  run_hypergraph_birthday)
 from sublintest.harness import RunConfig, budget_for, oracle_check, run_trials
-from sublintest.instances import (InstanceBundle, gen_dl_yes, gen_groups4, gen_mdl_yes,
-                                  gen_pentagon, gen_total_yes)
+from sublintest.instances import (gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pentagon,
+                                  gen_random_table, gen_total_yes)
 from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, budget_mdl,
                             budget_mdl_samples, find_block_mdl, find_rep, monotone_dl_tester,
                             sketch_mdl)
@@ -142,23 +142,10 @@ def test_criterion_4_dl_contract():
                   f"(desk round profile, see README)")
 
 
-def _random_table_bundle(n, rng):
-    bits = [rng.coin() for _ in range(1 << n)]
-    size = 2 + int(rng.integer(0, (1 << n) - 1))
-    chosen = set()
-    while len(chosen) < size:
-        chosen.add(int(rng.integer(0, 1 << n)))
-    atoms = [BitString(n, v) for v in sorted(chosen)]
-    from sublintest.dlmodel import table_target
-    return InstanceBundle(kind="boolean", family="table", n=n, seed=rng.stream_id,
-                          params={"bits": bits}, dist=FiniteDistribution.uniform(atoms),
-                          ground_truth=("unknown",), target=table_target(bits))
-
-
 def test_criterion_5_exact_oracle_equivalence_tiny():
     rng = SeededRng(0xC5)
     bundles = [gen_mdl_yes(4, 3, rng.derive(i)) for i in range(100)]
-    bundles += [_random_table_bundle(4, rng.derive(1000 + i)) for i in range(100)]
+    bundles += [gen_random_table(4, rng.derive(1000 + i)) for i in range(100)]
     out = oracle_check(bundles, eps=0.2, trials_per_stratum=400, seed=0x51ED)
     zero = out["strata"]["zero"]
     far = out["strata"]["far"]

@@ -3,13 +3,13 @@ import pytest
 from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_xor, unit
 from sublintest.dlmodel import (GeneralDLRep, eval_dl, eval_mdl, min_index, monotonize,
                                 random_dl)
-from sublintest.dl import (DlConstants, HybridFunction, budget_dl, budget_dl_samples,
-                           check_dl, decision_list_tester, index_search,
+from sublintest.dl import (DlConstants, HybridFunction, _RecordingOracle, budget_dl,
+                           budget_dl_samples, check_dl, decision_list_tester, index_search,
                            monotone_dl_amplified)
 from sublintest.instances import gen_dl_yes, gen_groups4
 from sublintest.mdl import monotone_dl_tester
-from sublintest.oracles import (DistSampler, FunctionOracle, PreconditionViolated,
-                                QueryLedger)
+from sublintest.oracles import (BudgetExhausted, DistSampler, FunctionOracle,
+                                PreconditionViolated, QueryLedger)
 
 DESK = DlConstants(t_amplify=1, outer_rounds=4, inner_rounds=5, accept_threshold=2,
                    sketch_source="light")
@@ -93,6 +93,59 @@ def test_hybrid_function_cases():
                 # kept only when x's rule outranks the pivot image's rule
                 dominated = t((x.v | (r.v ^ z.v)) ^ z.v) == gx
                 assert hx == (gx if dominated else b)
+
+
+def test_recording_oracle_keeps_first_queries_in_order():
+    rep = random_dl(6, SeededRng(11))
+    t = rep.target()
+    base = oracle_for(rep)
+    r = BitString(6, 0b100101)
+    rec = _RecordingOracle(base, r)
+    queries = [5, 0, 9, 5, 63, 0, 9, 17]
+    for i, v in enumerate(queries):
+        assert rec.query_raw(v) == t(v ^ r.v)
+        assert base.ledger.function_queries == i + 1
+    assert list(rec.seen.items()) == [(v, t(v ^ r.v)) for v in (5, 0, 9, 63, 17)]
+
+
+def _calls_until_exhausted(wrap, budget, strings):
+    """Wrap a budgeted oracle and query it on the strings until the budget
+    runs out; returns the ledger and the number of calls that completed
+    (None when building the wrapper already ran out)."""
+    ledger = QueryLedger(query_budget=budget)
+    done = None
+    try:
+        oracle = wrap(FunctionOracle(8, random_dl(8, SeededRng(12)).target(), ledger))
+        done = 0
+        for v in strings:
+            oracle.query_raw(v)
+            done += 1
+    except BudgetExhausted:
+        pass
+    return ledger, done
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda f: f,
+    lambda f: _RecordingOracle(f, BitString(8, 0b10110001)),
+    lambda f: HybridFunction(f, BitString(8, 0b10110001), BitString(8, 0b01100110)),
+], ids=["function", "recording", "hybrid"])
+def test_budget_exhausted_at_exactly_the_budget_through_wrappers(wrap):
+    strings = list(range(0, 256, 7))
+    setup = _calls_until_exhausted(wrap, None, [])[0].function_queries
+    ledger, done = _calls_until_exhausted(wrap, None, strings)
+    total = ledger.function_queries
+    assert done == len(strings)
+    for budget in range(total):
+        ledger, done = _calls_until_exhausted(wrap, budget, strings)
+        assert ledger.function_queries == budget
+        if budget < setup:
+            assert done is None
+            continue
+        # the completed calls fit the budget and the next one does not
+        fit = _calls_until_exhausted(wrap, None, strings[:done])[0].function_queries
+        more = _calls_until_exhausted(wrap, None, strings[:done + 1])[0].function_queries
+        assert fit <= budget < more
 
 
 def test_hybrid_with_true_minimum_matches_monotonized():

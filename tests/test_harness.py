@@ -129,6 +129,24 @@ def test_cli_budget_exit_code(tmp_path):
     assert code == 3
 
 
+def test_cli_oracle_check_fills_the_far_stratum(tmp_path):
+    out = tmp_path / "oc.json"
+    code = cli_main(["oracle-check", "--bundles", "10", "--trials", "60", "--seed", "7",
+                     "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    far = doc["strata"]["far"]
+    assert far["bundles"] > 0 and far["trials"] >= 60
+    assert far["rate"] is not None
+    assert doc["strata"]["zero"]["bundles"] >= 10
+    assert not doc["violations"]
+
+
+def test_cli_oracle_check_refuses_widths_without_exact_distances(capsys):
+    assert cli_main(["oracle-check", "--n", "9", "--bundles", "1", "--trials", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_gen_instance_round_trip(tmp_path):
     path = tmp_path / "inst.json"
     code = cli_main(["gen-instance", "--family", "mdl-yes", "--n", "32",

@@ -3,8 +3,8 @@ import pytest
 from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_or, unit
 from sublintest.dlmodel import MonotoneDLRep, eval_mdl, min_index, random_mdl
 from sublintest.instances import gen_groups4, gen_mdl_yes, gen_planted_violation
-from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, MdlSketch, budget_mdl,
-                            budget_mdl_samples, find_block_mdl, find_rep,
+from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, MdlSketch, _or_all, _OrTree,
+                            budget_mdl, budget_mdl_samples, find_block_mdl, find_rep,
                             monotone_dl_tester, sketch_mdl)
 from sublintest.oracles import FunctionOracle, QueryLedger, Verdict
 
@@ -50,6 +50,33 @@ def test_find_rep_goal_equation_randomized():
         xstar = find_rep(f, xs, ys)
         assert xstar in xs
         assert goal_equation_holds(rep, xstar, xs, ys)
+
+
+def test_or_tree_matches_list_model():
+    # the alive strings in position order are the model; every window of
+    # alive ranks, clamped ones included, must OR the same model slice
+    rng = SeededRng(4)
+    for m in range(1, 71):
+        values = [1 + rng.integer(0, 1 << 20) for _ in range(m)]
+        tree = _OrTree(values)
+        alive = list(range(m))
+        while True:
+            assert tree.alive == len(alive)
+            assert tree.or_all() == _or_all(values[p] for p in alive)
+            for r in range(len(alive)):
+                assert tree.kth_alive(r) == alive[r]
+            k = len(alive)
+            for a in range(-2, k + 3):
+                want = 0  # OR of the alive strings of rank in [a, b)
+                for b in range(-2, k + 3):
+                    if 0 <= b - 1 < k and b - 1 >= a:
+                        want |= values[alive[b - 1]]
+                    assert tree.or_range(a, b) == want, (m, alive, a, b)
+            if not alive:
+                break
+            r = rng.integer(0, len(alive))
+            tree.remove(tree.kth_alive(r))
+            del alive[r]
 
 
 def sketch_for(rep, T):
@@ -345,6 +372,26 @@ def test_planted_violation_detected(c):
         stage = MdlRun.from_parts(f, bundle.dist, 0.15, rng.derive(900 + trial), consts, sk, L)
         v = stage.test_type(c)
         hits += v.rejected
+    assert hits >= 0.8 * trials
+
+
+def test_planted_type3_stage_detected_on_base_sketch():
+    # the type-3 plant is caught by preprocessing on its own sample (see
+    # test_planted_violation_detected), so the stage runs on the sketch of
+    # the untouched base list, as the golden corpus does
+    rng = SeededRng(163)
+    consts = MdlConstants()
+    trials = 12
+    hits = 0
+    for trial in range(trials):
+        base = gen_mdl_yes(256, 64, rng.derive(trial))
+        bundle = gen_planted_violation(base, 3, 0.3, rng.derive(700 + trial))
+        run = MdlRun(base.function_oracle(), base.dist, 0.15, rng.derive(800 + trial), consts)
+        assert run.preprocess() is None
+        stage = MdlRun.from_parts(bundle.function_oracle(), bundle.dist, 0.15,
+                                  rng.derive(900 + trial), consts, run.sk, run.L)
+        v = stage.test_type(3)
+        hits += v.rejected and v.witness[0] == "type3"
     assert hits >= 0.8 * trials
 
 

@@ -45,6 +45,35 @@ def test_budget_exhaustion_counter_stops_at_budget():
     assert ledger.function_queries == 3
 
 
+def test_cached_target_evaluates_each_string_once():
+    from sublintest.instances import _cached
+    calls = []
+
+    def target(v):
+        calls.append(v)
+        return v & 1
+
+    f = FunctionOracle(3, _cached(target))
+    queries = [0, 2, 1, 2, 0, 3, 1, 0]
+    assert [f.query_raw(v) for v in queries] == [v & 1 for v in queries]
+    assert calls == [0, 2, 1, 3]  # value-0 strings are kept too
+    assert f.ledger.function_queries == len(queries)
+
+
+def test_cached_target_stops_storing_at_cap():
+    from sublintest.instances import _cached
+    calls = []
+
+    def target(v):
+        calls.append(v)
+        return 0
+
+    cached = _cached(target, cap=2)
+    for v in (1, 2, 3, 1, 2, 3):
+        cached(v)
+    assert calls == [1, 2, 3, 3]
+
+
 def test_sample_budget():
     ledger = QueryLedger(sample_budget=2)
     d = FiniteDistribution.point_mass(unit(1, 2))
