@@ -3,19 +3,21 @@ dominance relation between strings of opposite value."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from .core import BitString, SeededRng, bit_or
 from .oracles import FunctionOracle, PreconditionViolated
 
-_INT_SCAN_CUTOFF = 32
+# a string with at most this many set bits is scanned bit by bit, which up to
+# here costs less than the prefix-table search; a wider one first narrows to
+# one block of the table
+_INT_SCAN_CUTOFF = 4
+_BLOCK = 16  # ranks per block of MonotoneDLRep's prefix table
 
 
 class MonotoneDLRep:
     """Monotone decision list (pi, nu): rules are positive literals in priority
     order pi, rule j outputs nu[j], default nu[n+1]."""
 
-    __slots__ = ("n", "pi", "nu", "_rank_list", "_rank_arr", "_nbytes")
+    __slots__ = ("n", "pi", "nu", "_rank_list", "_prefix")
 
     def __init__(self, n: int, pi, nu):
         pi = tuple(pi)
@@ -31,27 +33,44 @@ class MonotoneDLRep:
         for j, var in enumerate(pi):
             rank[var - 1] = j
         self._rank_list = rank
-        self._rank_arr = np.asarray(rank, dtype=np.int32)
-        self._nbytes = (n + 7) // 8
+        self._prefix = None
+
+    def _prefix_table(self) -> list[int]:
+        """_prefix[k] is the OR of the variables at ranks below k * _BLOCK, for
+        k = 0..ceil(n / _BLOCK); built on the first wide evaluation."""
+        pi = self.pi
+        table = [0]
+        acc = 0
+        for start in range(0, self.n, _BLOCK):
+            for var in pi[start:start + _BLOCK]:
+                acc |= 1 << (var - 1)
+            table.append(acc)
+        self._prefix = table
+        return table
 
     def min_rank_raw(self, v: int) -> int:
         """0-based rank of the firing rule; n when nothing fires."""
-        n = self.n
-        if v == 0:
-            return n
-        if v.bit_count() <= _INT_SCAN_CUTOFF:
-            best = n
-            rank = self._rank_list
-            while v:
-                lsb = v & -v
-                r = rank[lsb.bit_length() - 1]
-                if r < best:
-                    best = r
-                v ^= lsb
-            return best
-        buf = np.frombuffer(v.to_bytes(self._nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(buf, bitorder="little", count=n)
-        return int(self._rank_arr[bits != 0].min())
+        if v.bit_count() > _INT_SCAN_CUTOFF:
+            # binary search for the first block whose prefix meets v, then keep
+            # only v's bits in that block: O(log(n / _BLOCK)) big-int ANDs
+            prefix = self._prefix or self._prefix_table()
+            lo, hi = 1, len(prefix) - 1
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if prefix[mid] & v:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            v &= prefix[lo]
+        best = self.n
+        rank = self._rank_list
+        while v:
+            lsb = v & -v
+            r = rank[lsb.bit_length() - 1]
+            if r < best:
+                best = r
+            v ^= lsb
+        return best
 
     def target(self):
         """Raw evaluation closure for a FunctionOracle."""
@@ -64,7 +83,7 @@ class GeneralDLRep:
     """Decision list (pi, mu, nu): rule j fires on x when x agrees with mu at
     variable pi(j)."""
 
-    __slots__ = ("n", "pi", "mu", "nu", "_mono", "_mu_v", "_mask")
+    __slots__ = ("n", "pi", "mu", "nu", "_mono", "_flip")
 
     def __init__(self, n: int, pi, mu, nu):
         mu = tuple(int(b) for b in mu)
@@ -75,14 +94,11 @@ class GeneralDLRep:
         self._mono = MonotoneDLRep(n, pi, nu)
         self.pi = self._mono.pi
         self.nu = self._mono.nu
-        self._mu_v = sum(b << i for i, b in enumerate(mu))
-        self._mask = (1 << n) - 1
+        # the complement of mu: rule j fires iff bit pi(j) of x xor _flip is set
+        self._flip = sum((1 - b) << i for i, b in enumerate(mu))
 
     def min_rank_raw(self, v: int) -> int:
-        # rule j fires iff bit pi(j) of x matches mu, i.e. the complement of
-        # x xor mu has that bit set
-        match = (v ^ self._mu_v) ^ self._mask
-        return self._mono.min_rank_raw(match)
+        return self._mono.min_rank_raw(v ^ self._flip)
 
     def target(self):
         nu = self.nu
@@ -112,7 +128,7 @@ def eval_dl(rep: GeneralDLRep, x: BitString) -> int:
 def monotonize(rep: GeneralDLRep) -> tuple[MonotoneDLRep, BitString]:
     """(g, r) with g a monotone list such that rep(x) = g(x xor r) for all x;
     r is the unique string matching no rule (the complement of mu)."""
-    r = BitString(rep.n, rep._mu_v ^ rep._mask)
+    r = BitString(rep.n, rep._flip)
     return MonotoneDLRep(rep.n, rep.pi, rep.nu), r
 
 

@@ -95,6 +95,11 @@ def default_support(n: int) -> int:
     return max(4, min(2048, n // 2))
 
 
+# the tester each generated family is an instance for
+FAMILY_TESTER = {"total-yes": "total", "pentagon": "total", "mdl-yes": "mdl",
+                 "groups4-yes": "mdl", "groups4-no": "mdl", "dl-yes": "dl"}
+
+
 def build_instance(cfg: RunConfig) -> InstanceBundle:
     if cfg.instance_path:
         with open(cfg.instance_path, "r", encoding="utf-8") as fh:
@@ -260,7 +265,7 @@ def oracle_check(bundles: list[InstanceBundle], eps: float, trials_per_stratum: 
     for name in ("zero", "far"):
         group = strata[name]
         if not group:
-            out["strata"][name] = {"bundles": 0, "trials": 0, "rate": None}
+            out["strata"][name] = {"bundles": 0, "trials": 0, "rate": None, "wilson99": None}
             continue
         per = max(1, math.ceil(trials_per_stratum / len(group)))
         accepts = rejects = total = 0
@@ -273,8 +278,10 @@ def oracle_check(bundles: list[InstanceBundle], eps: float, trials_per_stratum: 
                 accepts += v.accepted
                 rejects += v.rejected
                 total += 1
-        rate = (accepts if name == "zero" else rejects) / total
-        out["strata"][name] = {"bundles": len(group), "trials": total, "rate": rate}
+        hits = accepts if name == "zero" else rejects
+        rate = hits / total
+        out["strata"][name] = {"bundles": len(group), "trials": total, "rate": rate,
+                               "wilson99": list(wilson_interval(hits, total))}
         if rate < 2.0 / 3.0 - 0.05:
             out["violations"].append((name, rate))
     out["strata"]["middle"] = {"bundles": len(strata["middle"])}

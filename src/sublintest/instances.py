@@ -203,10 +203,12 @@ def gen_groups4(n: int, rng: SeededRng, side: str) -> InstanceBundle:
     """Groups of four variables in the deep half of a random priority order.
 
     The yes side is a plain monotone list.  The no side flips the roles of the
-    first and fourth member inside every group via a support-pattern override,
-    which makes the four supported pair-strings of each group impossible for
-    any linear threshold function (midpoint argument), so the no side is at
-    least 1/4-far under its distribution."""
+    first and fourth member inside every group via a support-pattern override:
+    it is the list (pi, nu) except where a group's first member fires and, of
+    its other three members, only the fourth is set, which gives 1.  That makes
+    the four supported pair-strings of each group impossible for any linear
+    threshold function (midpoint argument), so the no side is at least 1/4-far
+    under its distribution."""
     return groups4_from_pi(n, rng.permutation(n), side, seed=rng.stream_id)
 
 
@@ -235,21 +237,15 @@ def groups4_from_pi(n: int, pi, side: str, seed: int = 0) -> InstanceBundle:
     if side == "yes":
         target = rep.target()
     else:
-        base = rep.target()
-        min_rank = rep.min_rank_raw
-        pi_t = rep.pi
-
-        def target(v, _base=base, _min=min_rank, _pi=pi_t, _half=half):
-            if v == 0:
-                return _base(v)
+        def target(v, _nu=rep.nu, _min=rep.min_rank_raw, _pi=rep.pi, _half=half, _n=n):
             r = _min(v)  # 0-based firing position
-            if r >= _half and r % 4 == 0:
+            if _half <= r < _n and r % 4 == 0:
                 b2 = (v >> (_pi[r + 1] - 1)) & 1
                 b3 = (v >> (_pi[r + 2] - 1)) & 1
                 b4 = (v >> (_pi[r + 3] - 1)) & 1
                 if b4 and not b2 and not b3:
                     return 1
-            return _base(v)
+            return _nu[r]
 
     atoms = []
     for j0 in range(half, n, 4):

@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sublintest.core import BitString, SeededRng, bit_or, bit_xor
-from sublintest.dlmodel import (GeneralDLRep, MonotoneDLRep, dominates, eval_dl,
-                                eval_mdl, min_index, monotonize, random_dl, random_mdl)
+from sublintest.dlmodel import (_INT_SCAN_CUTOFF, GeneralDLRep, MonotoneDLRep, dominates,
+                                eval_dl, eval_mdl, min_index, monotonize, random_dl,
+                                random_mdl)
 from sublintest.oracles import FunctionOracle, PreconditionViolated
 
 
@@ -50,6 +52,55 @@ def test_large_support_eval_matches_scan():
     for _ in range(20):
         x = rng.bit_string(300)
         assert min_index(rep, x) == brute_min_index(rep.pi, x)
+
+
+def _rank_probes(n, pi, rng):
+    """Strings whose firing rank is worth checking: a random string of every
+    weight 0..n, a single bit at every rank, and at every rank that bit plus
+    enough deeper ranks to pass the scan cutoff."""
+    probes = []
+    for w in range(n + 1):
+        chosen = np.argsort(rng.random_block(n))[:w]
+        probes.append(sum(1 << int(i) for i in chosen))
+    for j, var in enumerate(pi):
+        probes.append(1 << (var - 1))
+        deeper = pi[j + 1:j + 2 + 2 * _INT_SCAN_CUTOFF]
+        probes.append(sum(1 << (i - 1) for i in (var,) + deeper))
+    return probes
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 31, 33, 300, 1024])
+def test_min_rank_matches_positional_scan(n):
+    rng = SeededRng(29, n)
+    rep = random_mdl(n, rng)
+    probes = _rank_probes(n, rep.pi, rng)
+    assert {v.bit_count() > _INT_SCAN_CUTOFF for v in probes} == ({False, True} if n > 4
+                                                                  else {False})
+    for v in probes:
+        assert rep.min_rank_raw(v) + 1 == brute_min_index(rep.pi, BitString(n, v))
+
+
+def test_prefix_table_waits_for_a_wide_string():
+    rep = random_mdl(64, SeededRng(37))
+    for j in range(_INT_SCAN_CUTOFF + 1):
+        rep.min_rank_raw(sum(1 << (var - 1) for var in rep.pi[-j:]) if j else 0)
+    assert rep._prefix is None
+    wide = sum(1 << (var - 1) for var in rep.pi[-_INT_SCAN_CUTOFF - 1:])
+    assert rep.min_rank_raw(wide) == 64 - _INT_SCAN_CUTOFF - 1
+    assert rep._prefix is not None
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 31, 33, 300, 1024])
+def test_general_min_rank_matches_positional_scan(n):
+    rng = SeededRng(31, n)
+    rep = random_dl(n, rng)
+    r = monotonize(rep)[1].v
+    # the probes as firing patterns (u xor r fires where the probe is set) and
+    # as raw strings
+    for u in [p ^ r for p in _rank_probes(n, rep.pi, rng)] + _rank_probes(n, rep.pi, rng):
+        x = BitString(n, u)
+        first = next((j for j, var in enumerate(rep.pi) if x.bit(var) == rep.mu[var - 1]), n)
+        assert rep.min_rank_raw(u) == first
 
 
 def test_eval_dl_reduces_to_mdl_when_all_positive():

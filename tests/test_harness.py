@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -138,8 +140,44 @@ def test_cli_oracle_check_fills_the_far_stratum(tmp_path):
     far = doc["strata"]["far"]
     assert far["bundles"] > 0 and far["trials"] >= 60
     assert far["rate"] is not None
+    assert far["wilson99"] == list(wilson_interval(round(far["rate"] * far["trials"]),
+                                                   far["trials"]))
     assert doc["strata"]["zero"]["bundles"] >= 10
     assert not doc["violations"]
+
+
+def test_cli_oracle_check_reports_intervals_and_notes_small_run_violations(capsys):
+    assert cli_main(["oracle-check", "--bundles", "3", "--trials", "20", "--seed", "1"]) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    zero = doc["strata"]["zero"]
+    lo, hi = zero["wilson99"]
+    assert [lo, hi] == list(wilson_interval(round(zero["rate"] * zero["trials"]),
+                                            zero["trials"]))
+    assert doc["violations"] == [["zero", zero["rate"]]]
+    assert hi >= 2 / 3 - 0.05
+    assert "# note: the zero violation" in captured.err
+
+
+@pytest.mark.parametrize("family, tester", [("mdl-yes", "mdl"), ("groups4-no", "mdl"),
+                                            ("dl-yes", "dl"), ("pentagon", "total")])
+def test_cli_scaling_picks_the_tester_from_the_family(family, tester, tmp_path, capsys):
+    n_list = [15, 30] if family == "pentagon" else [16, 32]
+    out = tmp_path / "s.csv"
+    code = cli_main(["scaling", "--family", family, "--n-list", ",".join(map(str, n_list)),
+                     "--eps", "0.3", "--out", str(out)])
+    assert code == 0
+    assert [line.split()[1] for line in capsys.readouterr().err.splitlines()] == \
+        [f"n={n}" for n in n_list]
+    row = next(csv.DictReader(io.StringIO(out.read_text())))
+    want = run_trials(RunConfig(tester=tester, family=family, n=n_list[0], eps=0.3)).rows[0]
+    assert [row[k] for k in ("verdict", "queries", "samples")] == \
+        [str(want[k]) for k in ("verdict", "queries", "samples")]
+
+
+def test_cli_scaling_unknown_family_is_usage_error(capsys):
+    assert cli_main(["scaling", "--family", "nope", "--n-list", "16"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_oracle_check_refuses_widths_without_exact_distances(capsys):

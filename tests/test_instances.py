@@ -77,6 +77,36 @@ def test_groups4_no_constraints_all_groups():
     assert bundle.ground_truth == ("far", 0.25)
 
 
+def _groups4_no_reference(n, pi, nu, x):
+    """The docstring's rule: the list (pi, nu), except where a deep group's
+    first member fires and, of its other three members, only the fourth is
+    set; returns (value, whether the override applied)."""
+    j = next((j for j, var in enumerate(pi) if x.bit(var)), n)
+    if n // 2 <= j < n and (j - n // 2) % 4 == 0:
+        if [x.bit(pi[j + i]) for i in (1, 2, 3)] == [0, 0, 1]:
+            return 1, True
+    return nu[j], False
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_groups4_no_target_matches_its_rule(n):
+    rng = SeededRng(13, n)
+    bundle = gen_groups4(n, rng, "no")
+    pi, nu = bundle.params["pi"], bundle.params["nu"]
+    overrides = 0
+    # strings of every weight over all variables, and over the deep half alone
+    # (where the groups fire)
+    for pool in (list(pi), list(pi[n // 2:])):
+        for w in range(len(pool) + 1):
+            for _ in range(10):
+                chosen = rng.shuffle(list(pool))[:w]
+                x = BitString(n, sum(1 << (i - 1) for i in chosen))
+                want, overridden = _groups4_no_reference(n, pi, nu, x)
+                assert bundle.target(x.v) == want
+                overrides += overridden
+    assert overrides > 0
+
+
 def test_groups4_yes_matches_its_list():
     bundle = gen_groups4(48, SeededRng(10), "yes")
     pi, nu = bundle.params["pi"], bundle.params["nu"]
