@@ -17,6 +17,11 @@ from .exact import MAX_DL_N
 from .instances import gen_mdl_yes, gen_random_table
 
 
+# test command -> (tester, default family)
+TEST_COMMANDS = {"test-total": ("total", "total-yes"), "test-mdl": ("mdl", "mdl-yes"),
+                 "test-dl": ("dl", "dl-yes")}
+
+
 def _parse_consts(entries) -> dict:
     out = {}
     for item in entries or ():
@@ -28,6 +33,7 @@ def _parse_consts(entries) -> dict:
 
 
 def _default_seed(args) -> int:
+    """--seed, else SUBLINTEST_SEED when set and not empty, else 1."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("SUBLINTEST_SEED")
@@ -53,7 +59,7 @@ def _add_common(p):
 def _make_cfg(tester: str, args, default_family: str) -> RunConfig:
     return RunConfig(tester=tester, family=args.family or default_family,
                      n=args.n, eps=args.eps, trials=args.trials,
-                     seed=_default_seed(args), delta=args.delta,
+                     seed=args.seed, delta=args.delta,
                      budget=args.budget, consts=_parse_consts(args.const),
                      instance_path=args.instance, support_size=args.support,
                      out_path=args.out, jobs=args.jobs)
@@ -87,10 +93,8 @@ def main(argv=None) -> int:
                                      description="distribution-free testers and their lab")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    for cmd, fam in (("test-total", "total-yes"), ("test-mdl", "mdl-yes"),
-                     ("test-dl", "dl-yes")):
-        p = sub.add_parser(cmd)
-        _add_common(p)
+    for cmd in TEST_COMMANDS:
+        _add_common(sub.add_parser(cmd))
 
     p = sub.add_parser("birthday")
     p.add_argument("--variant", choices=["bipartite", "hyper3", "hyper4"],
@@ -120,17 +124,19 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     cmd = args.cmd
+    try:
+        args.seed = _default_seed(args)
+    except ValueError:
+        print(f"error: SUBLINTEST_SEED must be an integer, got {os.environ['SUBLINTEST_SEED']!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
 
-    if cmd == "test-total":
-        return _run_tester("total", args, "total-yes")
-    if cmd == "test-mdl":
-        return _run_tester("mdl", args, "mdl-yes")
-    if cmd == "test-dl":
-        return _run_tester("dl", args, "dl-yes")
+    if cmd in TEST_COMMANDS:
+        tester, family = TEST_COMMANDS[cmd]
+        return _run_tester(tester, args, family)
 
     if cmd == "birthday":
-        seed = args.seed if args.seed is not None else int(os.environ.get("SUBLINTEST_SEED", "1"))
-        rng = SeededRng(seed, 0xB1)
+        rng = SeededRng(args.seed, 0xB1)
         size = args.size
         if args.instance:
             from .birthday import experiment_from_json
@@ -183,16 +189,15 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if cmd == "oracle-check":
-        seed = args.seed if args.seed is not None else int(os.environ.get("SUBLINTEST_SEED", "1"))
         # mdl-yes lists fill the zero-distance stratum and random truth
         # tables the far one, as in acceptance criterion 5
-        tables = SeededRng(seed, 0x7AB1E)
+        tables = SeededRng(args.seed, 0x7AB1E)
         try:
             if not 3 <= args.n <= MAX_DL_N:
                 raise ValueError(f"--n must lie in 3..{MAX_DL_N} for exact distances")
-            bundles = [gen_mdl_yes(args.n, 3, SeededRng(seed, i)) for i in range(args.bundles)]
+            bundles = [gen_mdl_yes(args.n, 3, SeededRng(args.seed, i)) for i in range(args.bundles)]
             bundles += [gen_random_table(args.n, tables.derive(i)) for i in range(args.bundles)]
-            out = oracle_check(bundles, args.eps, args.trials, seed)
+            out = oracle_check(bundles, args.eps, args.trials, args.seed)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

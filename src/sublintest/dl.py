@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 from .core import BitString, FiniteDistribution, SeededRng, ceil_pos, clamped_log2, const
 from .oracles import DistSampler, FunctionOracle, PreconditionViolated, Verdict, accounted
-from .mdl import (DEFAULT_MDL, MdlConstants, MdlRun, _extract, _runs, budget_mdl,
-                  budget_mdl_samples)
+from .mdl import DEFAULT_MDL, MdlConstants, MdlRun, _extract, _runs, budget_mdl
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,22 @@ def _amplify_count(n: int, constants: DlConstants) -> int:
     if constants.t_amplify is not None:
         return max(1, constants.t_amplify)
     return ceil_pos(6.0 * clamped_log2(n))
+
+
+def _rounds(n: int, eps: float, constants: DlConstants) -> tuple[int, int]:
+    """(outer rounds, check_dl attempts per round) of decision_list_tester."""
+    outer = constants.outer_rounds
+    if outer is None:
+        outer = ceil_pos(constants.outer_factor / eps)
+    inner = constants.inner_rounds
+    if inner is None:
+        inner = ceil_pos(constants.inner_factor * clamped_log2(n / eps))
+    return outer, inner
+
+
+def _dist_rounds(n: int, eps: float, constants: DlConstants) -> int:
+    """Draws of test_dl's hybrid-distance stage."""
+    return ceil_pos(constants.dist_rounds_factor * clamped_log2(n) / eps)
 
 
 @accounted
@@ -182,7 +197,7 @@ def test_dl(f: FunctionOracle, d: FiniteDistribution, eps: float,
     h = HybridFunction(f, r, z)
     base_sampler = sampler if sampler is not None else DistSampler(d, rng, f.ledger)
     shifted = base_sampler.shifted(z)
-    rounds = ceil_pos(constants.dist_rounds_factor * clamped_log2(n) / eps)
+    rounds = _dist_rounds(n, eps, constants)
     cutoff = constants.dist_reject_factor * clamped_log2(n) / eps
     diff = 0
     for x in shifted.draw_list(rounds):
@@ -275,12 +290,7 @@ def decision_list_tester(f: FunctionOracle, d: FiniteDistribution, eps: float,
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     n = f.n
-    outer = constants.outer_rounds
-    if outer is None:
-        outer = ceil_pos(constants.outer_factor / eps)
-    inner = constants.inner_rounds
-    if inner is None:
-        inner = ceil_pos(constants.inner_factor * clamped_log2(n / eps))
+    outer, inner = _rounds(n, eps, constants)
     threshold = constants.accept_threshold
     if threshold is None:
         threshold = clamped_log2(n / eps)
@@ -300,38 +310,18 @@ def decision_list_tester(f: FunctionOracle, d: FiniteDistribution, eps: float,
     return Verdict("reject", witness=("no_accepting_round",))
 
 
-def budget_checkdl(n: int, eps: float, constants: DlConstants = DEFAULT_DL) -> int:
+def budget_dl(n: int, eps: float, constants: DlConstants = DEFAULT_DL) -> tuple[int, int]:
+    """Closed-form ceilings on function queries and on samples for one tester run."""
+    outer, inner = _rounds(n, eps, constants)
     t = _amplify_count(n, constants)
-    mdl_q = budget_mdl(n, eps, constants.mdl)
-    mdl_q_half = budget_mdl(n, eps / 2.0, constants.mdl)
+    dist_rounds = _dist_rounds(n, eps, constants)
+    mdl_q, mdl_s = budget_mdl(n, eps, constants.mdl)
+    half_q, half_s = budget_mdl(n, eps / 2.0, constants.mdl)
     # every hybrid query costs at most 2 base queries, plus the pivot value
-    test_dl_q = 1 + 3 * ceil_pos(constants.dist_rounds_factor * clamped_log2(n) / eps) \
-        + 2 * t * mdl_q_half
+    test_dl_q = 1 + 3 * dist_rounds + 2 * t * half_q
     sketch_len = t * mdl_q  # no more recorded strings than queries
     replay = sketch_len * (ceil_pos(clamped_log2(max(sketch_len, 2))) + 3) + 4 * sketch_len
     search = sketch_len * (4 * ceil_pos(clamped_log2(n)) + 8)
-    return t * mdl_q + 1 + replay + search + 3 * test_dl_q
-
-
-def budget_dl(n: int, eps: float, constants: DlConstants = DEFAULT_DL) -> int:
-    outer = constants.outer_rounds
-    if outer is None:
-        outer = ceil_pos(constants.outer_factor / eps)
-    inner = constants.inner_rounds
-    if inner is None:
-        inner = ceil_pos(constants.inner_factor * clamped_log2(n / eps))
-    return outer * inner * budget_checkdl(n, eps, constants)
-
-
-def budget_dl_samples(n: int, eps: float, constants: DlConstants = DEFAULT_DL) -> int:
-    outer = constants.outer_rounds
-    if outer is None:
-        outer = ceil_pos(constants.outer_factor / eps)
-    inner = constants.inner_rounds
-    if inner is None:
-        inner = ceil_pos(constants.inner_factor * clamped_log2(n / eps))
-    t = _amplify_count(n, constants)
-    dist_rounds = ceil_pos(constants.dist_rounds_factor * clamped_log2(n) / eps)
-    per_check = (t * budget_mdl_samples(n, eps, constants.mdl)
-                 + 3 * (dist_rounds + t * budget_mdl_samples(n, eps / 2.0, constants.mdl)))
-    return outer * (1 + inner * per_check)
+    check_q = t * mdl_q + 1 + replay + search + 3 * test_dl_q
+    check_s = t * mdl_s + 3 * (dist_rounds + t * half_s)
+    return outer * inner * check_q, outer * (1 + inner * check_s)

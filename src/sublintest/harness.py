@@ -13,12 +13,12 @@ from dataclasses import dataclass, field, fields
 from .core import BitString, FiniteDistribution, PairDistribution, SeededRng
 from .dlmodel import GeneralDLRep, MonotoneDLRep, table_target
 from .exact import dist_mdl
-from .instances import (InstanceBundle, gen_dl_yes, gen_groups4, gen_mdl_yes,
-                        gen_pentagon, gen_total_yes)
-from .mdl import DEFAULT_MDL, MdlConstants, budget_mdl, budget_mdl_samples, monotone_dl_tester
-from .dl import DlConstants, budget_dl, budget_dl_samples, decision_list_tester
+from .instances import (InstanceBundle, gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pentagon,
+                        gen_total_yes, groups4_from_pi, ordering_less, pentagon_less)
+from .mdl import MdlConstants, budget_mdl, monotone_dl_tester
+from .dl import DlConstants, budget_dl, decision_list_tester
 from .oracles import BudgetExhausted, QueryLedger
-from .total_order import TotalConstants, budget_total, budget_total_samples, test_total_ordering
+from .total_order import TotalConstants, budget_total, test_total_ordering
 
 CSV_COLUMNS = ["family", "n", "eps", "delta", "trial", "seed", "verdict",
                "queries", "samples", "runtime_ms"]
@@ -64,6 +64,7 @@ class RunConfig:
             raise ValueError("trials must be positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0,1)")
+        _tester(self)
         _constants_for(self)
 
 
@@ -138,34 +139,39 @@ def _const_value(name: str, value):
         raise ValueError(f"constant {name} expects {kind}, got {value!r}") from None
 
 
+def _tester(cfg: RunConfig):
+    """(tester, its oracle on a bundle, its budget) for cfg.tester.  Read from
+    this module's globals on every call, so a wrapper that rebinds a tester
+    name here (as bench/workloads.py and bench/tracer.py do) sees every trial."""
+    table = {"total": (test_total_ordering, InstanceBundle.comparison_oracle, budget_total),
+             "mdl": (monotone_dl_tester, InstanceBundle.function_oracle, budget_mdl),
+             "dl": (decision_list_tester, InstanceBundle.function_oracle, budget_dl)}
+    if cfg.tester not in table:
+        raise ValueError(f"unknown tester {cfg.tester!r} (accepted: {', '.join(table)})")
+    return table[cfg.tester]
+
+
 def _constants_for(cfg: RunConfig):
+    """The constants of cfg.tester.  Every --const name and value is checked,
+    those of the other testers included."""
     chosen = {cls: {} for cls in (TotalConstants, MdlConstants, DlConstants)}
     for name, value in cfg.consts.items():
         value = _const_value(name, value)
         cls, fld = CONSTS[name]
         chosen[cls][fld.name] = value
     mdl = MdlConstants(delta=cfg.delta, **chosen[MdlConstants])
-    return (TotalConstants(**chosen[TotalConstants]), mdl,
-            DlConstants(mdl=mdl, **chosen[DlConstants]))
+    dl = DlConstants(mdl=mdl, **chosen[DlConstants])
+    return {"total": TotalConstants(**chosen[TotalConstants]), "mdl": mdl, "dl": dl}[cfg.tester]
 
 
 def run_one_trial(cfg: RunConfig, bundle: InstanceBundle, trial: int):
-    total_c, mdl_c, dl_c = _constants_for(cfg)
+    tester, oracle_of, _ = _tester(cfg)
+    constants = _constants_for(cfg)
     ledger = QueryLedger(query_budget=cfg.budget)
     trial_rng = SeededRng(cfg.seed, 0).derive(trial + 1)
     start = time.perf_counter()
     try:
-        if cfg.tester == "total":
-            oracle = bundle.comparison_oracle(ledger)
-            verdict = test_total_ordering(oracle, bundle.dist, cfg.eps, trial_rng, total_c)
-        elif cfg.tester == "mdl":
-            oracle = bundle.function_oracle(ledger)
-            verdict = monotone_dl_tester(oracle, bundle.dist, cfg.eps, trial_rng, mdl_c)
-        elif cfg.tester == "dl":
-            oracle = bundle.function_oracle(ledger)
-            verdict = decision_list_tester(oracle, bundle.dist, cfg.eps, trial_rng, dl_c)
-        else:
-            raise ValueError(f"unknown tester {cfg.tester!r}")
+        verdict = tester(oracle_of(bundle, ledger), bundle.dist, cfg.eps, trial_rng, constants)
         decision = verdict.decision
     except BudgetExhausted:
         decision = "overbudget"
@@ -209,13 +215,16 @@ def run_trials(cfg: RunConfig, bundle: InstanceBundle | None = None) -> TrialRep
     return TrialReport(rows=rows, accepts=accepts, rejects=rejects, overbudget=over)
 
 
-def report_csv(report: TrialReport) -> str:
+def _csv_text(rows) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
     writer.writeheader()
-    for row in report.rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def report_csv(report: TrialReport) -> str:
+    return _csv_text(report.rows)
 
 
 def scaling_experiment(cfg: RunConfig, n_list: list[int]) -> tuple[str, list[dict]]:
@@ -230,25 +239,17 @@ def scaling_experiment(cfg: RunConfig, n_list: list[int]) -> tuple[str, list[dic
         summaries.append({"n": n, "mean_queries": mean_q,
                           "mean_samples": report.total_samples() / report.trials,
                           "trials": report.trials})
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue(), summaries
+    return _csv_text(rows), summaries
 
 
 def budget_for(cfg: RunConfig) -> tuple[int, int]:
-    total_c, mdl_c, dl_c = _constants_for(cfg)
-    if cfg.tester == "total":
-        return budget_total(cfg.n, cfg.eps, total_c), budget_total_samples(cfg.n, cfg.eps, total_c)
-    if cfg.tester == "mdl":
-        return budget_mdl(cfg.n, cfg.eps, mdl_c), budget_mdl_samples(cfg.n, cfg.eps, mdl_c)
-    return budget_dl(cfg.n, cfg.eps, dl_c), budget_dl_samples(cfg.n, cfg.eps, dl_c)
+    """(query ceiling, sample ceiling) of one trial of cfg's tester."""
+    _, _, budget = _tester(cfg)
+    return budget(cfg.n, cfg.eps, _constants_for(cfg))
 
 
 def oracle_check(bundles: list[InstanceBundle], eps: float, trials_per_stratum: int,
-                 seed: int, constants: MdlConstants = DEFAULT_MDL) -> dict:
+                 seed: int) -> dict:
     """Cross-tabulate monotone-tester verdict rates against exact distances on
     a tiny corpus.  Returns the stratified rates and any contract violations
     (close instances accepted too rarely / far ones rejected too rarely)."""
@@ -274,7 +275,7 @@ def oracle_check(bundles: list[InstanceBundle], eps: float, trials_per_stratum: 
                 ledger = QueryLedger()
                 oracle = b.function_oracle(ledger)
                 rng = SeededRng(seed, (i << 16) | t)
-                v = monotone_dl_tester(oracle, b.dist, eps, rng, constants)
+                v = monotone_dl_tester(oracle, b.dist, eps, rng)
                 accepts += v.accepted
                 rejects += v.rejected
                 total += 1
@@ -349,28 +350,16 @@ def load_bundle(doc: dict) -> InstanceBundle:
                               params={"bits": bits}, dist=dist,
                               ground_truth=("unknown",), target=table_target(bits))
     if kind in ("groups4-yes", "groups4-no"):
-        from .instances import groups4_from_pi
         side = kind.split("-")[1]
         bundle = groups4_from_pi(n, fn["pi"], side)
         bundle.dist = dist
         return bundle
     if kind in ("pentagon", "ordering"):
         order = fn["order"]
-        pos = [0] * (n + 1)
-        for p, v in enumerate(order):
-            pos[v] = p
         if kind == "ordering":
-            less = lambda u, v, _p=pos: _p[u] < _p[v]
-            fam = "total-yes"
-            truth = ("yes",)
+            fam, truth, less = "total-yes", ("yes",), ordering_less(order)
         else:
-            def less(u, v, _p=pos):
-                pu, pv = _p[u], _p[v]
-                if pu // 5 != pv // 5:
-                    return pu // 5 < pv // 5
-                return (pv - pu) % 5 in (1, 2)
-            fam = "pentagon"
-            truth = ("far", 0.2)
+            fam, truth, less = "pentagon", ("far", 0.2), pentagon_less(order)
         return InstanceBundle(kind="comparison", family=fam, n=n, seed=0,
                               params={"order": tuple(order)}, dist=dist,
                               ground_truth=truth, less=less)

@@ -69,16 +69,40 @@ class InstanceBundle:
 
 # -- total orderings ---------------------------------------------------------
 
+def _positions(order) -> list[int]:
+    """0-based position of each vertex 1..n in order."""
+    pos = [0] * (len(order) + 1)
+    for p, v in enumerate(order):
+        pos[v] = p
+    return pos
+
+
+def ordering_less(order):
+    """The comparison relation of the total ordering that lists the vertices in order."""
+    def less(u, v, _pos=_positions(order)):
+        return _pos[u] < _pos[v]
+    return less
+
+
+def pentagon_less(order):
+    """The pentagon relation on order: groups of five consecutive positions are
+    ordered by position, and inside a group each vertex precedes the next two
+    around the five-cycle."""
+    def less(u, v, _pos=_positions(order)):
+        pu, pv = _pos[u], _pos[v]
+        gu, gv = pu // 5, pv // 5
+        if gu != gv:
+            return gu < gv
+        return (pv - pu) % 5 in (1, 2)
+    return less
+
+
 def gen_total_yes(n: int, support_size: int, rng: SeededRng) -> InstanceBundle:
     """Random total ordering with a random edge distribution."""
     if support_size > n * (n - 1) // 2:
         raise ValueError("support larger than the number of pairs")
     seed = rng.stream_id
     perm = rng.permutation(n)
-    pos = [0] * (n + 1)
-    for p, v in enumerate(perm):
-        pos[v] = p
-
     pairs = set()
     while len(pairs) < support_size:
         u = rng.integer(1, n + 1)
@@ -89,13 +113,9 @@ def gen_total_yes(n: int, support_size: int, rng: SeededRng) -> InstanceBundle:
     raw = [0.5 + rng.random() for _ in pairs]
     total = sum(raw)
     dist = PairDistribution(n, [(p, w / total) for p, w in zip(pairs, raw)])
-
-    def less(u, v, _pos=pos):
-        return _pos[u] < _pos[v]
-
     return InstanceBundle(kind="comparison", family="total-yes", n=n, seed=seed,
                           params={"support_size": support_size, "order": perm},
-                          dist=dist, ground_truth=("yes",), less=less)
+                          dist=dist, ground_truth=("yes",), less=ordering_less(perm))
 
 
 def gen_pentagon(n: int, rng: SeededRng) -> InstanceBundle:
@@ -107,17 +127,6 @@ def gen_pentagon(n: int, rng: SeededRng) -> InstanceBundle:
         raise ValueError("n must be a positive multiple of 5")
     seed = rng.stream_id
     perm = rng.permutation(n)
-    pos = [0] * (n + 1)
-    for p, v in enumerate(perm):
-        pos[v] = p  # 0-based position
-
-    def less(u, v, _pos=pos):
-        pu, pv = _pos[u], _pos[v]
-        gu, gv = pu // 5, pv // 5
-        if gu != gv:
-            return gu < gv
-        return (pv - pu) % 5 in (1, 2)
-
     edges = []
     for k in range(n // 5):
         g = [perm[5 * k + i] for i in range(5)]
@@ -129,7 +138,7 @@ def gen_pentagon(n: int, rng: SeededRng) -> InstanceBundle:
                           params={"order": perm}, dist=dist,
                           ground_truth=("far", 0.2),
                           certificate="one cycle edge per group must flip; five edges per group",
-                          less=less)
+                          less=pentagon_less(perm))
 
 
 # -- boolean yes-instances ---------------------------------------------------

@@ -5,6 +5,7 @@ cycle-pattern sub-testers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (BitString, FiniteDistribution, SeededRng, ceil_pos, clamped_log2, const,
                    unit)
@@ -24,6 +25,40 @@ class MdlConstants:
 
 
 DEFAULT_MDL = MdlConstants()
+
+
+class MdlSizes(NamedTuple):
+    """Every sample and probe count of one tester run: the stages draw these
+    and budget_mdl bounds them."""
+    pre: int          # preprocessing sample set
+    probes: int       # big-block unit probes
+    rounds: int       # big-block growth rounds
+    inner: int        # draws per growth round
+    block_cap: int    # small-block size bound in max-index
+    pair_cap: int     # per-point partner cap in types 3-5
+    nil: int          # nil probes
+    m1: int           # each type-1 and type-3 sample set
+    p2: int           # type-2 first sample set
+    q2: int           # type-2 second sample set
+    m4: int           # type-4 sample set
+    m5: int           # type-5 sample set
+
+
+def mdl_sizes(n: int, eps: float, c: MdlConstants = DEFAULT_MDL) -> MdlSizes:
+    lg = clamped_log2(n)
+    return MdlSizes(
+        pre=ceil_pos(n ** (1 - c.delta / 2) / eps),
+        probes=ceil_pos(n ** (1 - c.delta)),
+        rounds=ceil_pos(200.0 / eps),
+        inner=ceil_pos((100.0 / eps) * clamped_log2(n / eps)),
+        block_cap=ceil_pos(c.block_cap_factor * (n ** c.delta) * lg / eps),
+        pair_cap=ceil_pos(c.pair_cap_factor * c.block_cap_factor * (n ** c.delta) * lg / eps),
+        nil=ceil_pos(c.nil_factor / eps),
+        m1=ceil_pos(c.type_factor * (n ** 0.5) / eps),
+        p2=ceil_pos(c.t2_factor * n ** (c.delta / 2) / (eps * lg * lg)),
+        q2=ceil_pos(n ** (1 - c.delta / 2) * lg * lg * lg / eps),
+        m4=ceil_pos(c.type_factor * (n ** (2.0 / 3.0)) / eps),
+        m5=ceil_pos(c.type_factor * (n ** 0.75) / eps))
 
 
 class MdlSketch:
@@ -321,10 +356,9 @@ class MdlRun:
     def __init__(self, f: FunctionOracle, d: FiniteDistribution | None, eps: float,
                  rng: SeededRng | None, constants: MdlConstants = DEFAULT_MDL):
         self.f = f
-        self.d = d
         self.eps = eps
         self.rng = rng
-        self.c = constants
+        self.sz = mdl_sizes(f.n, eps, constants)
         self.sampler = DistSampler(d, rng, f.ledger) if d is not None else None
         self.sk: MdlSketch | None = None
         self.L: BigBlockSet | None = None
@@ -370,9 +404,8 @@ class MdlRun:
             e = _rep_search(f, units, s_next_v)
             le, fe = self.find_block_ex(BitString(n, e))
             return e.bit_length() if (le == ell and fe == fx) else None
-        cap = ceil_pos(self.c.block_cap_factor * (n ** self.c.delta) * clamped_log2(n) / self.eps)
         U = []
-        while len(U) < cap and units:
+        while len(U) < self.sz.block_cap and units:
             if f.query_raw(s_next_v | _or_all(units)) != fx:
                 break
             z = _rep_search(f, units, s_next_v)
@@ -388,9 +421,7 @@ class MdlRun:
     # -- preprocessing ------------------------------------------------------
 
     def preprocess(self) -> Verdict | None:
-        n = self.f.n
-        m_pre = ceil_pos(n ** (1 - self.c.delta / 2) / self.eps)
-        T = [x for x in self.sampler.draw_set(m_pre) if x.v != 0]
+        T = [x for x in self.sampler.draw_set(self.sz.pre) if x.v != 0]
         if not T:
             return Verdict("accept")
         vals = [self.f.query(x) for x in T]
@@ -405,22 +436,21 @@ class MdlRun:
         return None
 
     def _find_big_blocks(self) -> BigBlockSet:
-        n, eps, c = self.f.n, self.eps, self.c
+        n, eps, sz = self.f.n, self.eps, self.sz
         k = self.sk.k
         counters: dict[int, int] = {}
-        for _ in range(ceil_pos(n ** (1 - c.delta))):
+        for _ in range(sz.probes):
             i = self.rng.integer(1, n + 1)
             ell, _ = self.find_block_ex(unit(i, n))
             counters[ell] = counters.get(ell, 0) + 1
         thresh = 4.0 * clamped_log2(n) / eps
         members = {ell for ell, cnt in counters.items() if cnt >= thresh}
         big = BigBlockSet(members, k)
-        inner = ceil_pos((100.0 / eps) * clamped_log2(n / eps))
         exit_thresh = 5.0 * clamped_log2(n / eps)
-        for _ in range(ceil_pos(200.0 / eps)):
+        for _ in range(sz.rounds):
             nl = big.neighbors()
             hits = 0
-            for x in self.sampler.draw_list(inner):
+            for x in self.sampler.draw_list(sz.inner):
                 ell, _ = self.find_block_ex(x)
                 if ell in nl:
                     hits += 1
@@ -454,15 +484,9 @@ class MdlRun:
                 buckets.setdefault(j, []).append(rec)
         return buckets
 
-    def _pair_cap(self) -> int:
-        n = self.f.n
-        return ceil_pos(self.c.pair_cap_factor * self.c.block_cap_factor
-                        * (n ** self.c.delta) * clamped_log2(n) / self.eps)
-
     def test_type1(self) -> Verdict:
-        m = ceil_pos(self.c.type_factor * (self.f.n ** 0.5) / self.eps)
-        P = self._draw_strings(m)
-        Q = self._draw_strings(m)
+        P = self._draw_strings(self.sz.m1)
+        Q = self._draw_strings(self.sz.m1)
         info = self._info(P + Q)
         p_by_bit = self._by_bit(info, [x.v for x in P])
         for y in Q:
@@ -475,12 +499,8 @@ class MdlRun:
         return Verdict("accept")
 
     def test_type2(self) -> Verdict:
-        n = self.f.n
-        lg = clamped_log2(n)
-        p_m = ceil_pos(self.c.t2_factor * n ** (self.c.delta / 2) / (self.eps * lg * lg))
-        q_m = ceil_pos(n ** (1 - self.c.delta / 2) * lg * lg * lg / self.eps)
-        P = self._draw_strings(p_m)
-        Q = self._draw_strings(q_m)
+        P = self._draw_strings(self.sz.p2)
+        Q = self._draw_strings(self.sz.q2)
         info = self._info(P + Q, mi_only_big=True)
         p_by_bit = self._by_bit(info, [x.v for x in P])
         for y in Q:
@@ -493,13 +513,12 @@ class MdlRun:
         return Verdict("accept")
 
     def test_type3(self) -> Verdict:
-        m = ceil_pos(self.c.type_factor * (self.f.n ** 0.5) / self.eps)
-        P = self._draw_strings(m)
-        Q = self._draw_strings(m)
+        P = self._draw_strings(self.sz.m1)
+        Q = self._draw_strings(self.sz.m1)
         info = self._info(P + Q)
         p_by_bit = self._by_bit(info, [x.v for x in P])
         small = lambda ell: ell not in self.L and ell not in self.NL
-        cap = self._pair_cap()
+        cap = self.sz.pair_cap
         partners: dict[int, int] = {}
         for y in Q:
             _, ly, fy, v = info[y.v]
@@ -517,16 +536,14 @@ class MdlRun:
         return Verdict("accept")
 
     def test_type4(self) -> Verdict:
-        n = self.f.n
-        m = ceil_pos(self.c.type_factor * (n ** (2.0 / 3.0)) / self.eps)
-        P = self._draw_strings(m)
+        P = self._draw_strings(self.sz.m4)
         info = self._info(P)
         small = lambda ell: ell not in self.L and ell not in self.NL
         buckets: dict[int, list] = {}
         for rec in info.values():
             if rec[3] is not None and small(rec[1]):
                 buckets.setdefault(rec[1], []).append(rec)
-        cap = self._pair_cap()
+        cap = self.sz.pair_cap
         for ell in sorted(buckets):
             tops = buckets.get(ell)
             mids = buckets.get(ell - 1)
@@ -548,16 +565,14 @@ class MdlRun:
         return Verdict("accept")
 
     def test_type5(self) -> Verdict:
-        n = self.f.n
-        m = ceil_pos(self.c.type_factor * (n ** 0.75) / self.eps)
-        P = self._draw_strings(m)
+        P = self._draw_strings(self.sz.m5)
         info = self._info(P)
         small = lambda ell: ell not in self.L and ell not in self.NL
         buckets: dict[int, dict[int, object]] = {}
         for rec in info.values():
             if rec[3] is not None and small(rec[1]):
                 buckets.setdefault(rec[1], {}).setdefault(rec[3], rec[0])
-        cap = self._pair_cap()
+        cap = self.sz.pair_cap
         for ell in sorted(buckets):
             top = buckets.get(ell)
             bot = buckets.get(ell - 1)
@@ -601,7 +616,7 @@ class MdlRun:
         early = self.preprocess()
         if early is not None:
             return early
-        for _ in range(ceil_pos(self.c.nil_factor / self.eps)):
+        for _ in range(self.sz.nil):
             x = self.sampler.draw()
             if x.v == 0:
                 continue
@@ -623,44 +638,21 @@ def monotone_dl_tester(f: FunctionOracle, d: FiniteDistribution, eps: float,
     return MdlRun(f, d, eps, rng, constants).execute()
 
 
-def budget_mdl(n: int, eps: float, constants: MdlConstants = DEFAULT_MDL) -> int:
-    """Closed-form ceiling on function queries for one tester run."""
-    c = constants
-    m_pre = ceil_pos(n ** (1 - c.delta / 2) / eps)
-    lg_m = ceil_pos(clamped_log2(max(m_pre, 2)))
+def budget_mdl(n: int, eps: float, constants: MdlConstants = DEFAULT_MDL) -> tuple[int, int]:
+    """Closed-form ceilings on function queries and on samples for one tester run."""
+    sz = mdl_sizes(n, eps, constants)
+    lg_m = ceil_pos(clamped_log2(max(sz.pre, 2)))
     fb = lg_m + 5
-    pre = m_pre + m_pre * (lg_m + 2) + 4 * m_pre
-    fbb = (ceil_pos(n ** (1 - c.delta)) * fb
-           + ceil_pos(200.0 / eps) * ceil_pos((100.0 / eps) * clamped_log2(n / eps)) * fb)
-    cap_u = ceil_pos(c.block_cap_factor * (n ** c.delta) * clamped_log2(n) / eps)
-    mi = fb + (cap_u + 1) * (ceil_pos(clamped_log2(n)) + 3) + cap_u * (fb + 2) + 4
-    nil = ceil_pos(c.nil_factor / eps) * mi
-    cap_pair = ceil_pos(c.pair_cap_factor * c.block_cap_factor
-                        * (n ** c.delta) * clamped_log2(n) / eps)
-    m1 = ceil_pos(c.type_factor * (n ** 0.5) / eps)
-    lg = clamped_log2(n)
-    p2 = ceil_pos(n ** (c.delta / 2) / (eps * lg * lg))
-    q2 = ceil_pos(n ** (1 - c.delta / 2) * lg ** 3 / eps)
-    m4 = ceil_pos(c.type_factor * (n ** (2.0 / 3.0)) / eps)
-    m5 = ceil_pos(c.type_factor * (n ** 0.75) / eps)
+    pre = sz.pre + sz.pre * (lg_m + 2) + 4 * sz.pre
+    fbb = sz.probes * fb + sz.rounds * sz.inner * fb
+    mi = fb + (sz.block_cap + 1) * (ceil_pos(clamped_log2(n)) + 3) + sz.block_cap * (fb + 2) + 4
+    nil = sz.nil * mi
     per = 1 + fb + mi
-    t1 = 2 * m1 * per
-    t2 = (p2 + q2) * per
-    t3 = 2 * m1 * per + 2 * m1 * cap_pair
-    t4 = m4 * per + 2 * m4 * cap_pair
-    t5 = m5 * per + m5 * cap_pair
-    return pre + fbb + nil + t1 + t2 + t3 + t4 + t5
-
-
-def budget_mdl_samples(n: int, eps: float, constants: MdlConstants = DEFAULT_MDL) -> int:
-    c = constants
-    lg = clamped_log2(n)
-    m_pre = ceil_pos(n ** (1 - c.delta / 2) / eps)
-    fbb = ceil_pos(200.0 / eps) * ceil_pos((100.0 / eps) * clamped_log2(n / eps))
-    m1 = ceil_pos(c.type_factor * (n ** 0.5) / eps)
-    p2 = ceil_pos(n ** (c.delta / 2) / (eps * lg * lg))
-    q2 = ceil_pos(n ** (1 - c.delta / 2) * lg ** 3 / eps)
-    m4 = ceil_pos(c.type_factor * (n ** (2.0 / 3.0)) / eps)
-    m5 = ceil_pos(c.type_factor * (n ** 0.75) / eps)
-    return (m_pre + fbb + ceil_pos(c.nil_factor / eps)
-            + 4 * m1 + p2 + q2 + m4 + m5)
+    t1 = 2 * sz.m1 * per
+    t2 = (sz.p2 + sz.q2) * per
+    t3 = 2 * sz.m1 * per + 2 * sz.m1 * sz.pair_cap
+    t4 = sz.m4 * per + 2 * sz.m4 * sz.pair_cap
+    t5 = sz.m5 * per + sz.m5 * sz.pair_cap
+    samples = (sz.pre + sz.rounds * sz.inner + sz.nil
+               + 4 * sz.m1 + sz.p2 + sz.q2 + sz.m4 + sz.m5)
+    return pre + fbb + nil + t1 + t2 + t3 + t4 + t5, samples

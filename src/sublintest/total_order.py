@@ -21,6 +21,20 @@ class TotalConstants:
 DEFAULT_TOTAL = TotalConstants()
 
 
+# draw counts of the sketch, the long-edge stage and the local stage (that
+# many edges and as many vertices); budget_total reads the same helpers
+def _sketch_draws(n: int, eps: float, c: TotalConstants) -> int:
+    return ceil_pos(c.sketch_factor * (n ** 0.5) / eps)
+
+
+def _long_draws(eps: float, c: TotalConstants) -> int:
+    return ceil_pos(c.long_samples / eps)
+
+
+def _local_draws(n: int, eps: float, c: TotalConstants) -> int:
+    return ceil_pos(c.local_factor * (n ** 0.5) / eps)
+
+
 class TotalSketch:
     """Sorted tuple of distinct indices whose adjacent pairs were verified
     against the oracle at construction."""
@@ -66,8 +80,7 @@ def sketch_total(cmp: ComparisonOracle, d: PairDistribution, eps: float,
     """Sample the vertex marginal, merge-sort the set with the oracle, verify
     adjacent pairs.  Returns a TotalSketch, or a rejecting Verdict whose
     witness is the inverted adjacent pair."""
-    n = cmp.n
-    m = ceil_pos(constants.sketch_factor * (n ** 0.5) / eps)
+    m = _sketch_draws(cmp.n, eps, constants)
     sampler = MarginalSampler(vertex_marginal(d), rng, cmp.ledger)
     seen = sampler.draw_set(m)
     ordered = _merge_sort(seen, cmp.less)
@@ -104,7 +117,7 @@ def test_long_cycles(cmp: ComparisonOracle, d: PairDistribution, eps: float,
                      constants: TotalConstants = DEFAULT_TOTAL) -> Verdict:
     """Reject iff a sampled edge points from a later block into an earlier one."""
     sampler = PairSampler(d, rng, cmp.ledger)
-    for u, v in sampler.draw_list(ceil_pos(constants.long_samples / eps)):
+    for u, v in sampler.draw_list(_long_draws(eps, constants)):
         if not cmp.less(u, v):
             u, v = v, u
         bu = find_block_total(cmp, sk, u)
@@ -120,7 +133,7 @@ def test_local_cycles(cmp: ComparisonOracle, d: PairDistribution, eps: float,
     """Reject on an overcrowded block, or on a directed triangle formed by a
     sampled edge and a sampled vertex inside one block."""
     n = cmp.n
-    m = ceil_pos(constants.local_factor * (n ** 0.5) / eps)
+    m = _local_draws(n, eps, constants)
     edge_sampler = PairSampler(d, rng, cmp.ledger)
     vertex_sampler = MarginalSampler(vertex_marginal(d), rng, cmp.ledger)
     edges = edge_sampler.draw_set(m)
@@ -199,20 +212,15 @@ def verify_total_witness(cmp: ComparisonOracle, sk, witness) -> bool:
     raise ValueError(f"unknown witness {kind!r}")
 
 
-def budget_total(n: int, eps: float, constants: TotalConstants = DEFAULT_TOTAL) -> int:
-    """Closed-form ceiling on comparison queries for one tester run."""
-    m = ceil_pos(constants.sketch_factor * (n ** 0.5) / eps)
-    m_lc = ceil_pos(constants.local_factor * (n ** 0.5) / eps)
+def budget_total(n: int, eps: float, constants: TotalConstants = DEFAULT_TOTAL) -> tuple[int, int]:
+    """Closed-form ceilings on comparison queries and on samples for one tester run."""
+    m = _sketch_draws(n, eps, constants)
+    m_long = _long_draws(eps, constants)
+    m_lc = _local_draws(n, eps, constants)
     lg = ceil_pos(clamped_log2(max(m, 2)))
     fb = lg + 2  # find_block_total ceiling
     sketch = m * (lg + 1) + m
-    long_stage = ceil_pos(constants.long_samples / eps) * (1 + 2 * fb)
+    long_stage = m_long * (1 + 2 * fb)
     crowd = ceil_pos(constants.crowd_factor * clamped_log2(n))
     local = 3 * m_lc * fb + m_lc + 2 * m_lc * crowd
-    return sketch + long_stage + local
-
-
-def budget_total_samples(n: int, eps: float, constants: TotalConstants = DEFAULT_TOTAL) -> int:
-    m = ceil_pos(constants.sketch_factor * (n ** 0.5) / eps)
-    m_lc = ceil_pos(constants.local_factor * (n ** 0.5) / eps)
-    return m + ceil_pos(constants.long_samples / eps) + 2 * m_lc
+    return sketch + long_stage + local, m + m_long + 2 * m_lc

@@ -15,12 +15,10 @@ from sublintest.birthday import (CollisionExperiment, run_bipartite_birthday,
 from sublintest.harness import RunConfig, budget_for, oracle_check, run_trials
 from sublintest.instances import (gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pentagon,
                                   gen_random_table, gen_total_yes)
-from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, budget_mdl,
-                            budget_mdl_samples, find_block_mdl, find_rep, monotone_dl_tester,
-                            sketch_mdl)
+from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, budget_mdl, find_block_mdl,
+                            find_rep, monotone_dl_tester, sketch_mdl)
 from sublintest.oracles import FunctionOracle, QueryLedger, Verdict
-from sublintest.total_order import (budget_total, budget_total_samples, sketch_total,
-                                    TotalSketch)
+from sublintest.total_order import TotalSketch, sketch_total
 from sublintest.total_order import test_long_cycles as long_stage
 from sublintest.total_order import test_total_ordering as run_total_tester
 
@@ -108,8 +106,8 @@ def test_criterion_3_mdl_contract_desk_scale():
         v = monotone_dl_tester(bundle.function_oracle(ledger), bundle.dist, eps,
                                rng.derive(1000 + t))
         accepts += v.accepted
-        assert ledger.function_queries <= budget_mdl(n, eps)
-        assert ledger.samples_drawn <= budget_mdl_samples(n, eps)
+        assert ledger.function_queries <= budget_mdl(n, eps)[0]
+        assert ledger.samples_drawn <= budget_mdl(n, eps)[1]
     rejects = 0
     for t in range(200):
         bundle = gen_groups4(n, rng.derive(2000 + t), "no")

@@ -3,9 +3,8 @@ import pytest
 from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_xor, unit
 from sublintest.dlmodel import (GeneralDLRep, eval_dl, eval_mdl, min_index, monotonize,
                                 random_dl)
-from sublintest.dl import (DlConstants, HybridFunction, _RecordingOracle, budget_dl,
-                           budget_dl_samples, check_dl, decision_list_tester, index_search,
-                           monotone_dl_amplified)
+from sublintest.dl import (DlConstants, HybridFunction, _RecordingOracle, budget_dl, check_dl,
+                           decision_list_tester, index_search, monotone_dl_amplified)
 from sublintest.instances import gen_dl_yes, gen_groups4
 from sublintest.mdl import monotone_dl_tester
 from sublintest.oracles import (BudgetExhausted, DistSampler, FunctionOracle,
@@ -228,8 +227,8 @@ def test_dl_ledger_within_budget():
     ledger = QueryLedger()
     f = bundle.function_oracle(ledger)
     decision_list_tester(f, bundle.dist, 0.25, SeededRng(13), DESK)
-    assert ledger.function_queries <= budget_dl(64, 0.25, DESK)
-    assert ledger.samples_drawn <= budget_dl_samples(64, 0.25, DESK)
+    assert ledger.function_queries <= budget_dl(64, 0.25, DESK)[0]
+    assert ledger.samples_drawn <= budget_dl(64, 0.25, DESK)[1]
 
 
 def test_flip_semantics_match_definition():

@@ -9,7 +9,7 @@ from sublintest.cli import main as cli_main
 from sublintest.harness import (CONSTS, CSV_COLUMNS, RunConfig, budget_for, build_instance,
                                 load_bundle, oracle_check, report_csv, run_trials,
                                 save_bundle, scaling_experiment, wilson_interval)
-from sublintest.instances import gen_groups4, gen_mdl_yes, gen_pentagon, gen_total_yes
+from sublintest.instances import gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pentagon, gen_total_yes
 
 
 def test_wilson_interval_known_values():
@@ -92,6 +92,27 @@ def test_bundle_json_round_trip_groups4():
     again = load_bundle(json.loads(json.dumps(save_bundle(bundle))))
     for x in bundle.dist.atoms:
         assert again.target(x.v) == bundle.target(x.v)
+
+
+def test_bundle_json_round_trip_dl_yes():
+    bundle = gen_dl_yes(10, 12, SeededRng(19))
+    again = load_bundle(json.loads(json.dumps(save_bundle(bundle))))
+    assert (again.family, again.n) == ("dl-yes", 10)
+    for x, w in zip(bundle.dist.atoms, bundle.dist.weights):
+        assert again.dist.mass(x) == pytest.approx(float(w))
+    assert [again.target(v) for v in range(1 << 10)] == [bundle.target(v) for v in range(1 << 10)]
+
+
+def test_bundle_json_round_trip_total_yes():
+    bundle = gen_total_yes(20, 30, SeededRng(20))
+    again = load_bundle(json.loads(json.dumps(save_bundle(bundle))))
+    assert again.family == "total-yes"
+    for (u, v), w in zip(bundle.dist.pairs, bundle.dist.weights):
+        assert again.dist.mass(u, v) == pytest.approx(float(w))
+    for u in range(1, 21):
+        for v in range(u + 1, 21):
+            assert again.less(u, v) == bundle.less(u, v)
+            assert again.less(v, u) == bundle.less(v, u)
 
 
 def test_bundle_json_round_trip_comparison():
@@ -216,6 +237,16 @@ def test_cli_bad_const_is_usage_error(const, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_const_of_another_tester_is_still_checked(capsys):
+    assert cli_main(["test-total", "--n", "64", "--const", "sketch_source=lite"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unknown_tester_is_rejected():
+    with pytest.raises(ValueError, match="unknown tester"):
+        RunConfig(tester="nope", family="total-yes", n=64, eps=0.2).validate()
+
+
 def test_const_names_come_from_the_constants():
     assert sorted(CONSTS) == sorted([
         "c_sk", "c_lc", "c_long", "c_crowd", "c_type", "c_nil", "c_blockcap", "c_paircap",
@@ -242,3 +273,27 @@ def test_parallel_jobs_match_sequential():
     strip = lambda rows: [(r["trial"], r["verdict"], r["queries"], r["samples"])
                           for r in rows]
     assert strip(run_trials(cfg1).rows) == strip(run_trials(cfg2).rows)
+
+
+SEED_COMMANDS = [["test-total", "--n", "64"], ["test-mdl", "--n", "32"], ["test-dl", "--n", "16"],
+                 ["scaling", "--n-list", "16"], ["gen-instance", "--n", "16"],
+                 ["birthday", "--size", "6", "--trials", "20"],
+                 ["oracle-check", "--n", "3", "--bundles", "2", "--trials", "4"]]
+
+
+@pytest.mark.parametrize("argv", SEED_COMMANDS, ids=lambda argv: argv[0])
+def test_bad_env_seed_is_usage_error(argv, monkeypatch, capsys):
+    monkeypatch.setenv("SUBLINTEST_SEED", "abc")
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: SUBLINTEST_SEED")
+
+
+@pytest.mark.parametrize("argv", [["birthday", "--size", "6", "--trials", "50"],
+                                  ["oracle-check", "--n", "3", "--bundles", "2",
+                                   "--trials", "8"]], ids=lambda argv: argv[0])
+def test_empty_env_seed_means_the_default(argv, monkeypatch, capsys):
+    assert cli_main(argv + ["--seed", "1"]) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setenv("SUBLINTEST_SEED", "")
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == want

@@ -4,8 +4,8 @@ from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_or, un
 from sublintest.dlmodel import MonotoneDLRep, eval_mdl, min_index, random_mdl
 from sublintest.instances import gen_groups4, gen_mdl_yes, gen_planted_violation
 from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, MdlSketch, _or_all, _OrTree,
-                            budget_mdl, budget_mdl_samples, find_block_mdl, find_rep,
-                            monotone_dl_tester, sketch_mdl)
+                            budget_mdl, find_block_mdl, find_rep, monotone_dl_tester,
+                            sketch_mdl)
 from sublintest.oracles import FunctionOracle, QueryLedger, Verdict
 
 
@@ -460,8 +460,8 @@ def test_full_tester_accepts_and_ledger_within_budget():
         f = bundle.function_oracle(ledger)
         v = monotone_dl_tester(f, bundle.dist, 0.2, rng.derive(50 + trial))
         accepts += v.accepted
-        assert ledger.function_queries <= budget_mdl(128, 0.2)
-        assert ledger.samples_drawn <= budget_mdl_samples(128, 0.2)
+        assert ledger.function_queries <= budget_mdl(128, 0.2)[0]
+        assert ledger.samples_drawn <= budget_mdl(128, 0.2)[1]
         assert v.queries == ledger.function_queries
     assert accepts >= 9
 
