@@ -3,8 +3,7 @@ lists, with the exact oracles, instance generators and collision experiments
 used to validate them."""
 
 from .core import (BitString, FiniteDistribution, PairDistribution, SeededRng,
-                   bit_or, bit_xor, clamped_log2, sample, unit, vertex_marginal,
-                   xor_shift)
+                   bit_or, bit_xor, clamped_log2, unit, xor_shift)
 from .oracles import (BudgetExhausted, ComparisonOracle, DistSampler, FunctionOracle,
                       MarginalSampler, PairSampler, PreconditionViolated, QueryLedger,
                       ShiftedSampler, Verdict)

@@ -30,6 +30,10 @@ class CollisionExperiment:
     epsilon: float | None = None      # certified cover mass
     justification: str | None = None  # required when the cover is not recomputable
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+
     def certified_epsilon(self) -> float:
         """Cover mass recomputed exactly when small enough; otherwise the
         supplied value must come with an analytic justification."""
@@ -60,6 +64,8 @@ def experiment_from_json(doc: dict) -> CollisionExperiment:
     """Load an experiment definition from the harness JSON shape:
     {"edges": [[u, v, ...], ...], "left": {...}, "right": {...} | null,
      "m": ..., "m_prime": ..., "trials": ..., "epsilon": ..., "justification": ...}."""
+    if not isinstance(doc, dict) or "edges" not in doc or "left" not in doc:
+        raise ValueError("an experiment definition needs 'edges' and 'left'")
     return CollisionExperiment(
         edges=[tuple(e) for e in doc["edges"]],
         left=dict(doc["left"]),

@@ -9,7 +9,8 @@ import os
 import sys
 
 from .core import SeededRng
-from .birthday import CollisionExperiment, run_bipartite_birthday, run_hypergraph_birthday
+from .birthday import (CollisionExperiment, experiment_from_json, run_bipartite_birthday,
+                       run_hypergraph_birthday)
 from .harness import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, FAMILY_TESTER, RunConfig,
                       build_instance, oracle_check, report_csv, run_trials, save_bundle,
                       scaling_experiment, wilson_interval)
@@ -88,6 +89,29 @@ def _run_tester(tester: str, args, default_family: str) -> int:
     return EXIT_BUDGET if report.overbudget else EXIT_OK
 
 
+def _birthday_experiment(args) -> tuple[str, CollisionExperiment]:
+    """(variant label, experiment): the --instance file, else the canned family."""
+    if args.instance:
+        with open(args.instance, "r", encoding="utf-8") as fh:
+            return "file", experiment_from_json(json.load(fh))
+    size = args.size
+    if args.variant == "bipartite":
+        left = {f"u{i}": 1.0 / (2 * size) for i in range(size)}
+        right = {f"v{i}": 1.0 / (2 * size) for i in range(size)}
+        edges = [(f"u{i}", f"v{j}") for i in range(size) for j in range(size)]
+        return args.variant, CollisionExperiment(
+            edges=edges, left=left, right=right, m=args.m or size, m_prime=args.m or size,
+            trials=args.trials, epsilon=0.5, justification="uniform complete bipartite")
+    k = 3 if args.variant == "hyper3" else 4
+    groups = max(1, size // k)
+    left = {f"w{i}": 1.0 / (groups * k) for i in range(groups * k)}
+    edges = [tuple(f"w{g * k + j}" for j in range(k)) for g in range(groups)]
+    eps = 1.0 / k  # one vertex per edge must be covered
+    m = args.m or int(10 * k * k * (groups * k) ** ((k - 1) / k) / eps) + 1
+    return args.variant, CollisionExperiment(edges=edges, left=left, m=m, trials=args.trials,
+                                             epsilon=eps, justification="disjoint edges")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="sublintest",
                                      description="distribution-free testers and their lab")
@@ -136,39 +160,15 @@ def main(argv=None) -> int:
         return _run_tester(tester, args, family)
 
     if cmd == "birthday":
-        rng = SeededRng(args.seed, 0xB1)
-        size = args.size
-        if args.instance:
-            from .birthday import experiment_from_json
-            with open(args.instance, "r", encoding="utf-8") as fh:
-                exp = experiment_from_json(json.load(fh))
-            runner = run_bipartite_birthday if exp.right else run_hypergraph_birthday
-            rate = runner(exp, rng)
-            lo, hi = wilson_interval(round(rate * exp.trials), exp.trials)
-            _emit(json.dumps({"variant": "file", "rate": rate,
-                              "wilson99": [lo, hi]}, indent=2) + "\n", args.out)
-            return EXIT_OK
-        if args.variant == "bipartite":
-            left = {f"u{i}": 1.0 / (2 * size) for i in range(size)}
-            right = {f"v{i}": 1.0 / (2 * size) for i in range(size)}
-            edges = [(f"u{i}", f"v{j}") for i in range(size) for j in range(size)]
-            exp = CollisionExperiment(edges=edges, left=left, right=right,
-                                      m=args.m or size, m_prime=args.m or size,
-                                      trials=args.trials,
-                                      epsilon=0.5, justification="uniform complete bipartite")
-            rate = run_bipartite_birthday(exp, rng)
-        else:
-            k = 3 if args.variant == "hyper3" else 4
-            groups = max(1, size // k)
-            left = {f"w{i}": 1.0 / (groups * k) for i in range(groups * k)}
-            edges = [tuple(f"w{g * k + j}" for j in range(k)) for g in range(groups)]
-            eps = 1.0 / k  # one vertex per edge must be covered
-            m = args.m or int(10 * k * k * (groups * k) ** ((k - 1) / k) / eps) + 1
-            exp = CollisionExperiment(edges=edges, left=left, m=m, trials=args.trials,
-                                      epsilon=eps, justification="disjoint edges")
-            rate = run_hypergraph_birthday(exp, rng)
-        lo, hi = wilson_interval(round(rate * args.trials), args.trials)
-        _emit(json.dumps({"variant": args.variant, "rate": rate,
+        try:
+            variant, exp = _birthday_experiment(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        runner = run_bipartite_birthday if exp.right is not None else run_hypergraph_birthday
+        rate = runner(exp, SeededRng(args.seed, 0xB1))
+        lo, hi = wilson_interval(round(rate * exp.trials), exp.trials)
+        _emit(json.dumps({"variant": variant, "rate": rate,
                           "wilson99": [lo, hi]}, indent=2) + "\n", args.out)
         return EXIT_OK
 

@@ -18,6 +18,7 @@ _MIX = 0x9E3779B97F4A7C15
 _MIX2 = 0xBF58476D1CE4E5B9
 
 WEIGHT_TOL = 1e-9
+EMPTY_SUPPORT = "a distribution needs at least one outcome"
 
 
 def clamped_log2(x: float) -> float:
@@ -93,9 +94,6 @@ class BitString:
 
     def weight(self) -> int:
         return self.v.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.v == 0
 
     def __eq__(self, other):
         return isinstance(other, BitString) and self.n == other.n and self.v == other.v
@@ -192,34 +190,73 @@ class SeededRng:
         return tuple(items)
 
 
-class FiniteDistribution:
-    """Explicit finite-support distribution over n-bit strings."""
+class WeightedSupport:
+    """Distinct outcomes with weights in (0, 1] that sum to 1.  Validation,
+    the cumulative weights and index sampling live here.  A subclass names
+    its outcomes and defines `_check(n, item)`, which rejects a malformed
+    item and returns (item as stored, its mass-table key)."""
 
-    __slots__ = ("n", "atoms", "weights", "_cum", "_mass")
+    __slots__ = ("n", "outcomes", "weights", "_cum", "_mass")
+    _noun = "outcomes"
 
-    def __init__(self, n: int, pairs):
-        atoms = []
+    def __init__(self, n: int, entries):
+        outcomes = []
         weights = []
-        seen = set()
-        for x, w in pairs:
-            if x.n != n:
-                raise ValueError("atom width mismatch")
+        mass = {}
+        for item, w in entries:
+            item, key = self._check(n, item)
             if not 0 < w <= 1 + WEIGHT_TOL:
                 raise ValueError("weights must lie in (0,1]")
-            if x.v in seen:
-                raise ValueError("atoms must be distinct")
-            seen.add(x.v)
-            atoms.append(x)
-            weights.append(float(w))
+            if key in mass:
+                raise ValueError(f"{self._noun} must be distinct")
+            w = float(w)
+            outcomes.append(item)
+            weights.append(w)
+            mass[key] = w
+        if not outcomes:
+            raise ValueError(EMPTY_SUPPORT)
         total = sum(weights)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
         self.n = n
-        self.atoms = atoms
+        self.outcomes = outcomes
         self.weights = np.asarray(weights)
         self._cum = np.cumsum(self.weights)
         self._cum[-1] = 1.0
-        self._mass = {a.v: w for a, w in zip(atoms, weights)}
+        self._mass = mass
+
+    @staticmethod
+    def _uniform_entries(items) -> list:
+        items = list(items)
+        if not items:
+            raise ValueError(EMPTY_SUPPORT)
+        w = 1.0 / len(items)
+        return [(x, w) for x in items]
+
+    def support(self) -> list:
+        return list(self.outcomes)
+
+    def index_of(self, u: float) -> int:
+        return min(int(np.searchsorted(self._cum, u, side="right")), len(self.outcomes) - 1)
+
+    def sample_indices(self, rng: SeededRng, m: int) -> np.ndarray:
+        u = rng.random_block(m)
+        idx = np.searchsorted(self._cum, u, side="right")
+        np.clip(idx, 0, len(self.outcomes) - 1, out=idx)
+        return idx
+
+
+class FiniteDistribution(WeightedSupport):
+    """Explicit finite-support distribution over n-bit strings."""
+
+    __slots__ = ()
+    _noun = "atoms"
+
+    @staticmethod
+    def _check(n: int, x: BitString):
+        if x.n != n:
+            raise ValueError("atom width mismatch")
+        return x, x.v
 
     @classmethod
     def point_mass(cls, x: BitString) -> "FiniteDistribution":
@@ -227,29 +264,15 @@ class FiniteDistribution:
 
     @classmethod
     def uniform(cls, strings) -> "FiniteDistribution":
-        strings = list(strings)
-        w = 1.0 / len(strings)
-        return cls(strings[0].n, [(x, w) for x in strings])
+        entries = cls._uniform_entries(strings)
+        return cls(entries[0][0].n, entries)
 
-    def support(self) -> list[BitString]:
-        return list(self.atoms)
+    @property
+    def atoms(self) -> list[BitString]:
+        return self.outcomes
 
     def mass(self, x: BitString) -> float:
         return self._mass.get(x.v, 0.0)
-
-    def index_of(self, u: float) -> int:
-        return min(int(np.searchsorted(self._cum, u, side="right")), len(self.atoms) - 1)
-
-    def sample_indices(self, rng: SeededRng, m: int) -> np.ndarray:
-        u = rng.random_block(m)
-        idx = np.searchsorted(self._cum, u, side="right")
-        np.clip(idx, 0, len(self.atoms) - 1, out=idx)
-        return idx
-
-
-def sample(d: FiniteDistribution, rng: SeededRng) -> BitString:
-    """One unweighted-ledger draw from d (samplers in oracles.py charge ledgers)."""
-    return d.atoms[d.index_of(rng.random())]
 
 
 def xor_shift(d: FiniteDistribution, r: BitString) -> FiniteDistribution:
@@ -259,80 +282,29 @@ def xor_shift(d: FiniteDistribution, r: BitString) -> FiniteDistribution:
     return FiniteDistribution(d.n, [(bit_xor(x, r), w) for x, w in zip(d.atoms, d.weights)])
 
 
-class PairDistribution:
+class PairDistribution(WeightedSupport):
     """Distribution over unordered pairs {u,v} of distinct indices in [1..n]."""
 
-    __slots__ = ("n", "pairs", "weights", "_cum", "_mass")
+    __slots__ = ()
+    _noun = "pairs"
 
-    def __init__(self, n: int, entries):
-        pairs = []
-        weights = []
-        seen = set()
-        for (u, v), w in entries:
-            if u == v or not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError("pair must be two distinct indices in [1..n]")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise ValueError("pairs must be distinct")
-            if not 0 < w <= 1 + WEIGHT_TOL:
-                raise ValueError("weights must lie in (0,1]")
-            seen.add((u, v))
-            pairs.append((u, v))
-            weights.append(float(w))
-        total = sum(weights)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights sum to {total}, not 1")
-        self.n = n
-        self.pairs = pairs
-        self.weights = np.asarray(weights)
-        self._cum = np.cumsum(self.weights)
-        self._cum[-1] = 1.0
-        self._mass = {p: w for p, w in zip(pairs, weights)}
+    @staticmethod
+    def _check(n: int, pair):
+        u, v = pair
+        if u == v or not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError("pair must be two distinct indices in [1..n]")
+        pair = (u, v) if u < v else (v, u)
+        return pair, pair
 
     @classmethod
     def uniform(cls, n: int, pairs) -> "PairDistribution":
-        pairs = list(pairs)
-        w = 1.0 / len(pairs)
-        return cls(n, [(p, w) for p in pairs])
+        return cls(n, cls._uniform_entries(pairs))
 
-    def support(self) -> list[tuple[int, int]]:
-        return list(self.pairs)
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        return self.outcomes
 
     def mass(self, u: int, v: int) -> float:
         if u > v:
             u, v = v, u
         return self._mass.get((u, v), 0.0)
-
-    def index_of(self, u: float) -> int:
-        return min(int(np.searchsorted(self._cum, u, side="right")), len(self.pairs) - 1)
-
-    def sample_indices(self, rng: SeededRng, m: int) -> np.ndarray:
-        u = rng.random_block(m)
-        idx = np.searchsorted(self._cum, u, side="right")
-        np.clip(idx, 0, len(self.pairs) - 1, out=idx)
-        return idx
-
-
-class VertexMarginal:
-    """The vertex marginal of a pair distribution: mass(i) = half the total
-    mass of pairs containing i.  Sampling draws a pair, then one endpoint
-    uniformly, which realizes the marginal exactly."""
-
-    __slots__ = ("n", "weights", "pair_dist")
-
-    def __init__(self, d: PairDistribution):
-        w = np.zeros(d.n)
-        for (u, v), p in zip(d.pairs, d.weights):
-            w[u - 1] += 0.5 * p
-            w[v - 1] += 0.5 * p
-        self.n = d.n
-        self.weights = w
-        self.pair_dist = d
-
-    def mass(self, i: int) -> float:
-        return float(self.weights[i - 1])
-
-
-def vertex_marginal(d: PairDistribution) -> VertexMarginal:
-    return VertexMarginal(d)

@@ -302,45 +302,27 @@ def sketch_mdl(f: FunctionOracle, T: list[BitString]) -> MdlSketch | None:
 
 
 def _find_block_ex(f: FunctionOracle, sk: MdlSketch, x: BitString) -> tuple[int, int]:
-    """(block index in [0..k+1], f(x)).  Binary search over the chain elements
-    of value opposite to f(x)."""
-    k = sk.k
+    """(block index in [0..k+1], f(x)).  The J chain elements of value
+    opposite to f(x) sit at positions p, p+2, ..., p+2(J-1); binary search
+    for the first whose OR with x takes f(x), probing the first, then the
+    last, then bisecting.  The result is its position, or p+2J if none does."""
     fx = f.query(x)
     xs = x.v
     strings = sk.strings
-    if fx == sk.values[0]:
-        # result is odd; probe even positions
-        if f.query_raw(strings[1].v | xs) == fx:
-            return 1, fx
-        last = 2 * (k // 2)
-        if last != 2 and f.query_raw(strings[last - 1].v | xs) != fx:
-            return last + 1, fx
-        if last == 2:
-            return 3, fx
-        t_lo, t_hi = 1, last // 2  # probe position 2t; P(lo) false, P(hi) true
-        while t_hi - t_lo > 1:
-            t_mid = (t_lo + t_hi) // 2
-            if f.query_raw(strings[2 * t_mid - 1].v | xs) == fx:
-                t_hi = t_mid
-            else:
-                t_lo = t_mid
-        return 2 * t_lo + 1, fx
-    # result is even; probe odd positions
-    if f.query_raw(strings[0].v | xs) == fx:
-        return 0, fx
-    last = 2 * ((k + 1) // 2) - 1
-    if last != 1 and f.query_raw(strings[last - 1].v | xs) != fx:
-        return last + 1, fx
-    if last == 1:
-        return 2, fx
-    t_lo, t_hi = 1, (last + 1) // 2  # probe position 2t-1
-    while t_hi - t_lo > 1:
-        t_mid = (t_lo + t_hi) // 2
-        if f.query_raw(strings[2 * t_mid - 2].v | xs) == fx:
-            t_hi = t_mid
+    p = 1 if fx == sk.values[0] else 0
+    J = (sk.k - p + 1) // 2
+    if f.query_raw(strings[p].v | xs) == fx:
+        return p, fx
+    if J == 1 or f.query_raw(strings[p + 2 * (J - 1)].v | xs) != fx:
+        return p + 2 * J, fx
+    lo, hi = 0, J - 1  # probe t at position p + 2t; lo does not take f(x), hi does
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f.query_raw(strings[p + 2 * mid].v | xs) == fx:
+            hi = mid
         else:
-            t_lo = t_mid
-    return 2 * t_lo, fx
+            lo = mid
+    return p + 2 * hi, fx
 
 
 def find_block_mdl(f: FunctionOracle, sk: MdlSketch, x: BitString) -> int:
@@ -464,14 +446,14 @@ class MdlRun:
     def _draw_strings(self, m: int) -> list[BitString]:
         return [x for x in self.sampler.draw_set(m) if x.v != 0]
 
-    def _info(self, xs, want_mi=True, mi_only_big=False):
+    def _info(self, xs, mi_only_big=False):
         out = {}
         for x in xs:
             if x.v in out:
                 continue
             ell, fx = self.find_block_ex(x)
             mi = None
-            if want_mi and (not mi_only_big or ell in self.L):
+            if not mi_only_big or ell in self.L:
                 mi = self.max_index(x)
             out[x.v] = (x, ell, fx, mi)
         return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BitString, FiniteDistribution, PairDistribution, SeededRng, VertexMarginal
+from .core import BitString, SeededRng, WeightedSupport
 
 
 class BudgetExhausted(RuntimeError):
@@ -129,43 +129,55 @@ class ComparisonOracle:
         return not self.target(v, u)
 
 
-def _dedupe_first_occurrence(idx: np.ndarray) -> np.ndarray:
-    _, first = np.unique(idx, return_index=True)
-    return idx[np.sort(first)]
-
-
-class DistSampler:
-    """Sampling handle over a FiniteDistribution; every draw charges the ledger."""
+class SupportSampler:
+    """Sampling handle over a WeightedSupport; each drawn outcome charges one
+    sample to the ledger.  Batches are drawn as int keys, which are cheap to
+    deduplicate, and then mapped to the outcomes they name."""
 
     __slots__ = ("dist", "rng", "ledger")
 
-    def __init__(self, dist: FiniteDistribution, rng: SeededRng, ledger: QueryLedger):
+    def __init__(self, dist: WeightedSupport, rng: SeededRng, ledger: QueryLedger):
         self.dist = dist
         self.rng = rng
         self.ledger = ledger
 
-    def draw(self) -> BitString:
+    def draw(self):
         self.ledger.charge_samples()
-        return self.dist.atoms[self.dist.index_of(self.rng.random())]
+        return self.dist.outcomes[self.dist.index_of(self.rng.random())]
 
-    def draw_list(self, m: int) -> list[BitString]:
+    def draw_list(self, m: int) -> list:
         self.ledger.charge_samples(m)
-        idx = self.dist.sample_indices(self.rng, m)
-        atoms = self.dist.atoms
-        return [atoms[i] for i in idx]
+        return self._outcomes(self._keys(m))
+
+    def draw_set(self, m: int) -> list:
+        """m charged draws, deduplicated in first-occurrence order."""
+        self.ledger.charge_samples(m)
+        return self._outcomes(dict.fromkeys(self._keys(m)))
+
+    def _keys(self, m: int) -> list[int]:
+        """m uncharged draws, as support indices."""
+        return self.dist.sample_indices(self.rng, m).tolist()
+
+    def _outcomes(self, keys) -> list:
+        outcomes = self.dist.outcomes
+        return [outcomes[i] for i in keys]
+
+
+class DistSampler(SupportSampler):
+    """Sampling handle over a FiniteDistribution."""
+
+    __slots__ = ()
 
     def draw_set(self, m: int) -> list[BitString]:
-        """m charged draws, deduplicated.  Small batches keep first-occurrence
-        order; for very large batches only the hit counts are sampled (the
-        resulting set has exactly the right distribution) and the set comes
-        back in atom order."""
-        self.ledger.charge_samples(m)
+        """As SupportSampler.draw_set, except that for very large batches only
+        the hit counts are sampled (the resulting set has exactly the right
+        distribution) and the set comes back in atom order."""
         atoms = self.dist.atoms
         if m > (1 << 16) and m > 4 * len(atoms):
+            self.ledger.charge_samples(m)
             counts = self.rng.multinomial(m, self.dist.weights)
             return [atoms[i] for i in np.flatnonzero(counts)]
-        idx = self.dist.sample_indices(self.rng, m)
-        return [atoms[i] for i in _dedupe_first_occurrence(idx)]
+        return super().draw_set(m)
 
     def shifted(self, r: BitString) -> "ShiftedSampler":
         return ShiftedSampler(self, r)
@@ -198,64 +210,29 @@ class ShiftedSampler:
         return ShiftedSampler(self, r)
 
 
-class PairSampler:
+class PairSampler(SupportSampler):
     """Sampling handle over a PairDistribution."""
 
-    __slots__ = ("dist", "rng", "ledger")
-
-    def __init__(self, dist: PairDistribution, rng: SeededRng, ledger: QueryLedger):
-        self.dist = dist
-        self.rng = rng
-        self.ledger = ledger
-
-    def draw(self) -> tuple[int, int]:
-        self.ledger.charge_samples()
-        return self.dist.pairs[self.dist.index_of(self.rng.random())]
-
-    def draw_list(self, m: int) -> list[tuple[int, int]]:
-        self.ledger.charge_samples(m)
-        idx = self.dist.sample_indices(self.rng, m)
-        pairs = self.dist.pairs
-        return [pairs[i] for i in idx]
-
-    def draw_set(self, m: int) -> list[tuple[int, int]]:
-        self.ledger.charge_samples(m)
-        idx = self.dist.sample_indices(self.rng, m)
-        pairs = self.dist.pairs
-        return [pairs[i] for i in _dedupe_first_occurrence(idx)]
+    __slots__ = ()
 
 
-class MarginalSampler:
-    """Vertex-marginal handle: draws a pair from the underlying distribution
-    then one endpoint uniformly.  Each draw charges one sample."""
+class MarginalSampler(SupportSampler):
+    """Vertex marginal of a PairDistribution, mass(i) = half the mass of the
+    pairs containing i: draws a pair, then one endpoint uniformly.  Each draw
+    charges one sample."""
 
-    __slots__ = ("marginal", "rng", "ledger")
-
-    def __init__(self, marginal: VertexMarginal, rng: SeededRng, ledger: QueryLedger):
-        self.marginal = marginal
-        self.rng = rng
-        self.ledger = ledger
+    __slots__ = ()
 
     def draw(self) -> int:
-        self.ledger.charge_samples()
-        d = self.marginal.pair_dist
-        u, v = d.pairs[d.index_of(self.rng.random())]
+        u, v = super().draw()
         return u if self.rng.coin() == 0 else v
 
-    def draw_list(self, m: int) -> list[int]:
-        self.ledger.charge_samples(m)
-        d = self.marginal.pair_dist
-        idx = d.sample_indices(self.rng, m)
-        coins = self.rng.integer_block(0, 2, m)
-        pairs = d.pairs
+    def _keys(self, m: int) -> list[int]:
+        """m uncharged draws, as vertices."""
+        pairs = self.dist.pairs
+        idx = super()._keys(m)
+        coins = self.rng.integer_block(0, 2, m).tolist()
         return [pairs[i][c] for i, c in zip(idx, coins)]
 
-    def draw_set(self, m: int) -> list[int]:
-        drawn = self.draw_list(m)
-        seen = set()
-        out = []
-        for x in drawn:
-            if x not in seen:
-                seen.add(x)
-                out.append(x)
-        return out
+    def _outcomes(self, keys) -> list[int]:
+        return list(keys)

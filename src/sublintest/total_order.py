@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PairDistribution, SeededRng, ceil_pos, clamped_log2, const, vertex_marginal
+from .core import PairDistribution, SeededRng, ceil_pos, clamped_log2, const
 from .oracles import ComparisonOracle, MarginalSampler, PairSampler, Verdict, accounted
 
 
@@ -81,7 +81,7 @@ def sketch_total(cmp: ComparisonOracle, d: PairDistribution, eps: float,
     adjacent pairs.  Returns a TotalSketch, or a rejecting Verdict whose
     witness is the inverted adjacent pair."""
     m = _sketch_draws(cmp.n, eps, constants)
-    sampler = MarginalSampler(vertex_marginal(d), rng, cmp.ledger)
+    sampler = MarginalSampler(d, rng, cmp.ledger)
     seen = sampler.draw_set(m)
     ordered = _merge_sort(seen, cmp.less)
     for a, b in zip(ordered, ordered[1:]):
@@ -135,7 +135,7 @@ def test_local_cycles(cmp: ComparisonOracle, d: PairDistribution, eps: float,
     n = cmp.n
     m = _local_draws(n, eps, constants)
     edge_sampler = PairSampler(d, rng, cmp.ledger)
-    vertex_sampler = MarginalSampler(vertex_marginal(d), rng, cmp.ledger)
+    vertex_sampler = MarginalSampler(d, rng, cmp.ledger)
     edges = edge_sampler.draw_set(m)
     verts = vertex_sampler.draw_set(m)
 

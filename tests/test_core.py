@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sublintest.core import (BitString, FiniteDistribution, PairDistribution, SeededRng,
-                             bit_or, bit_xor, clamped_log2, sample, unit, vertex_marginal,
-                             xor_shift)
+                             bit_or, bit_xor, clamped_log2, unit, xor_shift)
+from sublintest.oracles import DistSampler, MarginalSampler, QueryLedger
 
 
 def bits(n, s):
@@ -78,43 +78,54 @@ def test_hex_roundtrip():
 def test_sampler_point_mass():
     x = bits(3, "010")
     d = FiniteDistribution.point_mass(x)
-    rng = SeededRng(7)
-    assert all(sample(d, rng) == x for _ in range(20))
+    s = DistSampler(d, SeededRng(7), QueryLedger())
+    assert all(s.draw() == x for _ in range(20))
 
 
 def test_sampler_uniform_frequency():
     a, b = BitString.zeros(2), bits(2, "11")
     d = FiniteDistribution.uniform([a, b])
-    rng = SeededRng(11)
-    hits = sum(sample(d, rng) == a for _ in range(100_000))
+    s = DistSampler(d, SeededRng(11), QueryLedger())
+    hits = sum(s.draw() == a for _ in range(100_000))
     assert abs(hits / 100_000 - 0.5) < 0.01
 
 
 def test_sampler_support_closure():
     d = FiniteDistribution(3, [(bits(3, "100"), 0.25), (bits(3, "010"), 0.75)])
-    rng = SeededRng(3)
+    s = DistSampler(d, SeededRng(3), QueryLedger())
     supp = {x.v for x in d.support()}
-    assert all(sample(d, rng).v in supp for _ in range(200))
+    assert all(s.draw().v in supp for _ in range(200))
 
 
 def test_sampler_determinism():
     d = FiniteDistribution.uniform([unit(i, 8) for i in range(1, 9)])
-    seq1 = [sample(d, SeededRng(5, 9)).v for _ in range(1)]
-    r1, r2 = SeededRng(5, 9), SeededRng(5, 9)
-    s1 = [sample(d, r1).v for _ in range(10_000)]
-    s2 = [sample(d, r2).v for _ in range(10_000)]
-    assert s1 == s2
+    s1 = DistSampler(d, SeededRng(5, 9), QueryLedger())
+    s2 = DistSampler(d, SeededRng(5, 9), QueryLedger())
+    assert [s1.draw().v for _ in range(10_000)] == [s2.draw().v for _ in range(10_000)]
     assert SeededRng(5, 10).random() != pytest.approx(SeededRng(5, 9).random())
 
 
 def test_distribution_validation():
     x = bits(2, "10")
-    with pytest.raises(ValueError):
-        FiniteDistribution(2, [(x, 0.5), (x, 0.5)])  # duplicate atoms
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="atoms must be distinct"):
+        FiniteDistribution(2, [(x, 0.5), (x, 0.5)])
+    with pytest.raises(ValueError, match="weights sum to"):
         FiniteDistribution(2, [(x, 0.7)])  # mass deficit
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"weights must lie in \(0,1\]"):
         FiniteDistribution(2, [(x, 0.0), (bits(2, "01"), 1.0)])  # zero weight
+    with pytest.raises(ValueError, match="atom width mismatch"):
+        FiniteDistribution(3, [(x, 1.0)])
+    with pytest.raises(ValueError, match="pairs must be distinct"):
+        PairDistribution(3, [((1, 2), 0.5), ((2, 1), 0.5)])
+    with pytest.raises(ValueError, match="two distinct indices"):
+        PairDistribution(3, [((2, 2), 1.0)])
+
+
+def test_empty_support_is_rejected():
+    for make in (lambda: FiniteDistribution(2, []), lambda: FiniteDistribution.uniform([]),
+                 lambda: PairDistribution(3, []), lambda: PairDistribution.uniform(3, [])):
+        with pytest.raises(ValueError, match="at least one outcome"):
+            make()
 
 
 def test_xor_shift_examples():
@@ -134,32 +145,17 @@ def test_xor_shift_examples():
         assert twice.mass(a) == pytest.approx(d.mass(a))
 
 
-def test_vertex_marginal_examples():
-    d = PairDistribution(4, [((1, 2), 1.0)])
-    m = vertex_marginal(d)
-    assert m.mass(1) == pytest.approx(0.5)
-    assert m.mass(2) == pytest.approx(0.5)
-
-    d2 = PairDistribution.uniform(4, [(1, 2), (1, 3)])
-    m2 = vertex_marginal(d2)
-    assert m2.mass(1) == pytest.approx(0.5)
-    assert m2.mass(2) == pytest.approx(0.25)
-    assert m2.mass(3) == pytest.approx(0.25)
-    assert m2.weights.sum() == pytest.approx(1.0)
-
-
 def test_vertex_marginal_sampler_matches_weights():
-    from sublintest.oracles import MarginalSampler, QueryLedger
     rng = SeededRng(2024)
     pairs = [(1, 2), (2, 3), (3, 4), (1, 4)]
     d = PairDistribution(4, [(p, w) for p, w in zip(pairs, (0.4, 0.3, 0.2, 0.1))])
-    m = vertex_marginal(d)
-    sampler = MarginalSampler(m, rng, QueryLedger())
+    sampler = MarginalSampler(d, rng, QueryLedger())
     draws = sampler.draw_list(100_000)
     for i in range(1, 5):
+        mass = 0.5 * sum(w for p, w in zip(d.pairs, d.weights) if i in p)
         freq = draws.count(i) / 100_000
-        sigma = (m.mass(i) * (1 - m.mass(i)) / 100_000) ** 0.5
-        assert abs(freq - m.mass(i)) < 3 * sigma + 1e-4
+        sigma = (mass * (1 - mass) / 100_000) ** 0.5
+        assert abs(freq - mass) < 3 * sigma + 1e-4
 
 
 def test_clamped_log2():

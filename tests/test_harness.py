@@ -297,3 +297,24 @@ def test_empty_env_seed_means_the_default(argv, monkeypatch, capsys):
     monkeypatch.setenv("SUBLINTEST_SEED", "")
     assert cli_main(argv) == 0
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_birthday_rejects_nonpositive_trials(trials, capsys):
+    assert cli_main(["birthday", "--trials", trials]) == 2
+    assert "error: trials must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, '{"left": {"u": 1.0}}', "{not json"])
+def test_cli_birthday_bad_instance_is_usage_error(content, tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    if content is not None:
+        path.write_text(content)
+    assert cli_main(["birthday", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cmd", ["test-mdl", "test-dl", "gen-instance", "test-total"])
+def test_cli_negative_support_is_usage_error(cmd, capsys):
+    assert cli_main([cmd, "--n", "16", "--support", "-1"]) == 2
+    assert "error: a distribution needs at least one outcome" in capsys.readouterr().err

@@ -3,9 +3,9 @@ import pytest
 from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_or, unit
 from sublintest.dlmodel import MonotoneDLRep, eval_mdl, min_index, random_mdl
 from sublintest.instances import gen_groups4, gen_mdl_yes, gen_planted_violation
-from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, MdlSketch, _or_all, _OrTree,
-                            budget_mdl, find_block_mdl, find_rep, monotone_dl_tester,
-                            sketch_mdl)
+from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, MdlSketch, _find_block_ex,
+                            _or_all, _OrTree, budget_mdl, find_block_mdl, find_rep,
+                            monotone_dl_tester, sketch_mdl)
 from sublintest.oracles import FunctionOracle, QueryLedger, Verdict
 
 
@@ -530,3 +530,50 @@ def test_type5_witness_reverifies_with_fresh_queries():
         assert joined in (0, 1)
         return
     pytest.fail("no stage-5 rejection observed across plants")
+
+
+# (k, f(x)) -> per cut c = 0..k: (block, chain positions probed after x itself)
+FIND_BLOCK_LOGS = {
+    (2, 0): [(1, (1,)), (1, (1,)), (3, (1,))],
+    (2, 1): [(0, (0,)), (2, (0,)), (2, (0,))],
+    (3, 0): [(1, (1,)), (1, (1,)), (3, (1,)), (3, (1,))],
+    (3, 1): [(0, (0,)), (2, (0, 2)), (2, (0, 2)), (4, (0, 2))],
+    (4, 0): [(1, (1,)), (1, (1,)), (3, (1, 3)), (3, (1, 3)), (5, (1, 3))],
+    (4, 1): [(0, (0,)), (2, (0, 2)), (2, (0, 2)), (4, (0, 2)), (4, (0, 2))],
+    (5, 0): [(1, (1,)), (1, (1,)), (3, (1, 3)), (3, (1, 3)), (5, (1, 3)), (5, (1, 3))],
+    (5, 1): [
+        (0, (0,)), (2, (0, 4, 2)), (2, (0, 4, 2)), (4, (0, 4, 2)), (4, (0, 4, 2)), (6, (0, 4))],
+    (6, 0): [
+        (1, (1,)), (1, (1,)), (3, (1, 5, 3)), (3, (1, 5, 3)), (5, (1, 5, 3)), (5, (1, 5, 3)),
+        (7, (1, 5))],
+    (6, 1): [
+        (0, (0,)), (2, (0, 4, 2)), (2, (0, 4, 2)), (4, (0, 4, 2)), (4, (0, 4, 2)), (6, (0, 4)),
+        (6, (0, 4))],
+    (7, 0): [
+        (1, (1,)), (1, (1,)), (3, (1, 5, 3)), (3, (1, 5, 3)), (5, (1, 5, 3)), (5, (1, 5, 3)),
+        (7, (1, 5)), (7, (1, 5))],
+    (7, 1): [
+        (0, (0,)), (2, (0, 6, 2)), (2, (0, 6, 2)), (4, (0, 6, 2, 4)), (4, (0, 6, 2, 4)),
+        (6, (0, 6, 2, 4)), (6, (0, 6, 2, 4)), (8, (0, 6))],
+}
+
+
+def test_find_block_query_log_is_pinned():
+    """Chain element i is bit i+1 with value i mod 2, and x is bit 8.  f(x) is
+    fixed, and f(s_i | x) equals f(x) exactly when i >= c."""
+    x = BitString(8, 1 << 7)
+    for (k, fx), expected in FIND_BLOCK_LOGS.items():
+        sk = MdlSketch([unit(i + 1, 8) for i in range(k)], [i % 2 for i in range(k)])
+        got = []
+        for cut in range(k + 1):
+            log = []
+
+            def target(v, cut=cut, log=log):
+                i = (v & 0x7F).bit_length() - 1  # -1 for x itself
+                log.append(i)
+                return fx if i < 0 or i >= cut else 1 - fx
+
+            block, value = _find_block_ex(FunctionOracle(8, target), sk, x)
+            assert value == fx and log[0] == -1
+            got.append((block, tuple(log[1:])))
+        assert got == expected, (k, fx)

@@ -1,8 +1,9 @@
 import pytest
 
-from sublintest.core import BitString, FiniteDistribution, SeededRng, unit
+from sublintest.core import BitString, FiniteDistribution, PairDistribution, SeededRng, unit
 from sublintest.oracles import (BudgetExhausted, ComparisonOracle, DistSampler,
-                                FunctionOracle, PreconditionViolated, QueryLedger)
+                                FunctionOracle, MarginalSampler, PairSampler,
+                                PreconditionViolated, QueryLedger)
 
 
 def test_constant_target_counts():
@@ -147,3 +148,37 @@ def test_shifted_sampler_is_exact_shift():
     explicit = xor_shift(base, r)
     support = {a.v for a in explicit.atoms}
     assert all(x.v in support for x in shifted_lazy.draw_list(200))
+
+
+PAIRS = PairDistribution(6, [((1, 2), 0.3), ((2, 5), 0.25), ((3, 4), 0.2), ((6, 1), 0.15),
+                             ((4, 5), 0.1)])
+
+
+def test_pair_sampler_fixed_seed_outputs():
+    ledger = QueryLedger()
+    s = PairSampler(PAIRS, SeededRng(12, 3), ledger)
+    assert [s.draw() for _ in range(3)] == [(3, 4), (4, 5), (2, 5)]
+    assert s.draw_list(8) == [(2, 5), (4, 5), (1, 2), (2, 5), (1, 2), (2, 5), (3, 4), (3, 4)]
+    assert s.draw_set(12) == [(1, 2), (2, 5), (3, 4)]
+    assert ledger.samples_drawn == 23
+
+
+def test_marginal_sampler_fixed_seed_outputs():
+    ledger = QueryLedger()
+    s = MarginalSampler(PAIRS, SeededRng(12, 3), ledger)
+    assert [s.draw() for _ in range(3)] == [3, 5, 2]
+    assert s.draw_list(8) == [2, 2, 1, 2, 3, 4, 1, 5]
+    assert s.draw_set(12) == [2, 1, 5, 3]
+    assert ledger.samples_drawn == 23
+
+
+def test_dist_sampler_draw_set_fixed_seed_outputs():
+    # m = 10 dedupes the drawn batch; m = 70000 on 4 atoms samples hit counts
+    d = FiniteDistribution(3, [(unit(1, 3), 0.5), (unit(2, 3), 0.3),
+                               (unit(3, 3), 0.2 - 1e-5), (BitString(3, 7), 1e-5)])
+    ledger = QueryLedger()
+    s = DistSampler(d, SeededRng(8, 1), ledger)
+    assert [x.v for x in s.draw_set(10)] == [2, 1, 4]
+    assert [x.v for x in s.draw_set(70000)] == [1, 2, 4, 7]
+    assert s.draw().v == 1
+    assert ledger.samples_drawn == 70011
