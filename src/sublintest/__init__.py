@@ -13,7 +13,7 @@ from .total_order import (TotalConstants, TotalSketch, budget_total, find_block_
                           sketch_total, test_local_cycles, test_long_cycles,
                           test_total_ordering)
 from .mdl import (BigBlockSet, MdlConstants, MdlRun, MdlSketch, budget_mdl,
-                  find_block_mdl, find_rep, monotone_dl_tester, sketch_mdl)
+                  monotone_dl_tester, sketch_mdl)
 from .dl import (DlConstants, HybridFunction, budget_dl, check_dl, decision_list_tester,
                  index_search, monotone_dl_amplified, test_dl)
 from .instances import (InstanceBundle, PlantInfeasible, gen_dl_yes, gen_groups4,

@@ -130,16 +130,12 @@ def run_classical_birthday(variant: str, probs: list[float], m: int, m_prime: in
     n = len(probs)
     if variant == "bipartite":
         weight = {i: probs[i] for i in range(n)}
-        _, a = _draw_sets(weight, m, trials, rng)
-        _, b = _draw_sets(weight, m_prime, trials, rng)
-        return float((a & b).any(axis=1).mean())
+        return run_bipartite_birthday(CollisionExperiment(
+            edges=[(i, i) for i in range(n)], left=weight, right=weight, m=m,
+            m_prime=m_prime, trials=trials), rng)
     if variant == "hypergraph":
         weight = {(i, j): probs[i] for i in range(n) for j in range(k)}
-        verts, member = _draw_sets(weight, m, trials, rng)
-        pos = {v: c for c, v in enumerate(verts)}
-        hit = np.zeros(trials, dtype=bool)
-        for i in range(n):
-            cols = member[:, [pos[(i, j)] for j in range(k)]]
-            hit |= cols.all(axis=1)
-        return float(hit.mean())
+        return run_hypergraph_birthday(CollisionExperiment(
+            edges=[tuple((i, j) for j in range(k)) for i in range(n)], left=weight, m=m,
+            trials=trials), rng)
     raise ValueError("variant must be 'bipartite' or 'hypergraph'")

@@ -63,7 +63,7 @@ def _make_cfg(tester: str, args, default_family: str) -> RunConfig:
                      seed=args.seed, delta=args.delta,
                      budget=args.budget, consts=_parse_consts(args.const),
                      instance_path=args.instance, support_size=args.support,
-                     out_path=args.out, jobs=args.jobs)
+                     jobs=args.jobs)
 
 
 def _emit(text: str, path: str | None):
@@ -82,7 +82,7 @@ def _run_tester(tester: str, args, default_family: str) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(report_csv(report), cfg.out_path)
+    _emit(report_csv(report), args.out)
     lo, hi = report.wilson()
     print(f"# accept_rate={report.accept_rate():.4f} wilson99=[{lo:.4f},{hi:.4f}] "
           f"overbudget={report.overbudget}", file=sys.stderr)
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        _emit(csv_text, cfg.out_path)
+        _emit(csv_text, args.out)
         for s in summaries:
             print(f"# n={s['n']} mean_queries={s['mean_queries']:.1f}", file=sys.stderr)
         return EXIT_OK
@@ -219,7 +219,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        _emit(json.dumps(doc) + "\n", cfg.out_path)
+        _emit(json.dumps(doc) + "\n", args.out)
         return EXIT_OK
 
     return EXIT_USAGE

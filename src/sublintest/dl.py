@@ -58,20 +58,17 @@ def _dist_rounds(n: int, eps: float, constants: DlConstants) -> int:
 
 
 @accounted
-def monotone_dl_amplified(f: FunctionOracle, d, eps: float, rng: SeededRng,
-                          constants: DlConstants = DEFAULT_DL,
-                          sampler=None) -> Verdict:
-    """Majority vote over independent monotone-tester runs.  Stops as soon as
+def monotone_dl_amplified(f: FunctionOracle, sampler, eps: float, rng: SeededRng,
+                          constants: DlConstants = DEFAULT_DL) -> Verdict:
+    """Majority vote over monotone-tester runs that share the sampler, each
+    charging its draws, and probe on independent streams.  Stops as soon as
     either side holds a majority; with one run it is the plain tester."""
     t = _amplify_count(f.n, constants)
     need = t // 2 + 1
     accepts = rejects = 0
     last_reject = None
     for i in range(t):
-        run = MdlRun(f, d, eps, rng.derive(i), constants.mdl)
-        if sampler is not None:
-            run.sampler = sampler  # shared handle; each draw is still charged
-        v = run.execute()
+        v = MdlRun(f, sampler, eps, rng.derive(i), constants.mdl).execute()
         if v.accepted:
             accepts += 1
         else:
@@ -149,9 +146,6 @@ def index_search(f: FunctionOracle, r: BitString, y: BitString) -> int | None:
     rv = r.v
     n = f.n
 
-    def g_of(idx_list) -> int:
-        return f.query_raw(_or_bits(idx_list) ^ rv)
-
     def _or_bits(idxs) -> int:
         v = 0
         for i in idxs:
@@ -188,15 +182,15 @@ def index_search(f: FunctionOracle, r: BitString, y: BitString) -> int | None:
 
 
 @accounted
-def test_dl(f: FunctionOracle, d: FiniteDistribution, eps: float,
+def test_dl(f: FunctionOracle, sampler: DistSampler, eps: float,
             r: BitString, z: BitString, rng: SeededRng,
-            constants: DlConstants = DEFAULT_DL, sampler=None) -> Verdict:
+            constants: DlConstants = DEFAULT_DL) -> Verdict:
     """Estimate how far the shifted view is from its pivot truncation, then
-    run the amplified monotone tester on the truncation at eps/2."""
+    run the amplified monotone tester on the truncation at eps/2; both draw
+    from sampler shifted by z."""
     n = f.n
     h = HybridFunction(f, r, z)
-    base_sampler = sampler if sampler is not None else DistSampler(d, rng, f.ledger)
-    shifted = base_sampler.shifted(z)
+    shifted = sampler.shifted(z)
     rounds = _dist_rounds(n, eps, constants)
     cutoff = constants.dist_reject_factor * clamped_log2(n) / eps
     diff = 0
@@ -209,8 +203,7 @@ def test_dl(f: FunctionOracle, d: FiniteDistribution, eps: float,
             break
     if diff >= cutoff:
         return Verdict("reject", witness=("hybrid_distance", diff, rounds))
-    return monotone_dl_amplified(h, None, eps / 2.0, rng.derive(0x7D1),
-                                 constants, sampler=shifted)
+    return monotone_dl_amplified(h, shifted, eps / 2.0, rng.derive(0x7D1), constants)
 
 
 def _sketch_inputs(rec: _RecordingOracle, constants: DlConstants) -> list[int]:
@@ -237,8 +230,7 @@ def check_dl(f: FunctionOracle, d: FiniteDistribution, eps: float, r: BitString,
     rec = _RecordingOracle(f, r)
     base_sampler = DistSampler(d, rng, f.ledger)
     shifted = base_sampler.shifted(r)
-    v1 = monotone_dl_amplified(rec, None, eps, rng.derive(0xA1), constants,
-                               sampler=shifted)
+    v1 = monotone_dl_amplified(rec, shifted, eps, rng.derive(0xA1), constants)
     if v1.accepted:
         return Verdict("accept")
 
@@ -252,8 +244,8 @@ def check_dl(f: FunctionOracle, d: FiniteDistribution, eps: float, r: BitString,
     if not opp:
         return Verdict("reject", witness=("no_opposite_strings",))
     x_star = opp[-1]
-    v2 = test_dl(f, d, eps, r, BitString(n, x_star ^ r.v), rng.derive(0xA2),
-                 constants, sampler=base_sampler)
+    v2 = test_dl(f, base_sampler, eps, r, BitString(n, x_star ^ r.v), rng.derive(0xA2),
+                 constants)
     if v2.accepted:
         return Verdict("accept")
 
@@ -274,12 +266,11 @@ def check_dl(f: FunctionOracle, d: FiniteDistribution, eps: float, r: BitString,
     nil_entries = [xv for xv, idx in results if idx is None]
     if nil_entries:
         z = BitString(n, nil_entries[0] ^ r.v)
-        return test_dl(f, d, eps, r, z, rng.derive(0xA3), constants, sampler=base_sampler)
+        return test_dl(f, base_sampler, eps, r, z, rng.derive(0xA3), constants)
     for xv, idx in results:
         if any((yv >> (idx - 1)) & 1 for yv in last_same):
             flipped = BitString(n, r.v ^ (1 << (idx - 1)))
-            return test_dl(f, d, eps, r, flipped, rng.derive(0xA4), constants,
-                           sampler=base_sampler)
+            return test_dl(f, base_sampler, eps, r, flipped, rng.derive(0xA4), constants)
     return Verdict("reject", witness=("no_candidate_shift",))
 
 

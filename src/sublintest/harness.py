@@ -8,7 +8,8 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 from .core import BitString, FiniteDistribution, PairDistribution, SeededRng
 from .dlmodel import GeneralDLRep, MonotoneDLRep, table_target
@@ -36,7 +37,10 @@ def wilson_interval(successes: int, trials: int, z: float = 2.576) -> tuple[floa
     denom = 1 + z * z / trials
     centre = phat + z * z / (2 * trials)
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
-    return ((centre - half) / denom, (centre + half) / denom)
+    # at the edges the closed form leaves rounding residue instead of 0 or 1
+    lo = 0.0 if successes == 0 else (centre - half) / denom
+    hi = 1.0 if successes == trials else (centre + half) / denom
+    return (lo, hi)
 
 
 @dataclass
@@ -52,7 +56,6 @@ class RunConfig:
     consts: dict = field(default_factory=dict)
     instance_path: str | None = None
     support_size: int | None = None
-    out_path: str | None = None
     jobs: int = 1
 
     def validate(self):
@@ -65,7 +68,22 @@ class RunConfig:
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0,1)")
         _tester(self)
-        _constants_for(self)
+        self.constants  # resolving it checks every --const
+
+    @cached_property
+    def constants(self):
+        """The constants of this config's tester, resolved on first read.  Every
+        --const name and value is checked, those of the other testers included.
+        Copy a config with dataclasses.replace, which leaves the cache behind."""
+        chosen = {cls: {} for cls in (TotalConstants, MdlConstants, DlConstants)}
+        for name, value in self.consts.items():
+            value = _const_value(name, value)
+            cls, fld = CONSTS[name]
+            chosen[cls][fld.name] = value
+        mdl = MdlConstants(delta=self.delta, **chosen[MdlConstants])
+        dl = DlConstants(mdl=mdl, **chosen[DlConstants])
+        return {"total": TotalConstants(**chosen[TotalConstants]), "mdl": mdl,
+                "dl": dl}[self.tester]
 
 
 @dataclass
@@ -106,7 +124,7 @@ def build_instance(cfg: RunConfig) -> InstanceBundle:
         with open(cfg.instance_path, "r", encoding="utf-8") as fh:
             return load_bundle(json.load(fh))
     rng = SeededRng(cfg.seed, 0xB00)
-    support = cfg.support_size or default_support(cfg.n)
+    support = default_support(cfg.n) if cfg.support_size is None else cfg.support_size
     fam = cfg.family
     if fam == "total-yes":
         return gen_total_yes(cfg.n, min(support, cfg.n * (cfg.n - 1) // 2), rng)
@@ -151,27 +169,14 @@ def _tester(cfg: RunConfig):
     return table[cfg.tester]
 
 
-def _constants_for(cfg: RunConfig):
-    """The constants of cfg.tester.  Every --const name and value is checked,
-    those of the other testers included."""
-    chosen = {cls: {} for cls in (TotalConstants, MdlConstants, DlConstants)}
-    for name, value in cfg.consts.items():
-        value = _const_value(name, value)
-        cls, fld = CONSTS[name]
-        chosen[cls][fld.name] = value
-    mdl = MdlConstants(delta=cfg.delta, **chosen[MdlConstants])
-    dl = DlConstants(mdl=mdl, **chosen[DlConstants])
-    return {"total": TotalConstants(**chosen[TotalConstants]), "mdl": mdl, "dl": dl}[cfg.tester]
-
-
 def run_one_trial(cfg: RunConfig, bundle: InstanceBundle, trial: int):
     tester, oracle_of, _ = _tester(cfg)
-    constants = _constants_for(cfg)
     ledger = QueryLedger(query_budget=cfg.budget)
     trial_rng = SeededRng(cfg.seed, 0).derive(trial + 1)
     start = time.perf_counter()
     try:
-        verdict = tester(oracle_of(bundle, ledger), bundle.dist, cfg.eps, trial_rng, constants)
+        verdict = tester(oracle_of(bundle, ledger), bundle.dist, cfg.eps, trial_rng,
+                         cfg.constants)
         decision = verdict.decision
     except BudgetExhausted:
         decision = "overbudget"
@@ -232,8 +237,7 @@ def scaling_experiment(cfg: RunConfig, n_list: list[int]) -> tuple[str, list[dic
     rows = []
     summaries = []
     for n in n_list:
-        sub = RunConfig(**{**cfg.__dict__, "n": n})
-        report = run_trials(sub)
+        report = run_trials(replace(cfg, n=n))
         rows.extend(report.rows)
         mean_q = report.total_queries() / report.trials
         summaries.append({"n": n, "mean_queries": mean_q,
@@ -245,7 +249,7 @@ def scaling_experiment(cfg: RunConfig, n_list: list[int]) -> tuple[str, list[dic
 def budget_for(cfg: RunConfig) -> tuple[int, int]:
     """(query ceiling, sample ceiling) of one trial of cfg's tester."""
     _, _, budget = _tester(cfg)
-    return budget(cfg.n, cfg.eps, _constants_for(cfg))
+    return budget(cfg.n, cfg.eps, cfg.constants)
 
 
 def oracle_check(bundles: list[InstanceBundle], eps: float, trials_per_stratum: int,

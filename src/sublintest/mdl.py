@@ -215,20 +215,13 @@ def _or_all(vs) -> int:
 
 
 def _rep_search(f: FunctionOracle, vs: list[int], y_v: int) -> int:
-    """find_rep over backing ints: some v in vs, found against the union y_v."""
+    """Halving search returning some v in vs; when the target is a monotone
+    list, v's rule outranks every other rule fired in vs or in the union y_v."""
     b = f.query_raw(_or_all(vs) | y_v)
     while len(vs) > 1:
         left, right = vs[:len(vs) // 2], vs[len(vs) // 2:]
         vs = left if f.query_raw(_or_all(left) | y_v) == b else right
     return vs[0]
-
-
-def find_rep(f: FunctionOracle, xs: list[BitString], ys: list[BitString]) -> BitString:
-    """Halving search returning some x in xs; when the target is a monotone
-    list, the result's rule outranks every other rule fired in xs or ys."""
-    if not xs:
-        raise ValueError("xs must be nonempty")
-    return BitString(f.n, _rep_search(f, [x.v for x in xs], _or_all(y.v for y in ys)))
 
 
 def _extract(g: FunctionOracle, vs: list[int], vals: list[int]) -> list[tuple[int, int]]:
@@ -325,23 +318,19 @@ def _find_block_ex(f: FunctionOracle, sk: MdlSketch, x: BitString) -> tuple[int,
     return p + 2 * hi, fx
 
 
-def find_block_mdl(f: FunctionOracle, sk: MdlSketch, x: BitString) -> int:
-    return _find_block_ex(f, sk, x)[0]
-
-
 class MdlRun:
-    """One tester run: owns the sketch, the big-block set and the replay
-    caches.  The deterministic sub-procedures are cached per input string;
-    a cache hit recharges the recorded query count, so ledgers match a
-    cache-free execution exactly."""
+    """One tester run on the sampler it is handed: owns the sketch, the
+    big-block set and the replay caches.  The deterministic sub-procedures
+    are cached per input string; a cache hit recharges the recorded query
+    count, so ledgers match a cache-free execution exactly."""
 
-    def __init__(self, f: FunctionOracle, d: FiniteDistribution | None, eps: float,
-                 rng: SeededRng | None, constants: MdlConstants = DEFAULT_MDL):
+    def __init__(self, f: FunctionOracle, sampler, eps: float, rng: SeededRng | None,
+                 constants: MdlConstants = DEFAULT_MDL):
         self.f = f
         self.eps = eps
         self.rng = rng
         self.sz = mdl_sizes(f.n, eps, constants)
-        self.sampler = DistSampler(d, rng, f.ledger) if d is not None else None
+        self.sampler = sampler
         self.sk: MdlSketch | None = None
         self.L: BigBlockSet | None = None
         self.NL: frozenset = frozenset()
@@ -349,8 +338,8 @@ class MdlRun:
         self._mi_cache: dict[int, tuple[int | None, int]] = {}
 
     @classmethod
-    def from_parts(cls, f, d, eps, rng, constants, sk, L):
-        run = cls(f, d, eps, rng, constants)
+    def from_parts(cls, f, sampler, eps, rng, constants, sk, L):
+        run = cls(f, sampler, eps, rng, constants)
         run.sk = sk
         run.L = L
         run.NL = L.neighbors() if L is not None else frozenset()
@@ -617,7 +606,7 @@ def monotone_dl_tester(f: FunctionOracle, d: FiniteDistribution, eps: float,
     """Full monotone-decision-list tester; accepts iff no stage rejects."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    return MdlRun(f, d, eps, rng, constants).execute()
+    return MdlRun(f, DistSampler(d, rng, f.ledger), eps, rng, constants).execute()
 
 
 def budget_mdl(n: int, eps: float, constants: MdlConstants = DEFAULT_MDL) -> tuple[int, int]:

@@ -206,9 +206,6 @@ class ShiftedSampler:
         rv = self.r.v
         return [BitString(x.n, x.v ^ rv) for x in self.base.draw_set(m)]
 
-    def shifted(self, r: BitString) -> "ShiftedSampler":
-        return ShiftedSampler(self, r)
-
 
 class PairSampler(SupportSampler):
     """Sampling handle over a PairDistribution."""

@@ -15,12 +15,14 @@ from sublintest.birthday import (CollisionExperiment, run_bipartite_birthday,
 from sublintest.harness import RunConfig, budget_for, oracle_check, run_trials
 from sublintest.instances import (gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pentagon,
                                   gen_random_table, gen_total_yes)
-from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, budget_mdl, find_block_mdl,
-                            find_rep, monotone_dl_tester, sketch_mdl)
+from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, _find_block_ex, budget_mdl,
+                            monotone_dl_tester, sketch_mdl)
 from sublintest.oracles import FunctionOracle, QueryLedger, Verdict
 from sublintest.total_order import TotalSketch, sketch_total
 from sublintest.total_order import test_long_cycles as long_stage
 from sublintest.total_order import test_total_ordering as run_total_tester
+
+from helpers import find_rep, mdl_run
 
 pytestmark = pytest.mark.acceptance
 
@@ -79,15 +81,15 @@ def test_criterion_2_one_sided_stages():
         i += 1
         bundle = gen_mdl_yes(256, 96, rng.derive(50_000 + i))
         f = bundle.function_oracle()
-        run = MdlRun(f, bundle.dist, 0.2, rng.derive(60_000 + i))
+        run = mdl_run(f, bundle.dist, 0.2, rng.derive(60_000 + i))
         out = run.preprocess()
         if isinstance(out, Verdict):
             continue  # single-valued support: the stages never ran
         sk, L = run.sk, run.L
         ran += 1
         for c in (1, 3, 4, 5):
-            stage = MdlRun.from_parts(f, bundle.dist, 0.2, rng.derive(70_000 + 8 * i + c),
-                                      MdlConstants(), sk, L)
+            stage = mdl_run(f, bundle.dist, 0.2, rng.derive(70_000 + 8 * i + c),
+                            MdlConstants(), sk, L)
             v = stage.test_type(c)
             stage_rejects += v.rejected
     ok = order_rejects == 0 and stage_rejects == 0
@@ -252,7 +254,7 @@ def test_criterion_7_deterministic_postconditions():
         x = rng.bit_string(n)
         x = x if x.v else unit(1, n)
         want = _expected_blocks(rep, sk, x)
-        got = find_block_mdl(f, sk, x)
+        got = _find_block_ex(f, sk, x)[0]
         if len(want) != 1 or got != want[0]:
             failures.append(("find_block", i))
         done += 1

@@ -6,7 +6,7 @@ from sublintest.dlmodel import (GeneralDLRep, eval_dl, eval_mdl, min_index, mono
 from sublintest.dl import (DlConstants, HybridFunction, _RecordingOracle, budget_dl, check_dl,
                            decision_list_tester, index_search, monotone_dl_amplified)
 from sublintest.instances import gen_dl_yes, gen_groups4
-from sublintest.mdl import monotone_dl_tester
+from sublintest.mdl import MdlRun
 from sublintest.oracles import (BudgetExhausted, DistSampler, FunctionOracle,
                                 PreconditionViolated, QueryLedger)
 
@@ -164,13 +164,16 @@ def test_amplified_majority_improves_and_t1_degenerates():
     rep = bundle.params["rep"]
     mono, r = monotonize(rep)
     # shifted view is a monotone list; both testers must accept
+    # with t = 1 the amplifier is one plain run: the shared sampler, and
+    # probes on the first stream derived from its rng
     ledger1 = QueryLedger()
     f1 = FunctionOracle(64, mono.target(), ledger1)
-    rng = SeededRng(7, 3)
-    v1 = monotone_dl_amplified(f1, bundle.dist, 0.2, rng, DlConstants(t_amplify=1))
+    v1 = monotone_dl_amplified(f1, DistSampler(bundle.dist, SeededRng(7, 4), ledger1), 0.2,
+                               SeededRng(7, 3), DlConstants(t_amplify=1))
     ledger2 = QueryLedger()
     f2 = FunctionOracle(64, mono.target(), ledger2)
-    v2 = monotone_dl_tester(f2, bundle.dist, 0.2, SeededRng(7, 3).derive(0))
+    v2 = MdlRun(f2, DistSampler(bundle.dist, SeededRng(7, 4), ledger2), 0.2,
+                SeededRng(7, 3).derive(0)).execute()
     assert v1.decision == v2.decision
     assert ledger1.snapshot() == ledger2.snapshot()
 

@@ -1,8 +1,9 @@
 """Golden verdicts: the decision, witness and ledger of every tester on a
 fixed-seed corpus, plus fixed-seed collision rates, compared byte for byte
-against tests/data/golden_verdicts.json.
+against tests/data/golden_verdicts.json; trials whose big-block growth runs
+several rounds are compared against tests/data/golden_growth.json.
 
-The file was written once with
+The first file was written once with
 
     json.dumps(golden_corpus(), indent=1) + "\\n"
 
@@ -19,11 +20,14 @@ from sublintest.core import SeededRng
 from sublintest.dl import DlConstants, decision_list_tester
 from sublintest.harness import RunConfig, build_instance
 from sublintest.instances import gen_mdl_yes, gen_planted_violation
-from sublintest.mdl import MdlConstants, MdlRun, monotone_dl_tester
+from sublintest.mdl import MdlConstants, monotone_dl_tester
 from sublintest.oracles import QueryLedger
 from sublintest.total_order import test_total_ordering as total_tester
 
+from helpers import mdl_run
+
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_verdicts.json"
+GROWTH = pathlib.Path(__file__).parent / "data" / "golden_growth.json"
 
 DL_DESK = DlConstants(t_amplify=3, outer_rounds=6, inner_rounds=8, accept_threshold=3,
                       sketch_source="light")
@@ -54,6 +58,19 @@ def _record(verdict, ledger) -> dict:
             "ledger": [ledger.function_queries, ledger.samples_drawn]}
 
 
+def _trial(tester: str, bundle, eps: float, rng) -> dict:
+    """One trial of tester on bundle with a fresh ledger; the DL tester runs
+    with the desk profile."""
+    ledger = QueryLedger()
+    if tester == "total":
+        v = total_tester(bundle.comparison_oracle(ledger), bundle.dist, eps, rng)
+    elif tester == "mdl":
+        v = monotone_dl_tester(bundle.function_oracle(ledger), bundle.dist, eps, rng)
+    else:
+        v = decision_list_tester(bundle.function_oracle(ledger), bundle.dist, eps, rng, DL_DESK)
+    return _record(v, ledger)
+
+
 def _tester_trials() -> dict:
     out = {}
     for tester, rows in TESTER_CORPUS.items():
@@ -61,17 +78,8 @@ def _tester_trials() -> dict:
             cfg = RunConfig(tester=tester, family=family, n=n, eps=eps, seed=5)
             bundle = build_instance(cfg)
             for t in range(trials):
-                ledger = QueryLedger()
-                rng = SeededRng(5, 0).derive(t + 1)
-                if tester == "total":
-                    v = total_tester(bundle.comparison_oracle(ledger), bundle.dist, eps, rng)
-                elif tester == "mdl":
-                    v = monotone_dl_tester(bundle.function_oracle(ledger), bundle.dist,
-                                           eps, rng)
-                else:
-                    v = decision_list_tester(bundle.function_oracle(ledger), bundle.dist,
-                                             eps, rng, DL_DESK)
-                out[f"{tester}/{family}/n{n}/t{t}"] = _record(v, ledger)
+                out[f"{tester}/{family}/n{n}/t{t}"] = _trial(tester, bundle, eps,
+                                                             SeededRng(5, 0).derive(t + 1))
     return out
 
 
@@ -90,12 +98,12 @@ def _plant_trials() -> dict:
         out[f"plant{c}/tester"] = _record(v, ledger)
         ledger = QueryLedger()
         source = bundle if sketch_of == "plant" else base
-        run = MdlRun(source.function_oracle(ledger), source.dist, eps,
-                     rng.derive(800 + trial), consts)
+        run = mdl_run(source.function_oracle(ledger), source.dist, eps,
+                      rng.derive(800 + trial), consts)
         v = run.preprocess()
         if v is None:
-            stage = MdlRun.from_parts(bundle.function_oracle(ledger), bundle.dist, eps,
-                                      rng.derive(900 + trial), consts, run.sk, run.L)
+            stage = mdl_run(bundle.function_oracle(ledger), bundle.dist, eps,
+                            rng.derive(900 + trial), consts, run.sk, run.L)
             v = stage.test_type(c)
         v.queries, v.samples = ledger.function_queries, ledger.samples_drawn
         out[f"plant{c}/stage"] = _record(v, ledger)
@@ -131,3 +139,30 @@ def golden_corpus() -> dict:
 def test_golden_verdicts_byte_identical():
     expected = GOLDEN.read_text(encoding="utf-8")
     assert json.dumps(golden_corpus(), indent=1) + "\n" == expected
+
+
+# (tester, family, n, eps, seed, support): trial 0 of instances whose big-block
+# growth runs more than one round, which the corpus above (n <= 256) rarely
+# reaches.  The dl-yes case is instance 0 of the benchmark's dl workload; the
+# mdl-yes case grows its big blocks twice and stops in the third round.
+GROWTH_CASES = [("dl", "dl-yes", 1024, 0.2, 4160, 256),
+                ("mdl", "mdl-yes", 1024, 0.3, 1, 8)]
+
+
+def growth_corpus() -> dict:
+    """Each case as run_one_trial(cfg, build_instance(cfg), 0) runs it, with
+    the witness kept."""
+    out = {}
+    for tester, family, n, eps, seed, support in GROWTH_CASES:
+        cfg = RunConfig(tester=tester, family=family, n=n, eps=eps, seed=seed,
+                        support_size=support)
+        out[f"{tester}/{family}/n{n}/seed{seed}"] = _trial(tester, build_instance(cfg), eps,
+                                                           SeededRng(seed, 0).derive(1))
+    return out
+
+
+def test_golden_growth_byte_identical():
+    """Written once, like golden_verdicts.json, with
+    json.dumps(growth_corpus(), indent=1) + "\\n"."""
+    expected = GROWTH.read_text(encoding="utf-8")
+    assert json.dumps(growth_corpus(), indent=1) + "\n" == expected

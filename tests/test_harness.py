@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -14,11 +15,14 @@ from sublintest.instances import gen_dl_yes, gen_groups4, gen_mdl_yes, gen_penta
 
 def test_wilson_interval_known_values():
     lo, hi = wilson_interval(0, 50, z=1.959964)
-    assert lo == pytest.approx(0.0, abs=1e-9)
+    assert lo == 0.0
     assert 0.05 < hi < 0.09
     lo, hi = wilson_interval(50, 100, z=1.959964)
     assert 0.39 < lo < 0.42
     assert 0.58 < hi < 0.61
+    # the edges are exact, not the closed form's rounding residue
+    assert wilson_interval(0, 1000)[0] == 0.0
+    assert wilson_interval(50, 50, z=1.959964)[1] == 1.0
 
 
 def test_run_trials_single_deterministic():
@@ -67,6 +71,19 @@ def test_scaling_rows_and_summary():
     assert [s["n"] for s in summaries] == [64, 256]
     assert summaries[1]["mean_queries"] > summaries[0]["mean_queries"]
     assert csv_text.count("\n") == 1 + 4  # header + 2 trials per n
+
+
+def test_constants_resolve_once_per_config():
+    cfg = RunConfig(tester="mdl", family="mdl-yes", n=16, eps=0.3,
+                    consts={"c_t2": "2", "t_amplify": "1"})
+    cfg.validate()
+    constants = cfg.constants
+    assert cfg.constants is constants and constants.t2_factor == 2.0
+    # a copy resolves its own, so scaling a config whose constants are cached works
+    wider = dataclasses.replace(cfg, n=32)
+    assert wider.constants == constants and wider.constants is not constants
+    _, summaries = scaling_experiment(cfg, [16, 32])
+    assert [s["trials"] for s in summaries] == [1, 1]
 
 
 def test_oracle_check_strata():
@@ -316,5 +333,6 @@ def test_cli_birthday_bad_instance_is_usage_error(content, tmp_path, capsys):
 
 @pytest.mark.parametrize("cmd", ["test-mdl", "test-dl", "gen-instance", "test-total"])
 def test_cli_negative_support_is_usage_error(cmd, capsys):
-    assert cli_main([cmd, "--n", "16", "--support", "-1"]) == 2
-    assert "error: a distribution needs at least one outcome" in capsys.readouterr().err
+    for support in ("-1", "0"):
+        assert cli_main([cmd, "--n", "16", "--support", support]) == 2
+        assert "error: a distribution needs at least one outcome" in capsys.readouterr().err

@@ -4,9 +4,10 @@ from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_or, un
 from sublintest.dlmodel import MonotoneDLRep, eval_mdl, min_index, random_mdl
 from sublintest.instances import gen_groups4, gen_mdl_yes, gen_planted_violation
 from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, MdlSketch, _find_block_ex,
-                            _or_all, _OrTree, budget_mdl, find_block_mdl, find_rep,
-                            monotone_dl_tester, sketch_mdl)
+                            _or_all, _OrTree, budget_mdl, monotone_dl_tester, sketch_mdl)
 from sublintest.oracles import FunctionOracle, QueryLedger, Verdict
+
+from helpers import find_rep, mdl_run
 
 
 def oracle_for(rep, ledger=None):
@@ -167,7 +168,7 @@ def test_find_block_matches_contract_exhaustively():
             x = BitString(n, v)
             want = expected_blocks(rep, sk, x)
             assert len(want) == 1
-            got = find_block_mdl(f, sk, x)
+            got = _find_block_ex(f, sk, x)[0]
             assert got == want[0]
             checked += 1
     assert checked > 1000
@@ -182,10 +183,10 @@ def test_find_block_parity_and_membership():
     sk = sketch_for(rep, T)
     f = oracle_for(rep)
     for ell in range(sk.k):
-        assert find_block_mdl(f, sk, sk.strings[ell]) == ell + 1
+        assert _find_block_ex(f, sk, sk.strings[ell])[0] == ell + 1
     for v in (1, 5, 9):
         x = BitString(24, v)
-        got = find_block_mdl(f, sk, x)
+        got = _find_block_ex(f, sk, x)[0]
         if eval_mdl(rep, x) == sk.values[0]:
             assert got % 2 == 1
         else:
@@ -203,17 +204,11 @@ def test_find_block_deterministic_and_bounded():
     bound = math.ceil(math.log2(max(2, sk.k))) + 4
     for v in (3, 70, 129, 1 << 63):
         f = oracle_for(rep)
-        a = find_block_mdl(f, sk, BitString(64, v))
+        a = _find_block_ex(f, sk, BitString(64, v))[0]
         cost = f.ledger.function_queries
         f2 = oracle_for(rep)
-        assert find_block_mdl(f2, sk, BitString(64, v)) == a
+        assert _find_block_ex(f2, sk, BitString(64, v))[0] == a
         assert f2.ledger.function_queries == cost <= bound
-
-
-def make_run(rep, dist, eps, seed, constants=MdlConstants()):
-    f = oracle_for(rep)
-    run = MdlRun(f, dist, eps, SeededRng(seed), constants)
-    return run
 
 
 def test_max_index_singleton_and_domination():
@@ -275,7 +270,7 @@ def test_preprocess_point_mass_on_zero_accepts():
     rep = random_mdl(8, SeededRng(9))
     d = FiniteDistribution.point_mass(BitString.zeros(8))
     f = oracle_for(rep)
-    run = MdlRun(f, d, 0.3, SeededRng(10))
+    run = mdl_run(f, d, 0.3, SeededRng(10))
     out = run.preprocess()
     assert isinstance(out, Verdict) and out.accepted
 
@@ -284,7 +279,7 @@ def test_preprocess_single_valued_accepts():
     rep = MonotoneDLRep(6, tuple(range(1, 7)), (1,) * 7)
     d = FiniteDistribution.uniform(weight2_set(6, 5, SeededRng(11)))
     f = oracle_for(rep)
-    run = MdlRun(f, d, 0.3, SeededRng(12))
+    run = mdl_run(f, d, 0.3, SeededRng(12))
     out = run.preprocess()
     assert isinstance(out, Verdict) and out.accepted
 
@@ -294,7 +289,7 @@ def test_preprocess_returns_pair_for_true_lists():
     for trial in range(10):
         bundle = gen_mdl_yes(64, 32, rng.derive(trial))
         f = bundle.function_oracle()
-        run = MdlRun(f, bundle.dist, 0.2, rng.derive(100 + trial))
+        run = mdl_run(f, bundle.dist, 0.2, rng.derive(100 + trial))
         out = run.preprocess()
         if isinstance(out, Verdict):
             assert out.accepted  # single-valued support can legally early-accept
@@ -315,11 +310,11 @@ def test_big_blocks_flag_conjunction_block():
     atoms += [bit_or(unit(i, n), unit(i + 1, n)) for i in range(2, 80, 2)]
     d = FiniteDistribution.uniform(atoms)
     f = oracle_for(rep)
-    run = MdlRun(f, d, eps, rng)
+    run = mdl_run(f, d, eps, rng)
     out = run.preprocess()
     assert not isinstance(out, Verdict)
     sk, L = run.sk, run.L
-    blocks = {find_block_mdl(oracle_for(rep), sk, unit(i, n)) for i in (300, 900, 2100)}
+    blocks = {_find_block_ex(oracle_for(rep), sk, unit(i, n))[0] for i in (300, 900, 2100)}
     assert any(b in L for b in blocks)
 
 
@@ -328,7 +323,7 @@ def test_big_blocks_empty_for_scattered_lists():
     rng = SeededRng(141)
     bundle = gen_mdl_yes(512, 200, rng)
     f = bundle.function_oracle()
-    run = MdlRun(f, bundle.dist, 0.25, rng.derive(1))
+    run = mdl_run(f, bundle.dist, 0.25, rng.derive(1))
     out = run.preprocess()
     if not isinstance(out, Verdict):
         L = run.L
@@ -340,15 +335,15 @@ def test_type_stages_accept_true_lists():
     for trial in range(10):
         bundle = gen_mdl_yes(128, 64, rng.derive(trial))
         f = bundle.function_oracle()
-        run = MdlRun(f, bundle.dist, 0.15, rng.derive(300 + trial))
+        run = mdl_run(f, bundle.dist, 0.15, rng.derive(300 + trial))
         out = run.preprocess()
         if isinstance(out, Verdict):
             assert out.accepted
             continue
         sk, L = run.sk, run.L
         for c in (1, 3, 4, 5):
-            stage = MdlRun.from_parts(f, bundle.dist, 0.15, rng.derive(400 + 10 * trial + c),
-                                      MdlConstants(), sk, L)
+            stage = mdl_run(f, bundle.dist, 0.15, rng.derive(400 + 10 * trial + c),
+                            MdlConstants(), sk, L)
             v = stage.test_type(c)
             assert v.accepted, f"stage {c} rejected a true list"
 
@@ -363,13 +358,13 @@ def test_planted_violation_detected(c):
         base = gen_mdl_yes(256, 64, rng.derive(trial))
         bundle = gen_planted_violation(base, c, 0.3, rng.derive(700 + trial))
         f = bundle.function_oracle()
-        run = MdlRun(f, bundle.dist, 0.15, rng.derive(800 + trial), consts)
+        run = mdl_run(f, bundle.dist, 0.15, rng.derive(800 + trial), consts)
         out = run.preprocess()
         if isinstance(out, Verdict):
             hits += out.rejected
             continue
         sk, L = run.sk, run.L
-        stage = MdlRun.from_parts(f, bundle.dist, 0.15, rng.derive(900 + trial), consts, sk, L)
+        stage = mdl_run(f, bundle.dist, 0.15, rng.derive(900 + trial), consts, sk, L)
         v = stage.test_type(c)
         hits += v.rejected
     assert hits >= 0.8 * trials
@@ -386,10 +381,10 @@ def test_planted_type3_stage_detected_on_base_sketch():
     for trial in range(trials):
         base = gen_mdl_yes(256, 64, rng.derive(trial))
         bundle = gen_planted_violation(base, 3, 0.3, rng.derive(700 + trial))
-        run = MdlRun(base.function_oracle(), base.dist, 0.15, rng.derive(800 + trial), consts)
+        run = mdl_run(base.function_oracle(), base.dist, 0.15, rng.derive(800 + trial), consts)
         assert run.preprocess() is None
-        stage = MdlRun.from_parts(bundle.function_oracle(), bundle.dist, 0.15,
-                                  rng.derive(900 + trial), consts, run.sk, run.L)
+        stage = mdl_run(bundle.function_oracle(), bundle.dist, 0.15,
+                        rng.derive(900 + trial), consts, run.sk, run.L)
         v = stage.test_type(3)
         hits += v.rejected and v.witness[0] == "type3"
     assert hits >= 0.8 * trials
@@ -407,13 +402,13 @@ def test_planted_type2_detected():
         base = gen_mdl_yes(1024, 64, rng.derive(trial))
         bundle = gen_planted_violation(base, 2, 0.9, rng.derive(700 + trial))
         f = bundle.function_oracle()
-        run = MdlRun(f, bundle.dist, 0.45, rng.derive(800 + trial), consts)
+        run = mdl_run(f, bundle.dist, 0.45, rng.derive(800 + trial), consts)
         out = run.preprocess()
         if isinstance(out, Verdict):
             hits += out.rejected
             continue
         sk, L = run.sk, run.L
-        stage = MdlRun.from_parts(f, bundle.dist, 0.45, rng.derive(900 + trial), consts, sk, L)
+        stage = mdl_run(f, bundle.dist, 0.45, rng.derive(900 + trial), consts, sk, L)
         v = stage.test_type(2)
         hits += v.rejected
     assert hits >= 0.8 * trials
@@ -507,13 +502,12 @@ def test_type5_witness_reverifies_with_fresh_queries():
         base = gen_mdl_yes(256, 64, rng.derive(trial))
         bundle = gen_planted_violation(base, 5, 0.3, rng.derive(700 + trial))
         f = bundle.function_oracle()
-        run = MdlRun(f, bundle.dist, 0.15, rng.derive(800 + trial))
+        run = mdl_run(f, bundle.dist, 0.15, rng.derive(800 + trial))
         out = run.preprocess()
         if isinstance(out, Verdict):
             continue
         sk, L = run.sk, run.L
-        stage = MdlRun.from_parts(f, bundle.dist, 0.15, rng.derive(900 + trial),
-                                  MdlConstants(), sk, L)
+        stage = mdl_run(f, bundle.dist, 0.15, rng.derive(900 + trial), MdlConstants(), sk, L)
         v = stage.test_type(5)
         if not v.rejected:
             continue

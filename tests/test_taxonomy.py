@@ -9,10 +9,12 @@ from sublintest.instances import gen_mdl_yes, gen_planted_violation
 from sublintest.mdl import MdlConstants, MdlRun
 from sublintest.oracles import Verdict
 
+from helpers import mdl_run
+
 
 def build_graph(bundle, eps, seed):
     f = bundle.function_oracle()
-    run = MdlRun(f, bundle.dist, eps, SeededRng(seed))
+    run = mdl_run(f, bundle.dist, eps, SeededRng(seed))
     out = run.preprocess()
     if isinstance(out, Verdict):
         return None
@@ -126,7 +128,7 @@ def test_pushforward_masses_partition_unit():
     rng = SeededRng(501)
     bundle = gen_mdl_yes(32, 12, rng)
     f = bundle.function_oracle()
-    run = MdlRun(f, bundle.dist, 0.25, rng.derive(1))
+    run = mdl_run(f, bundle.dist, 0.25, rng.derive(1))
     out = run.preprocess()
     if isinstance(out, Verdict):
         pytest.skip("degenerate draw")
