@@ -421,10 +421,14 @@ class MdlRun:
         for _ in range(sz.rounds):
             nl = big.neighbors()
             hits = 0
-            for x in self.sampler.draw_list(sz.inner):
+            # one search per distinct draw; its repeats recharge the recorded
+            # cost in one go, so each round charges what per-draw searches would
+            for x, mult in self.sampler.draw_counts(sz.inner):
                 ell, _ = self.find_block_ex(x)
+                if mult > 1:
+                    self.f.ledger.charge_queries(self._fb_cache[x.v][1] * (mult - 1))
                 if ell in nl:
-                    hits += 1
+                    hits += mult
             if hits < exit_thresh:
                 return big
             big = BigBlockSet(big.members | nl, k)

@@ -8,6 +8,7 @@ report is just the ledger's two counters.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +150,13 @@ class SupportSampler:
         self.ledger.charge_samples(m)
         return self._outcomes(self._keys(m))
 
+    def draw_counts(self, m: int) -> list[tuple]:
+        """m charged draws as (outcome, multiplicity) pairs in first-occurrence
+        order; the rng moves exactly as in draw_list(m)."""
+        self.ledger.charge_samples(m)
+        counts = Counter(self._keys(m))
+        return list(zip(self._outcomes(counts), counts.values()))
+
     def draw_set(self, m: int) -> list:
         """m charged draws, deduplicated in first-occurrence order."""
         self.ledger.charge_samples(m)
@@ -205,6 +213,11 @@ class ShiftedSampler:
     def draw_set(self, m: int) -> list[BitString]:
         rv = self.r.v
         return [BitString(x.n, x.v ^ rv) for x in self.base.draw_set(m)]
+
+    def draw_counts(self, m: int) -> list[tuple[BitString, int]]:
+        """As the base's draw_counts; only the distinct atoms are shifted."""
+        rv = self.r.v
+        return [(BitString(x.n, x.v ^ rv), c) for x, c in self.base.draw_counts(m)]
 
 
 class PairSampler(SupportSampler):

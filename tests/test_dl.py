@@ -6,7 +6,7 @@ from sublintest.dlmodel import (GeneralDLRep, eval_dl, eval_mdl, min_index, mono
 from sublintest.dl import (DlConstants, HybridFunction, _RecordingOracle, budget_dl, check_dl,
                            decision_list_tester, index_search, monotone_dl_amplified)
 from sublintest.instances import gen_dl_yes, gen_groups4
-from sublintest.mdl import MdlRun
+from sublintest.mdl import MdlConstants, MdlRun
 from sublintest.oracles import (BudgetExhausted, DistSampler, FunctionOracle,
                                 PreconditionViolated, QueryLedger)
 
@@ -176,6 +176,25 @@ def test_amplified_majority_improves_and_t1_degenerates():
                 SeededRng(7, 3).derive(0)).execute()
     assert v1.decision == v2.decision
     assert ledger1.snapshot() == ledger2.snapshot()
+
+
+def test_amplified_majority_errs_less_than_single_runs():
+    """groups4-no at n=16 with preprocessing starved of samples (delta 1.6),
+    so that single runs accept some far instances: a majority of three errs
+    on fewer of them."""
+    constants = {t: DlConstants(t_amplify=t, mdl=MdlConstants(delta=1.6)) for t in (1, 3)}
+    errors = {1: 0, 3: 0}
+    for i in range(30):
+        bundle = gen_groups4(16, SeededRng(300 + i), "no")
+        for t in errors:
+            ledger = QueryLedger()
+            rng = SeededRng(77, i)
+            v = monotone_dl_amplified(bundle.function_oracle(ledger),
+                                      DistSampler(bundle.dist, rng.derive(1), ledger), 0.3,
+                                      rng.derive(2), constants[t])
+            errors[t] += v.accepted
+    assert 0 < errors[1]
+    assert errors[3] < errors[1]
 
 
 def test_check_dl_accepts_monotonized_pivot():

@@ -143,10 +143,14 @@ def test_golden_verdicts_byte_identical():
 
 # (tester, family, n, eps, seed, support): trial 0 of instances whose big-block
 # growth runs more than one round, which the corpus above (n <= 256) rarely
-# reaches.  The dl-yes case is instance 0 of the benchmark's dl workload; the
-# mdl-yes case grows its big blocks twice and stops in the third round.
+# reaches.  The first dl-yes case is instance 0 of the benchmark's dl workload;
+# the mdl-yes case grows its big blocks twice and stops in the third round; in
+# the last case (instance 1 of the dl workload's seed-6 corpus) the first pivot
+# fails a whole outer round, and a growth round that builds its big-block set
+# with a wrong sketch length changes its ledger.
 GROWTH_CASES = [("dl", "dl-yes", 1024, 0.2, 4160, 256),
-                ("mdl", "mdl-yes", 1024, 0.3, 1, 8)]
+                ("mdl", "mdl-yes", 1024, 0.3, 1, 8),
+                ("dl", "dl-yes", 1024, 0.2, 24641, 256)]
 
 
 def growth_corpus() -> dict:

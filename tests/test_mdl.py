@@ -1,11 +1,14 @@
 import pytest
 
-from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_or, unit
-from sublintest.dlmodel import MonotoneDLRep, eval_mdl, min_index, random_mdl
+from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_or, clamped_log2, unit
+from sublintest.dl import _RecordingOracle
+from sublintest.dlmodel import MonotoneDLRep, eval_mdl, min_index, monotonize, random_mdl
+from sublintest.harness import RunConfig, build_instance
 from sublintest.instances import gen_groups4, gen_mdl_yes, gen_planted_violation
-from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, MdlSketch, _find_block_ex,
-                            _or_all, _OrTree, budget_mdl, monotone_dl_tester, sketch_mdl)
-from sublintest.oracles import FunctionOracle, QueryLedger, Verdict
+from sublintest.mdl import (DEFAULT_MDL, BigBlockSet, MdlConstants, MdlRun, MdlSketch,
+                            _find_block_ex, _or_all, _OrTree, budget_mdl, monotone_dl_tester,
+                            sketch_mdl)
+from sublintest.oracles import BudgetExhausted, DistSampler, FunctionOracle, QueryLedger, Verdict
 
 from helpers import find_rep, mdl_run
 
@@ -571,3 +574,81 @@ def test_find_block_query_log_is_pinned():
             assert value == fx and log[0] == -1
             got.append((block, tuple(log[1:])))
         assert got == expected, (k, fx)
+
+
+def _grow_per_draw(run: MdlRun):
+    """Big-block discovery with one find-block search per drawn string, the
+    reference for MdlRun._find_big_blocks.  Returns the big-block set and the
+    ledger's query count at the start of each growth round."""
+    n, eps, sz = run.f.n, run.eps, run.sz
+    k = run.sk.k
+    counters = {}
+    for _ in range(sz.probes):
+        ell, _ = run.find_block_ex(unit(run.rng.integer(1, n + 1), n))
+        counters[ell] = counters.get(ell, 0) + 1
+    thresh = 4.0 * clamped_log2(n) / eps
+    big = BigBlockSet({ell for ell, cnt in counters.items() if cnt >= thresh}, k)
+    exit_thresh = 5.0 * clamped_log2(n / eps)
+    starts = []
+    for _ in range(sz.rounds):
+        starts.append(run.f.ledger.function_queries)
+        nl = big.neighbors()
+        hits = sum(run.find_block_ex(x)[0] in nl for x in run.sampler.draw_list(sz.inner))
+        if hits < exit_thresh:
+            break
+        big = BigBlockSet(big.members | nl, k)
+    return big, starts
+
+
+# (family, n, eps, seed, support): small instances whose big blocks grow, in
+# the DL tester's shifted and recording view for dl-yes; the last grows four
+# times
+GROWTH_TWINS = [("mdl-yes", 1024, 0.3, 1, 8), ("dl-yes", 256, 0.6, 3, 8),
+                ("dl-yes", 1024, 0.3, 4, 16)]
+
+
+def _growth_run(family, n, eps, seed, support, query_budget=None) -> MdlRun:
+    """A run on a fresh ledger, ready to find its big blocks.  It sees the
+    target through the recording view, shifted for dl-yes by the string that
+    makes the list monotone (as check_dl sees it with the right pivot) and by
+    zero for mdl-yes."""
+    bundle = build_instance(RunConfig(tester="mdl", family=family, n=n, eps=eps, seed=seed,
+                                      support_size=support))
+    r = monotonize(bundle.params["rep"])[1] if family == "dl-yes" else BitString.zeros(n)
+
+    def handles(budget):
+        ledger = QueryLedger(query_budget=budget)
+        rng = SeededRng(1)
+        return (_RecordingOracle(bundle.function_oracle(ledger), r),
+                DistSampler(bundle.dist, rng, ledger).shifted(r), eps, rng)
+
+    first = MdlRun(*handles(None))
+    assert first.preprocess() is None
+    return MdlRun.from_parts(*handles(query_budget), DEFAULT_MDL, first.sk, None)
+
+
+@pytest.mark.parametrize("case", GROWTH_TWINS, ids=lambda c: f"{c[0]}-n{c[1]}-seed{c[3]}")
+def test_find_big_blocks_matches_per_draw_growth(case):
+    run, ref = _growth_run(*case), _growth_run(*case)
+    big = run._find_big_blocks()
+    ref_big, starts = _grow_per_draw(ref)
+    assert len(starts) >= 2
+    assert big.members == ref_big.members and big.k == ref_big.k
+    assert run.f.ledger.snapshot() == ref.f.ledger.snapshot()
+    assert list(run.f.seen.items()) == list(ref.f.seen.items())
+
+
+def test_find_big_blocks_exhausts_a_budget_mid_round_like_per_draw_growth():
+    case = GROWTH_TWINS[-1]
+    _, starts = _grow_per_draw(_growth_run(*case))
+    assert len(starts) >= 4
+    budget = (starts[2] + starts[3]) // 2
+    run, ref = _growth_run(*case, query_budget=budget), _growth_run(*case, query_budget=budget)
+    with pytest.raises(BudgetExhausted):
+        run._find_big_blocks()
+    with pytest.raises(BudgetExhausted):
+        _grow_per_draw(ref)
+    assert run.f.ledger.function_queries == ref.f.ledger.function_queries == budget
+    # repeats are charged at their first draw, so no later search is reached
+    seen, ref_seen = list(run.f.seen), list(ref.f.seen)
+    assert seen == ref_seen[:len(seen)]

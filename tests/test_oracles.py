@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from sublintest.core import BitString, FiniteDistribution, PairDistribution, SeededRng, unit
@@ -182,3 +184,43 @@ def test_dist_sampler_draw_set_fixed_seed_outputs():
     assert [x.v for x in s.draw_set(70000)] == [1, 2, 4, 7]
     assert s.draw().v == 1
     assert ledger.samples_drawn == 70011
+
+
+# sampler kind -> build(rng, ledger)
+COUNTING_SAMPLERS = {
+    "dist": lambda rng, ledger: DistSampler(
+        FiniteDistribution(3, [(unit(1, 3), 0.5), (unit(2, 3), 0.3), (unit(3, 3), 0.15),
+                               (BitString(3, 7), 0.05)]), rng, ledger),
+    "shifted": lambda rng, ledger: DistSampler(
+        FiniteDistribution.uniform([unit(i, 5) for i in range(1, 6)]), rng,
+        ledger).shifted(BitString(5, 0b10110)),
+    "marginal": lambda rng, ledger: MarginalSampler(PAIRS, rng, ledger),
+}
+
+
+@pytest.mark.parametrize("kind", COUNTING_SAMPLERS)
+@pytest.mark.parametrize("m", [1, 7, 300])
+def test_draw_counts_is_counted_draw_list(kind, m):
+    """draw_counts(m) is the first-occurrence count of draw_list(m) on a twin
+    rng, charges m samples and leaves the rng where draw_list leaves it."""
+    build = COUNTING_SAMPLERS[kind]
+    counted = build(SeededRng(21, 4), QueryLedger())
+    listed = build(SeededRng(21, 4), QueryLedger())
+    assert counted.draw_counts(m) == list(Counter(listed.draw_list(m)).items())
+    assert counted.ledger.samples_drawn == listed.ledger.samples_drawn == m
+    assert [counted.draw() for _ in range(5)] == [listed.draw() for _ in range(5)]
+
+
+@pytest.mark.parametrize("kind", COUNTING_SAMPLERS)
+def test_draw_counts_exhausts_the_budget_where_draw_list_does(kind):
+    outcomes = []
+    for method in ("draw_counts", "draw_list"):
+        ledger = QueryLedger(sample_budget=10)
+        s = COUNTING_SAMPLERS[kind](SeededRng(3, 9), ledger)
+        getattr(s, method)(6)
+        with pytest.raises(BudgetExhausted):
+            getattr(s, method)(5)
+        assert ledger.samples_drawn == 10
+        ledger.sample_budget = None
+        outcomes.append([s.draw() for _ in range(3)])
+    assert outcomes[0] == outcomes[1]
