@@ -11,9 +11,9 @@ import sys
 from .core import SeededRng
 from .birthday import (CollisionExperiment, experiment_from_json, run_bipartite_birthday,
                        run_hypergraph_birthday)
-from .harness import (EXIT_BUDGET, EXIT_OK, EXIT_USAGE, FAMILY_TESTER, RunConfig,
-                      build_instance, oracle_check, report_csv, run_trials, save_bundle,
-                      scaling_experiment, wilson_interval)
+from .harness import (EXIT_BUDGET, EXIT_OK, EXIT_TRIAL_ERROR, EXIT_USAGE, FAMILY_TESTER,
+                      RunConfig, build_instance, oracle_check, report_csv, run_trials,
+                      save_bundle, scaling_experiment, wilson_interval)
 from .exact import MAX_DL_N
 from .instances import gen_mdl_yes, gen_random_table
 
@@ -85,7 +85,9 @@ def _run_tester(tester: str, args, default_family: str) -> int:
     _emit(report_csv(report), args.out)
     lo, hi = report.wilson()
     print(f"# accept_rate={report.accept_rate():.4f} wilson99=[{lo:.4f},{hi:.4f}] "
-          f"overbudget={report.overbudget}", file=sys.stderr)
+          f"overbudget={report.overbudget} errors={report.errors}", file=sys.stderr)
+    if report.errors:
+        return EXIT_TRIAL_ERROR
     return EXIT_BUDGET if report.overbudget else EXIT_OK
 
 

@@ -213,11 +213,13 @@ def _sketch_inputs(rec: _RecordingOracle, constants: DlConstants) -> list[int]:
     return [v for v in rec.seen if v]
 
 
-def _extraction_replay(g: FunctionOracle, vs: list[int]):
+def _extraction_replay(g: _RecordingOracle, vs: list[int]):
     """Rerun the sketch extraction on the recorded strings, stopping after the
     interval grouping (no consistency verification).  Returns the extraction
-    sequence with values and the interval runs."""
-    extracted = _extract(g, vs, [g.query_raw(v) for v in vs])
+    sequence with values and the interval runs.  The strings' values come from
+    the record, and their queries are charged at one base query each."""
+    g.ledger.charge_queries(len(vs))
+    extracted = _extract(g, vs, [g.seen[v] for v in vs])
     return extracted, _runs(extracted)
 
 

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import time
+import traceback
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -21,12 +22,13 @@ from .dl import DlConstants, budget_dl, decision_list_tester
 from .oracles import BudgetExhausted, QueryLedger
 from .total_order import TotalConstants, budget_total, test_total_ordering
 
-CSV_COLUMNS = ["family", "n", "eps", "delta", "trial", "seed", "verdict",
+CSV_COLUMNS = ["family", "n", "eps", "delta", "trial", "seed", "verdict", "error",
                "queries", "samples", "runtime_ms"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_TRIAL_ERROR = 4
 
 
 def wilson_interval(successes: int, trials: int, z: float = 2.576) -> tuple[float, float]:
@@ -67,6 +69,10 @@ class RunConfig:
             raise ValueError("trials must be positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0,1)")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError("budget must not be negative")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
         _tester(self)
         self.constants  # resolving it checks every --const
 
@@ -92,6 +98,7 @@ class TrialReport:
     accepts: int
     rejects: int
     overbudget: int
+    errors: int
 
     @property
     def trials(self) -> int:
@@ -174,17 +181,22 @@ def run_one_trial(cfg: RunConfig, bundle: InstanceBundle, trial: int):
     ledger = QueryLedger(query_budget=cfg.budget)
     trial_rng = SeededRng(cfg.seed, 0).derive(trial + 1)
     start = time.perf_counter()
+    error = ""
     try:
         verdict = tester(oracle_of(bundle, ledger), bundle.dist, cfg.eps, trial_rng,
                          cfg.constants)
         decision = verdict.decision
     except BudgetExhausted:
         decision = "overbudget"
+    except Exception as exc:
+        # one failing trial is reported in its row; the run goes on
+        traceback.print_exc()
+        decision, error = "error", type(exc).__name__
     runtime_ms = (time.perf_counter() - start) * 1000.0
     fq, samples = ledger.snapshot()
     return {
         "family": bundle.family, "n": cfg.n, "eps": cfg.eps, "delta": cfg.delta,
-        "trial": trial, "seed": cfg.seed, "verdict": decision,
+        "trial": trial, "seed": cfg.seed, "verdict": decision, "error": error,
         "queries": fq, "samples": samples, "runtime_ms": round(runtime_ms, 3),
     }
 
@@ -214,10 +226,9 @@ def run_trials(cfg: RunConfig, bundle: InstanceBundle | None = None) -> TrialRep
             rows = list(pool.map(_pool_task, [(cfg, t) for t in range(cfg.trials)]))
     else:
         rows = [run_one_trial(cfg, bundle, t) for t in range(cfg.trials)]
-    accepts = sum(1 for r in rows if r["verdict"] == "accept")
-    rejects = sum(1 for r in rows if r["verdict"] == "reject")
-    over = sum(1 for r in rows if r["verdict"] == "overbudget")
-    return TrialReport(rows=rows, accepts=accepts, rejects=rejects, overbudget=over)
+    count = lambda verdict: sum(1 for r in rows if r["verdict"] == verdict)
+    return TrialReport(rows=rows, accepts=count("accept"), rejects=count("reject"),
+                       overbudget=count("overbudget"), errors=count("error"))
 
 
 def _csv_text(rows) -> str:

@@ -5,11 +5,13 @@ cycle-pattern sub-testers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import add, or_
 from typing import NamedTuple
 
 from .core import (BitString, FiniteDistribution, SeededRng, ceil_pos, clamped_log2, const,
                    unit)
-from .oracles import DistSampler, FunctionOracle, Verdict, accounted
+from .oracles import DistSampler, FunctionOracle, QueryLedger, Verdict, accounted
 
 
 @dataclass(frozen=True)
@@ -110,19 +112,20 @@ class _OrTree:
     __slots__ = ("size", "cnt", "orv")
 
     def __init__(self, values):
-        m = max(1, len(values))
+        m = len(values)
         size = 1
         while size < m:
             size *= 2
         self.size = size
-        self.cnt = [0] * (2 * size)
-        self.orv = [0] * (2 * size)
-        for i, v in enumerate(values):
-            self.cnt[size + i] = 1
-            self.orv[size + i] = v
-        for i in range(size - 1, 0, -1):
-            self.cnt[i] = self.cnt[2 * i] + self.cnt[2 * i + 1]
-            self.orv[i] = self.orv[2 * i] | self.orv[2 * i + 1]
+        pad = [0] * (size - m)
+        cnt = self.cnt = [0] * size + [1] * m + pad
+        orv = self.orv = [0] * size + list(values) + pad
+        i = size
+        while i > 1:  # nodes [i/2, i) from their children [i, 2i)
+            j = i // 2
+            cnt[j:i] = map(add, cnt[i:2 * i:2], cnt[i + 1:2 * i:2])
+            orv[j:i] = map(or_, orv[i:2 * i:2], orv[i + 1:2 * i:2])
+            i = j
 
     @property
     def alive(self) -> int:
@@ -142,6 +145,10 @@ class _OrTree:
             cnt[i] = cnt[left] + cnt[left + 1]
             orv[i] = orv[left] | orv[left + 1]
             i >>= 1
+
+    def alive_positions(self) -> list[int]:
+        """Positions of the alive leaves, in position order."""
+        return list(compress(range(self.size), self.cnt[self.size:]))
 
     def kth_alive(self, k: int) -> int:
         cnt, size = self.cnt, self.size
@@ -224,38 +231,46 @@ def _rep_search(f: FunctionOracle, vs: list[int], y_v: int) -> int:
     return vs[0]
 
 
+def _recharge(ledger: QueryLedger, before: int):
+    """Charge again what the ledger gained since it read `before`: the cost of
+    repeating queries whose answers are already known.  One charge leaves the
+    ledger where the repeats would, also when it runs out of budget."""
+    ledger.charge_queries(ledger.function_queries - before)
+
+
 def _extract(g: FunctionOracle, vs: list[int], vals: list[int]) -> list[tuple[int, int]]:
     """Order the strings vs (with values vals) by priority, highest first:
     each step queries the union of the alive strings, then halving-searches
-    the alive strings of that value for the one whose rule fires on it.
-    Returns (backing int, value) pairs in extraction order."""
+    the alive strings of that value for the one whose rule fires on it.  Once
+    one value is left, its strings follow in list order.  Returns (backing
+    int, value) pairs in extraction order."""
     lists = ([v for v, b in zip(vs, vals) if b == 0], [v for v, b in zip(vs, vals) if b == 1])
     trees = (_OrTree(lists[0]), _OrTree(lists[1]))
     query = g.query_raw
+    ledger = g.ledger
     extracted = []
-    for _ in range(len(vs)):
-        if trees[0].alive and trees[1].alive:
-            union_v = trees[0].or_all() | trees[1].or_all()
-            b = query(union_v)
-            tree = trees[b]
-            or_range = tree.or_range
-            other_v = trees[1 - b].or_all()
-            # inner halving search over the alive prefix order
-            query(union_v)  # the search recomputes its own reference value
-            a, c = 0, tree.alive
-            while c > 1:
-                half = c // 2
-                if query(or_range(a, a + half) | other_v) == b:
-                    c = half
-                else:
-                    a += half
-                    c -= half
-        else:
-            b = 0 if trees[0].alive else 1
-            tree, a = trees[b], 0
+    while trees[0].alive and trees[1].alive:
+        union_v = trees[0].or_all() | trees[1].or_all()
+        before = ledger.function_queries
+        b = query(union_v)
+        _recharge(ledger, before)  # the halving search's own reference query
+        tree = trees[b]
+        or_range = tree.or_range
+        other_v = trees[1 - b].or_all()
+        # inner halving search over the alive prefix order
+        a, c = 0, tree.alive
+        while c > 1:
+            half = c // 2
+            if query(or_range(a, a + half) | other_v) == b:
+                c = half
+            else:
+                a += half
+                c -= half
         pos = tree.kth_alive(a)
         extracted.append((lists[b][pos], b))
         tree.remove(pos)
+    for b, tree in enumerate(trees):
+        extracted += [(lists[b][pos], b) for pos in tree.alive_positions()]
     return extracted
 
 
@@ -274,12 +289,16 @@ def sketch_mdl(f: FunctionOracle, T: list[BitString]) -> MdlSketch | None:
     """Extract T in priority order, group into maximal same-value runs, OR
     each run into a chain element, and verify chain consistency.  Returns
     None when verification fails (so the target is not a monotone list)."""
-    n = f.n
     vals = [f.query(x) for x in T]
     if all(v == 0 for v in vals) or all(v == 1 for v in vals):
         raise ValueError("T must contain strings of both values")
     if any(x.v == 0 for x in T):
         raise ValueError("T must not contain the all-zero string")
+    return _sketch(f, T, vals)
+
+
+def _sketch(f: FunctionOracle, T: list[BitString], vals: list[int]) -> MdlSketch | None:
+    """sketch_mdl on T, whose values vals are already known."""
     strings = [_or_all(members) for members, _ in _runs(_extract(f, [x.v for x in T], vals))]
     if len(strings) < 2:
         return None
@@ -291,7 +310,7 @@ def sketch_mdl(f: FunctionOracle, T: list[BitString]) -> MdlSketch | None:
             return None
         if f.query_raw(strings[ell] | strings[ell + 1]) != checked[ell]:
             return None
-    return MdlSketch([BitString(n, s) for s in strings], checked)
+    return MdlSketch([BitString(f.n, s) for s in strings], checked)
 
 
 def _find_block_ex(f: FunctionOracle, sk: MdlSketch, x: BitString) -> tuple[int, int]:
@@ -395,10 +414,12 @@ class MdlRun:
         T = [x for x in self.sampler.draw_set(self.sz.pre) if x.v != 0]
         if not T:
             return Verdict("accept")
+        before = self.f.ledger.function_queries
         vals = [self.f.query(x) for x in T]
         if all(v == 0 for v in vals) or all(v == 1 for v in vals):
             return Verdict("accept")
-        sk = sketch_mdl(self.f, T)
+        _recharge(self.f.ledger, before)  # the sketch's own pass over T
+        sk = _sketch(self.f, T, vals)
         if sk is None:
             return Verdict("reject", witness=("sketch_nil",))
         self.sk = sk

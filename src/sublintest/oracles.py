@@ -28,6 +28,8 @@ class QueryLedger:
     __slots__ = ("function_queries", "samples_drawn", "query_budget", "sample_budget")
 
     def __init__(self, query_budget: int | None = None, sample_budget: int | None = None):
+        if any(b is not None and b < 0 for b in (query_budget, sample_budget)):
+            raise ValueError("a budget must not be negative")
         self.function_queries = 0
         self.samples_drawn = 0
         self.query_budget = query_budget

@@ -7,9 +7,10 @@ import pytest
 
 from sublintest.core import SeededRng
 from sublintest.cli import main as cli_main
-from sublintest.harness import (CONSTS, CSV_COLUMNS, RunConfig, budget_for, build_instance,
-                                load_bundle, oracle_check, report_csv, run_trials,
-                                save_bundle, scaling_experiment, wilson_interval)
+from sublintest import harness
+from sublintest.harness import (CONSTS, CSV_COLUMNS, EXIT_TRIAL_ERROR, RunConfig, budget_for,
+                                build_instance, load_bundle, oracle_check, report_csv,
+                                run_trials, save_bundle, scaling_experiment, wilson_interval)
 from sublintest.instances import gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pentagon, gen_total_yes
 
 
@@ -167,6 +168,39 @@ def test_cli_budget_exit_code(tmp_path):
     code = cli_main(["test-total", "--n", "64", "--eps", "0.2", "--trials", "1",
                      "--seed", "4", "--budget", "5", "--out", str(out)])
     assert code == 3
+
+
+@pytest.mark.parametrize("flag, value", [("--budget", "-5"), ("--jobs", "0"), ("--jobs", "-2")])
+def test_cli_negative_budget_or_jobs_is_usage_error(flag, value, capsys):
+    assert cli_main(["test-mdl", "--n", "16", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:] in err
+
+
+def test_failing_trial_is_recorded_and_the_run_goes_on(monkeypatch, capsys):
+    real = harness.monotone_dl_tester
+    calls = []
+
+    def second_call_fails(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ZeroDivisionError("boom")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "monotone_dl_tester", second_call_fails)
+    cfg = RunConfig(tester="mdl", family="mdl-yes", n=32, eps=0.3, trials=3, seed=2)
+    report = run_trials(cfg)
+    assert [r["verdict"] for r in report.rows][1] == "error"
+    assert [r["error"] for r in report.rows] == ["", "ZeroDivisionError", ""]
+    assert all(r["verdict"] in ("accept", "reject") for r in report.rows[::2])
+    assert (report.errors, report.accepts + report.rejects) == (1, 2)
+    assert "ZeroDivisionError: boom" in capsys.readouterr().err  # the traceback
+    calls.clear()
+    assert cli_main(["test-mdl", "--n", "32", "--eps", "0.3", "--trials", "3",
+                     "--seed", "2"]) == EXIT_TRIAL_ERROR
+    captured = capsys.readouterr()
+    assert "errors=1" in captured.err
+    assert ",error,ZeroDivisionError,0,0," in captured.out  # the failed trial's CSV row
 
 
 def test_cli_oracle_check_fills_the_far_stratum(tmp_path):

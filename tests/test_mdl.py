@@ -1,13 +1,13 @@
 import pytest
 
 from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_or, clamped_log2, unit
-from sublintest.dl import _RecordingOracle
+from sublintest.dl import HybridFunction, _extraction_replay, _RecordingOracle
 from sublintest.dlmodel import MonotoneDLRep, eval_mdl, min_index, monotonize, random_mdl
 from sublintest.harness import RunConfig, build_instance
 from sublintest.instances import gen_groups4, gen_mdl_yes, gen_planted_violation
 from sublintest.mdl import (DEFAULT_MDL, BigBlockSet, MdlConstants, MdlRun, MdlSketch,
-                            _find_block_ex, _or_all, _OrTree, budget_mdl, monotone_dl_tester,
-                            sketch_mdl)
+                            _extract, _find_block_ex, _or_all, _OrTree, _runs, budget_mdl,
+                            monotone_dl_tester, sketch_mdl)
 from sublintest.oracles import BudgetExhausted, DistSampler, FunctionOracle, QueryLedger, Verdict
 
 from helpers import find_rep, mdl_run
@@ -56,17 +56,36 @@ def test_find_rep_goal_equation_randomized():
         assert goal_equation_holds(rep, xstar, xs, ys)
 
 
+def _or_tree_arrays(values):
+    """The tree's count and OR arrays built one leaf at a time: the reference
+    for the sliced build in _OrTree.__init__."""
+    size = 1
+    while size < max(1, len(values)):
+        size *= 2
+    cnt = [0] * (2 * size)
+    orv = [0] * (2 * size)
+    for i, v in enumerate(values):
+        cnt[size + i] = 1
+        orv[size + i] = v
+    for i in range(size - 1, 0, -1):
+        cnt[i] = cnt[2 * i] + cnt[2 * i + 1]
+        orv[i] = orv[2 * i] | orv[2 * i + 1]
+    return size, cnt, orv
+
+
 def test_or_tree_matches_list_model():
     # the alive strings in position order are the model; every window of
     # alive ranks, clamped ones included, must OR the same model slice
     rng = SeededRng(4)
-    for m in range(1, 71):
+    for m in range(0, 71):
         values = [1 + rng.integer(0, 1 << 20) for _ in range(m)]
         tree = _OrTree(values)
+        assert (tree.size, tree.cnt, tree.orv) == _or_tree_arrays(values)
         alive = list(range(m))
         while True:
             assert tree.alive == len(alive)
             assert tree.or_all() == _or_all(values[p] for p in alive)
+            assert tree.alive_positions() == alive
             for r in range(len(alive)):
                 assert tree.kth_alive(r) == alive[r]
             k = len(alive)
@@ -652,3 +671,206 @@ def test_find_big_blocks_exhausts_a_budget_mid_round_like_per_draw_growth():
     # repeats are charged at their first draw, so no later search is reached
     seen, ref_seen = list(run.f.seen), list(ref.f.seen)
     assert seen == ref_seen[:len(seen)]
+
+
+def _extract_per_step(g, vs, vals, repeats=None):
+    """The extraction one step per string: a step with both values alive
+    queries the union twice (the halving search recomputes its own reference
+    value), and once one value is left each step emits its next string with
+    kth_alive(0).  The reference for _extract's order, ledger and queries;
+    repeats, when given, gets the ledger before and after each repeated union
+    query."""
+    lists = ([v for v, b in zip(vs, vals) if b == 0], [v for v, b in zip(vs, vals) if b == 1])
+    trees = (_OrTree(lists[0]), _OrTree(lists[1]))
+    query = g.query_raw
+    extracted = []
+    for _ in range(len(vs)):
+        if trees[0].alive and trees[1].alive:
+            union_v = trees[0].or_all() | trees[1].or_all()
+            b = query(union_v)
+            tree = trees[b]
+            or_range = tree.or_range
+            other_v = trees[1 - b].or_all()
+            before = g.ledger.function_queries
+            query(union_v)
+            if repeats is not None:
+                repeats.append((before, g.ledger.function_queries))
+            a, c = 0, tree.alive
+            while c > 1:
+                half = c // 2
+                if query(or_range(a, a + half) | other_v) == b:
+                    c = half
+                else:
+                    a += half
+                    c -= half
+        else:
+            b = 0 if trees[0].alive else 1
+            tree, a = trees[b], 0
+        pos = tree.kth_alive(a)
+        extracted.append((lists[b][pos], b))
+        tree.remove(pos)
+    return extracted
+
+
+def _sparse(n, rng):
+    """A random string of one or two set bits."""
+    return BitString(n, (1 << rng.integer(0, n)) | (1 << rng.integer(0, n)))
+
+
+# the views the extraction runs through: a plain oracle, the recording view of
+# check_dl and the hybrid view of test_dl, whose queries cost 1 or 2.  The
+# shifts are sparse, so that the views of a list keep both values.
+WRAPS = {
+    "function": lambda f, rng: f,
+    "recording": lambda f, rng: _RecordingOracle(f, _sparse(f.n, rng)),
+    "hybrid": lambda f, rng: HybridFunction(f, _sparse(f.n, rng), _sparse(f.n, rng)),
+}
+
+
+class _Viewed:
+    """A wrapped oracle over target on a ledger with the given budget;
+    `evaluated` lists the strings the target evaluated, in first evaluation
+    order, whichever view asked."""
+
+    def __init__(self, wrap, n, target, rng, budget=None):
+        self.evaluated = {}
+
+        def logged(v):
+            self.evaluated.setdefault(v, None)
+            return target(v)
+
+        self.ledger = QueryLedger(query_budget=budget)
+        self.g = WRAPS[wrap](FunctionOracle(n, logged, self.ledger), rng)
+        self.rng = rng
+
+    def state(self):
+        return (self.ledger.function_queries, list(self.evaluated),
+                list(getattr(self.g, "seen", {}).items()))
+
+
+def _list_view(wrap, seed, budget=None) -> _Viewed:
+    """The view of a random monotone list of random width."""
+    rng = SeededRng(seed, 0x5E)
+    n = 8 + rng.integer(0, 33)
+    return _Viewed(wrap, n, random_mdl(n, rng).target(), rng, budget)
+
+
+def _extraction_input(seed, wrap):
+    """Distinct nonzero strings of both values under the view, with values."""
+    probe = _list_view(wrap, seed)
+    n = probe.g.n
+    vs = list(dict.fromkeys(probe.rng.bit_string(n).v | 1 << probe.rng.integer(0, n)
+                            for _ in range(2 + probe.rng.integer(0, 40))))
+    vals = [probe.g.query_raw(v) for v in vs]
+    return vs, vals
+
+
+@pytest.mark.parametrize("wrap", WRAPS)
+def test_extract_matches_per_step_extraction(wrap):
+    for seed in range(40):
+        vs, vals = _extraction_input(seed, wrap)
+        new, ref = _list_view(wrap, seed), _list_view(wrap, seed)
+        assert _extract(new.g, vs, vals) == _extract_per_step(ref.g, vs, vals), seed
+        assert new.state() == ref.state(), seed
+
+
+@pytest.mark.parametrize("wrap", WRAPS)
+def test_extract_exhausts_a_budget_on_a_recharged_query_like_per_step(wrap):
+    for seed in range(6):
+        vs, vals = _extraction_input(seed, wrap)
+        if len(set(vals)) < 2:
+            continue
+        repeats = []
+        _extract_per_step(_list_view(wrap, seed).g, vs, vals, repeats)
+        for before, after in repeats[::3]:
+            for budget in range(before, after):  # inside the repeat's charge
+                new, ref = _list_view(wrap, seed, budget), _list_view(wrap, seed, budget)
+                with pytest.raises(BudgetExhausted):
+                    _extract(new.g, vs, vals)
+                with pytest.raises(BudgetExhausted):
+                    _extract_per_step(ref.g, vs, vals)
+                assert new.ledger.function_queries == budget
+                assert new.state() == ref.state(), (seed, budget)
+
+
+def _preprocess_querying_twice(run: MdlRun):
+    """MdlRun.preprocess with every query evaluated: T is queried once for the
+    mixed-value test and once more inside sketch_mdl.  The reference for
+    preprocess's ledger; returns the verdict and the ledger before and after
+    the first pass."""
+    T = [x for x in run.sampler.draw_set(run.sz.pre) if x.v != 0]
+    start = run.f.ledger.function_queries
+    vals = [run.f.query(x) for x in T]
+    first_pass = (start, run.f.ledger.function_queries)
+    if len(set(vals)) < 2:
+        return Verdict("accept"), first_pass
+    run.sk = sketch_mdl(run.f, T)
+    if run.sk is None:
+        return Verdict("reject", witness=("sketch_nil",)), first_pass
+    run.L = run._find_big_blocks()
+    return None, first_pass
+
+
+def _preprocess_run(wrap, family, seed, budget=None):
+    bundle = build_instance(RunConfig(tester="mdl", family=family, n=64, eps=0.3, seed=seed,
+                                      support_size=24))
+    view = _Viewed(wrap, bundle.n, bundle.target, SeededRng(seed, 0x5F), budget)
+    rng = SeededRng(seed, 0x60)
+    return view, MdlRun(view.g, DistSampler(bundle.dist, rng, view.ledger), 0.3, rng)
+
+
+# every view of these instances has both values on T, so the sketch is built
+PREPROCESS_CASES = [("mdl-yes", 1), ("mdl-yes", 3), ("groups4-no", 4)]
+
+
+@pytest.mark.parametrize("wrap", WRAPS)
+def test_preprocess_charges_its_second_pass_like_querying_twice(wrap):
+    for family, seed in PREPROCESS_CASES:
+        new, run = _preprocess_run(wrap, family, seed)
+        ref, ref_run = _preprocess_run(wrap, family, seed)
+        got = run.preprocess()
+        want, (start, mark) = _preprocess_querying_twice(ref_run)
+        assert got == want and want != Verdict("accept")
+        if want is None:
+            assert (run.sk.strings, run.sk.values) == (ref_run.sk.strings, ref_run.sk.values)
+            assert run.L.members == ref_run.L.members
+        assert new.state() == ref.state()
+        pass_cost = mark - start
+        for budget in (mark, mark + pass_cost // 2, mark + pass_cost - 1):
+            new, run = _preprocess_run(wrap, family, seed, budget)
+            ref, ref_run = _preprocess_run(wrap, family, seed, budget)
+            with pytest.raises(BudgetExhausted):
+                run.preprocess()
+            with pytest.raises(BudgetExhausted):
+                _preprocess_querying_twice(ref_run)
+            assert new.ledger.function_queries == budget
+            assert new.state() == ref.state(), (family, seed, budget)
+
+
+def _replay_input(seed, budget=None):
+    """A recording view that has seen some strings, and its sketch inputs."""
+    view = _list_view("recording", seed, budget)
+    n = view.g.n
+    for _ in range(2 + view.rng.integer(0, 40)):
+        view.g.query_raw(view.rng.bit_string(n).v)
+    return view, [v for v in view.g.seen if v]
+
+
+def test_extraction_replay_charges_like_querying_every_string():
+    for seed in range(30):
+        new, vs = _replay_input(seed)
+        ref, ref_vs = _replay_input(seed)
+        extracted, runs = _extraction_replay(new.g, vs)
+        want = _extract_per_step(ref.g, ref_vs, [ref.g.query_raw(v) for v in ref_vs])
+        assert extracted == want and runs == _runs(want)
+        assert new.state() == ref.state()
+        start = _replay_input(seed)[0].ledger.function_queries
+        for budget in (start, start + len(vs) // 2, start + len(vs) - 1):
+            new, vs = _replay_input(seed, budget)
+            ref, _ = _replay_input(seed, budget)
+            with pytest.raises(BudgetExhausted):
+                _extraction_replay(new.g, vs)
+            with pytest.raises(BudgetExhausted):
+                _extract_per_step(ref.g, vs, [ref.g.query_raw(v) for v in vs])
+            assert new.ledger.function_queries == budget
+            assert new.state() == ref.state()

@@ -48,6 +48,15 @@ def test_budget_exhaustion_counter_stops_at_budget():
     assert ledger.function_queries == 3
 
 
+@pytest.mark.parametrize("budgets", [{"query_budget": -1}, {"sample_budget": -5}])
+def test_negative_budget_is_rejected(budgets):
+    with pytest.raises(ValueError, match="negative"):
+        QueryLedger(**budgets)
+    # a zero budget is valid: the first charge runs out
+    with pytest.raises(BudgetExhausted):
+        QueryLedger(query_budget=0).charge_queries()
+
+
 def test_cached_target_evaluates_each_string_once():
     from sublintest.instances import _cached
     calls = []
