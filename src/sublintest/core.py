@@ -177,9 +177,13 @@ class SeededRng:
         return self._gen.multinomial(m, pvals)
 
     def shuffle(self, items: list) -> list:
-        """In-place Fisher-Yates; returns the list for chaining."""
-        for i in range(len(items) - 1, 0, -1):
-            j = int(self._gen.integers(0, i + 1))
+        """In-place Fisher-Yates; returns the list for chaining.  Position i,
+        from the last down to 1, swaps with a uniform j in [0, i]; all the j
+        come from one vectorised draw, which moves the stream as one draw
+        per position would."""
+        n = len(items)
+        js = self._gen.integers(0, np.arange(n, 1, -1)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), js):
             items[i], items[j] = items[j], items[i]
         return items
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BitString, SeededRng, WeightedSupport
+from .core import BitString, SeededRng, WeightedSupport, bit_xor
 
 
 class BudgetExhausted(RuntimeError):
@@ -110,8 +110,12 @@ class FunctionOracle:
 
 
 class ComparisonOracle:
-    """Black-box comparison over [1..n]; target(u, v) with u < v tells whether
-    u precedes v, which fixes both query directions consistently."""
+    """Black-box comparison over [1..n].
+
+    Orientation rule: u precedes v iff target(u, v) when u < v, and iff
+    not target(v, u) when u > v; so both query directions agree.  `less`
+    applies it per query; the ordering tester's sort and search passes
+    apply it inline to cmp.target and charge each pass's count at once."""
 
     __slots__ = ("n", "target", "ledger")
 
@@ -182,44 +186,45 @@ class DistSampler(SupportSampler):
         """As SupportSampler.draw_set, except that for very large batches only
         the hit counts are sampled (the resulting set has exactly the right
         distribution) and the set comes back in atom order."""
-        atoms = self.dist.atoms
-        if m > (1 << 16) and m > 4 * len(atoms):
+        if m > (1 << 16) and m > 4 * len(self.dist.atoms):
             self.ledger.charge_samples(m)
             counts = self.rng.multinomial(m, self.dist.weights)
-            return [atoms[i] for i in np.flatnonzero(counts)]
+            return self._outcomes(np.flatnonzero(counts).tolist())
         return super().draw_set(m)
 
     def shifted(self, r: BitString) -> "ShiftedSampler":
         return ShiftedSampler(self, r)
 
 
-class ShiftedSampler:
-    """Lazy xor-shift of a base sampler: draws x from the base and returns
-    x xor r, which samples the shifted distribution exactly."""
+class ShiftedSampler(DistSampler):
+    """Lazy xor-shift of a base sampler: draws x from the base's distribution,
+    rng and ledger and returns x xor r, which samples the shifted
+    distribution exactly.  Each shifted atom is built on its first draw and
+    then reused."""
 
-    __slots__ = ("base", "r", "ledger")
+    __slots__ = ("r", "_atoms")
 
-    def __init__(self, base, r: BitString):
-        self.base = base
+    def __init__(self, base: DistSampler, r: BitString):
+        super().__init__(base.dist, base.rng, base.ledger)
         self.r = r
-        self.ledger = base.ledger
+        self._atoms = [None] * len(base.dist.atoms)
+
+    def shifted(self, r: BitString) -> "ShiftedSampler":
+        return ShiftedSampler(self, bit_xor(self.r, r))
 
     def draw(self) -> BitString:
-        x = self.base.draw()
-        return BitString(x.n, x.v ^ self.r.v)
+        self.ledger.charge_samples()
+        i = self.dist.index_of(self.rng.random())
+        return self._atoms[i] or self._shift(i)
 
-    def draw_list(self, m: int) -> list[BitString]:
-        rv = self.r.v
-        return [BitString(x.n, x.v ^ rv) for x in self.base.draw_list(m)]
+    def _outcomes(self, keys) -> list[BitString]:
+        atoms = self._atoms
+        return [atoms[i] or self._shift(i) for i in keys]
 
-    def draw_set(self, m: int) -> list[BitString]:
-        rv = self.r.v
-        return [BitString(x.n, x.v ^ rv) for x in self.base.draw_set(m)]
-
-    def draw_counts(self, m: int) -> list[tuple[BitString, int]]:
-        """As the base's draw_counts; only the distinct atoms are shifted."""
-        rv = self.r.v
-        return [(BitString(x.n, x.v ^ rv), c) for x, c in self.base.draw_counts(m)]
+    def _shift(self, i: int) -> BitString:
+        x = self.dist.atoms[i]
+        y = self._atoms[i] = BitString(x.n, x.v ^ self.r.v)
+        return y
 
 
 class PairSampler(SupportSampler):

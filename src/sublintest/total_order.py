@@ -36,16 +36,18 @@ def _local_draws(n: int, eps: float, c: TotalConstants) -> int:
 
 
 class TotalSketch:
-    """Sorted tuple of distinct indices whose adjacent pairs were verified
+    """Sorted list of distinct indices whose adjacent pairs were verified
     against the oracle at construction."""
 
-    __slots__ = ("elements", "_pos")
+    __slots__ = ("elements", "_pos", "bounds")
 
     def __init__(self, elements):
         self.elements = list(elements)
         self._pos = {e: i + 1 for i, e in enumerate(self.elements)}
         if len(self._pos) != len(self.elements):
             raise ValueError("sketch elements must be distinct")
+        # smallest and largest index, so block search checks the range once
+        self.bounds = (min(self.elements, default=1), max(self.elements, default=1))
 
     @property
     def k(self) -> int:
@@ -55,39 +57,76 @@ class TotalSketch:
         return self._pos.get(u)
 
 
-def _merge_sort(items: list[int], less) -> list[int]:
-    if len(items) <= 1:
-        return items
-    mid = len(items) // 2
-    a = _merge_sort(items[:mid], less)
-    b = _merge_sort(items[mid:], less)
+# The passes below call cmp.target directly under ComparisonOracle's
+# orientation rule, count their comparisons in a local and charge them once
+# per pass, also on an early return.  Each pass reads cmp.target when it
+# starts, so a target swapped onto the oracle sees every call.
+
+def _merge_sort(items: list[int], target) -> tuple[list[int], int]:
+    """Top-down merge sort of distinct indices; returns the sorted list and the
+    number of comparisons, i.e. the queries the pass costs."""
+    n = len(items)
+    if n <= 2:
+        if n < 2:
+            return items, 0
+        y, x = items
+        if target(x, y) if x < y else not target(y, x):  # x precedes y
+            return [x, y], 1
+        return items, 1
+    mid = n // 2
+    a, ca = _merge_sort(items[:mid], target)
+    b, cb = _merge_sort(items[mid:], target)
+    na, nb = len(a), len(b)
     out = []
+    push = out.append
     i = j = 0
-    while i < len(a) and j < len(b):
-        if less(b[j], a[i]):
-            out.append(b[j])
+    y, x = a[0], b[0]
+    while True:
+        if target(x, y) if x < y else not target(y, x):
+            push(x)
             j += 1
+            if j == nb:
+                break
+            x = b[j]
         else:
-            out.append(a[i])
+            push(y)
             i += 1
+            if i == na:
+                break
+            y = a[i]
+    # one comparison per element emitted in the loop
+    c = ca + cb + i + j
     out.extend(a[i:])
     out.extend(b[j:])
-    return out
+    return out, c
+
+
+def order_sketch(cmp: ComparisonOracle, items: list[int]):
+    """Merge-sort distinct indices with the oracle and verify adjacent pairs.
+    Returns a TotalSketch, or a rejecting Verdict whose witness is the
+    inverted adjacent pair."""
+    if items and (min(items) < 1 or max(items) > cmp.n):
+        raise ValueError("index out of range")
+    target = cmp.target
+    ordered, c = _merge_sort(items, target)
+    cmp.ledger.charge_queries(c)
+    c = 0
+    for a, b in zip(ordered, ordered[1:]):
+        c += 1
+        if not (target(a, b) if a < b else not target(b, a)):  # a precedes b
+            cmp.ledger.charge_queries(c)
+            return Verdict("reject", witness=("adjacent_inversion", a, b))
+    cmp.ledger.charge_queries(c)
+    return TotalSketch(ordered)
 
 
 def sketch_total(cmp: ComparisonOracle, d: PairDistribution, eps: float,
                  rng: SeededRng, constants: TotalConstants = DEFAULT_TOTAL):
-    """Sample the vertex marginal, merge-sort the set with the oracle, verify
-    adjacent pairs.  Returns a TotalSketch, or a rejecting Verdict whose
-    witness is the inverted adjacent pair."""
+    """Sample the vertex marginal and order the distinct draws into a sketch
+    (see order_sketch)."""
     m = _sketch_draws(cmp.n, eps, constants)
     sampler = MarginalSampler(d, rng, cmp.ledger)
-    seen = sampler.draw_set(m)
-    ordered = _merge_sort(seen, cmp.less)
-    for a, b in zip(ordered, ordered[1:]):
-        if not cmp.less(a, b):
-            return Verdict("reject", witness=("adjacent_inversion", a, b))
-    return TotalSketch(ordered)
+    return order_sketch(cmp, sampler.draw_set(m))
 
 
 def find_block_total(cmp: ComparisonOracle, sk: TotalSketch, u: int) -> int:
@@ -96,19 +135,38 @@ def find_block_total(cmp: ComparisonOracle, sk: TotalSketch, u: int) -> int:
     Deterministic; at most 2 + ceil(log2 k) comparisons."""
     pos = sk.position(u)
     if pos is not None:
-        return pos if pos < sk.k else sk.k
+        return pos
+    # u is not a sketch element, so every comparison below has distinct sides
+    lo, hi = sk.bounds
+    n = cmp.n
+    if not (1 <= u <= n and 1 <= lo and hi <= n):
+        raise ValueError("index out of range")
+    target = cmp.target
     els = sk.elements
-    if cmp.less(u, els[0]):
+    k = len(els)
+    # each probe x asks whether u precedes x
+    x = els[0]
+    if target(u, x) if u < x else not target(x, u):
+        cmp.ledger.charge_queries(1)
         return 0
-    if sk.k == 1 or cmp.less(els[-1], u):
-        return sk.k
-    lower, upper = 1, sk.k
+    if k == 1:
+        cmp.ledger.charge_queries(1)
+        return k
+    x = els[-1]
+    if not (target(u, x) if u < x else not target(x, u)):
+        cmp.ledger.charge_queries(2)
+        return k
+    c = 2
+    lower, upper = 1, k
     while upper - lower > 1:
         mid = (upper + lower) // 2
-        if cmp.less(u, els[mid - 1]):
+        x = els[mid - 1]
+        c += 1
+        if target(u, x) if u < x else not target(x, u):
             upper = mid
         else:
             lower = mid
+    cmp.ledger.charge_queries(c)
     return lower
 
 

@@ -172,6 +172,33 @@ def test_rng_derive_stability():
     assert a.random() != c.random()
 
 
+# permutation(k) from SeededRng(2024, 7) and the random() drawn after it, as
+# the one-draw-per-position Fisher-Yates produced them
+PERMUTATION_PINS = {
+    0: ((), 0.2624038764256238),
+    1: ((1,), 0.2624038764256238),
+    2: ((1, 2), 0.020703424212016874),
+    3: ((3, 1, 2), 0.020703424212016874),
+    17: ((3, 8, 17, 10, 6, 7, 9, 4, 2, 16, 12, 15, 13, 1, 14, 5, 11), 0.7586371107157242),
+}
+
+
+@pytest.mark.parametrize("k", sorted(PERMUTATION_PINS))
+def test_permutation_is_pinned(k):
+    rng = SeededRng(2024, 7)
+    assert (rng.permutation(k), rng.random()) == PERMUTATION_PINS[k]
+
+
+def test_permutation_is_pinned_large():
+    import hashlib
+    rng = SeededRng(2024, 7)
+    perm = rng.permutation(16384)
+    assert sorted(perm) == list(range(1, 16385))
+    assert hashlib.sha256(",".join(map(str, perm)).encode()).hexdigest() == (
+        "a866342f20be1211ecf88623e04618351b87bed853df34c176b5cb4f656b5ee2")
+    assert rng.random() == 0.4135723634550167
+
+
 def test_permutation_uniform_chi_square():
     import itertools
     rng = SeededRng(99)

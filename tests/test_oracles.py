@@ -161,6 +161,46 @@ def test_shifted_sampler_is_exact_shift():
     assert all(x.v in support for x in shifted_lazy.draw_list(200))
 
 
+
+# 40 atoms of width 12 with unequal weights; 70000 draws take the multinomial
+# branch of draw_set
+SHIFT_BASE = FiniteDistribution(12, [(BitString(12, 97 * i + 5), (i + 1) / 820)
+                                     for i in range(40)])
+SHIFT_R = BitString(12, 0b101100111010)
+
+
+def per_call_shift(base: DistSampler, method: str, m: int):
+    """The shifted draw built anew for every outcome from the base's draw."""
+    rv = SHIFT_R.v
+    if method == "draw_counts":
+        return [(BitString(x.n, x.v ^ rv), c) for x, c in base.draw_counts(m)]
+    return [BitString(x.n, x.v ^ rv) for x in getattr(base, method)(m)]
+
+
+@pytest.mark.parametrize("method", ["draw_list", "draw_set", "draw_counts"])
+@pytest.mark.parametrize("m", [1, 7, 300, 70000])
+def test_shifted_sampler_matches_per_call_construction(method, m):
+    """Values, order, ledger and the rng left behind equal shifting each base
+    outcome on every call; equal atoms come back as one object."""
+    shifted = DistSampler(SHIFT_BASE, SeededRng(6, 1), QueryLedger()).shifted(SHIFT_R)
+    base = DistSampler(SHIFT_BASE, SeededRng(6, 1), QueryLedger())
+    for _ in range(2):
+        got = getattr(shifted, method)(m)
+        assert got == per_call_shift(base, method, m)
+        assert shifted.ledger.samples_drawn == base.ledger.samples_drawn
+        assert [shifted.draw() for _ in range(3)] == [
+            BitString(12, base.draw().v ^ SHIFT_R.v) for _ in range(3)]
+    outs = shifted.draw_list(300)
+    assert len({id(x) for x in outs}) == len({x.v for x in outs})
+
+
+def test_shifted_sampler_shifts_compose():
+    r2 = BitString(12, 0b000011110000)
+    twice = DistSampler(SHIFT_BASE, SeededRng(6, 2), QueryLedger()).shifted(SHIFT_R).shifted(r2)
+    once = DistSampler(SHIFT_BASE, SeededRng(6, 2), QueryLedger()).shifted(
+        BitString(12, SHIFT_R.v ^ r2.v))
+    assert twice.draw_list(50) == once.draw_list(50)
+
 PAIRS = PairDistribution(6, [((1, 2), 0.3), ((2, 5), 0.25), ((3, 4), 0.2), ((6, 1), 0.15),
                              ((4, 5), 0.1)])
 

@@ -1,10 +1,11 @@
 import pytest
 
 from sublintest.core import PairDistribution, SeededRng
-from sublintest.instances import gen_pentagon, gen_total_yes
-from sublintest.oracles import ComparisonOracle, QueryLedger, Verdict
-from sublintest.total_order import (TotalSketch, budget_total, find_block_total, sketch_total,
-                                    verify_total_witness)
+from sublintest.harness import wilson_interval
+from sublintest.instances import gen_pentagon, gen_total_yes, pentagon_less
+from sublintest.oracles import BudgetExhausted, ComparisonOracle, QueryLedger, Verdict
+from sublintest.total_order import (TotalSketch, budget_total, find_block_total, order_sketch,
+                                    sketch_total, verify_total_witness)
 from sublintest.total_order import test_local_cycles as local_stage
 from sublintest.total_order import test_long_cycles as long_stage
 from sublintest.total_order import test_total_ordering as run_total_tester
@@ -176,3 +177,219 @@ def test_certified_far_corpus_reject_rate_small_n():
         cmp = bundle.comparison_oracle()
         rejects += run_total_tester(cmp, bundle.dist, 0.1, SeededRng(89, t)).rejected
     assert rejects / 400 >= 2 / 3 - 0.05
+
+
+# -- the per-query reference for the fused sort and search passes -------------
+
+def reference_merge_sort(items, less):
+    """The merge sort with one oracle call per comparison."""
+    if len(items) <= 1:
+        return items
+    mid = len(items) // 2
+    a = reference_merge_sort(items[:mid], less)
+    b = reference_merge_sort(items[mid:], less)
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if less(b[j], a[i]):
+            out.append(b[j])
+            j += 1
+        else:
+            out.append(a[i])
+            i += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return out
+
+
+def reference_order_sketch(cmp, items):
+    ordered = reference_merge_sort(items, cmp.less)
+    for a, b in zip(ordered, ordered[1:]):
+        if not cmp.less(a, b):
+            return Verdict("reject", witness=("adjacent_inversion", a, b))
+    return TotalSketch(ordered)
+
+
+def reference_find_block(cmp, sk, u):
+    pos = sk.position(u)
+    if pos is not None:
+        return pos if pos < sk.k else sk.k
+    els = sk.elements
+    if cmp.less(u, els[0]):
+        return 0
+    if sk.k == 1 or cmp.less(els[-1], u):
+        return sk.k
+    lower, upper = 1, sk.k
+    while upper - lower > 1:
+        mid = (upper + lower) // 2
+        if cmp.less(u, els[mid - 1]):
+            upper = mid
+        else:
+            lower = mid
+    return lower
+
+
+REF_N = 72
+
+
+def make_target(kind, seed):
+    """A fresh target(u, v), u < v, on [1..REF_N]: a transitive, pentagon or
+    random tournament, or a noisy one whose every call is a new coin, which
+    makes the adjacent check find inversions.  Equal arguments make targets
+    that answer an equal call sequence equally."""
+    rng = SeededRng(seed)
+    if kind == "noisy":
+        return lambda u, v: rng.coin()
+    if kind == "random":
+        pairs = [(u, v) for u in range(1, REF_N) for v in range(u + 1, REF_N + 1)]
+        bits = dict(zip(pairs, rng.integer_block(0, 2, len(pairs)).tolist()))
+        return lambda u, v: bits[(u, v)]
+    order = rng.permutation(REF_N)
+    if kind == "pentagon":
+        return pentagon_less(order)
+    pos = {v: i for i, v in enumerate(order)}
+    return lambda u, v: pos[u] < pos[v]
+
+
+def logged(target, log):
+    """An oracle whose target calls are appended to log."""
+    def call(u, v):
+        log.append((u, v))
+        return target(u, v)
+    return ComparisonOracle(REF_N, call)
+
+
+def outcome(out):
+    return out.elements if isinstance(out, TotalSketch) else out.witness
+
+
+def corpus(seed):
+    """(kind, target seed, items) for every kind and every size 0-70."""
+    rng = SeededRng(seed)
+    for kind in ("transitive", "pentagon", "random", "noisy"):
+        for size in range(71):
+            yield kind, seed * 1000 + size, list(rng.derive(size).permutation(REF_N)[:size])
+
+
+def test_order_sketch_matches_per_query_reference():
+    rejects = 0
+    for kind, seed, items in corpus(31):
+        ref_log, log = [], []
+        ref_cmp = logged(make_target(kind, seed), ref_log)
+        cmp = logged(make_target(kind, seed), log)
+        ref = reference_order_sketch(ref_cmp, list(items))
+        got = order_sketch(cmp, list(items))
+        assert type(got) is type(ref)
+        assert outcome(got) == outcome(ref)
+        assert cmp.ledger.snapshot() == ref_cmp.ledger.snapshot()
+        assert log == ref_log
+        rejects += isinstance(got, Verdict)
+    assert rejects > 30  # the early return of the adjacent check is covered
+
+
+def test_find_block_matches_per_query_reference():
+    for kind, seed, items in corpus(32):
+        if not items:
+            continue
+        sk = TotalSketch(reference_merge_sort(items, ComparisonOracle(REF_N, make_target(
+            kind, seed)).less))
+        ref_log, log = [], []
+        ref_cmp = logged(make_target(kind, seed), ref_log)
+        cmp = logged(make_target(kind, seed), log)
+        for u in range(1, REF_N + 1):
+            assert find_block_total(cmp, sk, u) == reference_find_block(ref_cmp, sk, u)
+            assert cmp.ledger.snapshot() == ref_cmp.ledger.snapshot()
+        assert log == ref_log
+
+
+def spend(pass_fn, kind, budget=None):
+    """Queries the pass charges on a fresh target, or at exhaustion."""
+    ledger = QueryLedger(query_budget=budget)
+    try:
+        pass_fn(ComparisonOracle(REF_N, make_target(kind, 33), ledger))
+    except BudgetExhausted:
+        return "exhausted", ledger.function_queries
+    return "done", ledger.function_queries
+
+
+@pytest.mark.parametrize("kind", ["transitive", "random", "noisy"])
+def test_fused_passes_exhaust_the_budget_where_the_reference_does(kind):
+    items = list(SeededRng(34).permutation(REF_N)[:60])
+    sk = TotalSketch(reference_merge_sort(items[:40], ComparisonOracle(
+        REF_N, make_target(kind, 33)).less))
+    # the vertex whose search costs most
+    u = max(items[40:], key=lambda w: spend(lambda c: reference_find_block(c, sk, w), kind))
+    passes = [(lambda c: order_sketch(c, list(items)),
+               lambda c: reference_order_sketch(c, list(items))),
+              (lambda c: find_block_total(c, sk, u),
+               lambda c: reference_find_block(c, sk, u))]
+    for fused, ref in passes:
+        status, spent = spend(fused, kind)
+        assert status == "done" and spent > 2
+        for budget in range(spent):
+            assert spend(fused, kind, budget) == spend(ref, kind, budget) == ("exhausted", budget)
+        assert spend(fused, kind, spent) == ("done", spent)
+
+
+def test_fused_passes_reject_vertices_outside_the_range():
+    cmp = ComparisonOracle(10, lambda u, v: u < v)
+    for items in ([1, 11, 2], [0, 3], [4, 12]):
+        with pytest.raises(ValueError):
+            order_sketch(cmp, items)
+        with pytest.raises(ValueError):
+            reference_order_sketch(cmp, items)
+    for sk, u in ((TotalSketch([3, 7]), 11), (TotalSketch([3, 7]), 0),
+                  (TotalSketch([3, 17]), 5), (TotalSketch([0, 7]), 5)):
+        with pytest.raises(ValueError):
+            find_block_total(cmp, sk, u)
+        with pytest.raises(ValueError):
+            reference_find_block(cmp, sk, u)
+
+
+# -- cross-check against the exact distance ----------------------------------
+
+def random_pair_instance(rng, n, transitive):
+    """A tournament on [1..n] (transitive or uniform) with a random pair
+    support of random weights."""
+    if transitive:
+        pos = {v: i for i, v in enumerate(rng.permutation(n))}
+        less = lambda u, v: pos[u] < pos[v]  # noqa: E731
+    else:
+        bits = {(u, v): rng.coin() for u in range(1, n) for v in range(u + 1, n + 1)}
+        less = lambda u, v: bits[(u, v)] if u < v else not bits[(v, u)]  # noqa: E731
+    pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
+    chosen = rng.shuffle(pairs)[:2 + rng.integer(0, len(pairs) - 1)]
+    weights = [0.5 + rng.random() for _ in chosen]
+    total = sum(weights)
+    return less, PairDistribution(n, [(p, w / total) for p, w in zip(chosen, weights)])
+
+
+def test_tester_against_exact_distance_on_random_tournaments():
+    """Transitive tournaments are accepted on every trial; over the instances
+    at exact distance >= eps the reject rate is at least 2/3 (Wilson lower
+    bound).  A non-transitive instance at distance 0 may still be rejected on
+    a true cycle, so nothing is asserted for it."""
+    from sublintest.exact import dist_total_orderings
+    eps, trials = 0.1, 20
+    rng = SeededRng(4242)
+    far_rejects = far_trials = 0
+    for i in range(200):
+        inst = rng.derive(i)
+        n = 4 + inst.integer(0, 4)
+        transitive = i % 4 == 0
+        less, d = random_pair_instance(inst, n, transitive)
+        distance = dist_total_orderings(n, less, d).distance
+        if transitive:
+            assert distance == 0
+        elif distance < eps:
+            continue
+        for t in range(trials):
+            cmp = ComparisonOracle(n, lambda u, v, _l=less: _l(u, v))
+            v = run_total_tester(cmp, d, eps, inst.derive(100 + t))
+            if transitive:
+                assert v.accepted
+            else:
+                far_trials += 1
+                far_rejects += v.rejected
+    assert far_trials >= 400
+    assert wilson_interval(far_rejects, far_trials)[0] >= 2 / 3
