@@ -38,6 +38,14 @@ def const(default, name: str):
     return field(default=default, metadata={"const": name})
 
 
+def check_permutation(seq, n: int, name: str) -> tuple:
+    """seq as a tuple, after checking that it lists each of 1..n once."""
+    seq = tuple(seq)
+    if len(seq) != n or sorted(seq) != list(range(1, n + 1)):
+        raise ValueError(f"{name} must be a permutation of [1..n]")
+    return seq
+
+
 class BitString:
     """Immutable n-bit string.  Bit i (1-based, i in [1..n]) is the i-th least
     significant bit of the backing integer."""
@@ -295,7 +303,8 @@ class PairDistribution(WeightedSupport):
     @staticmethod
     def _check(n: int, pair):
         u, v = pair
-        if u == v or not (1 <= u <= n and 1 <= v <= n):
+        if not (isinstance(u, int) and isinstance(v, int)) or u == v \
+                or not (1 <= u <= n and 1 <= v <= n):
             raise ValueError("pair must be two distinct indices in [1..n]")
         pair = (u, v) if u < v else (v, u)
         return pair, pair

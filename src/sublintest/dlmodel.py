@@ -3,7 +3,7 @@ dominance relation between strings of opposite value."""
 
 from __future__ import annotations
 
-from .core import BitString, SeededRng, bit_or
+from .core import BitString, SeededRng, bit_or, check_permutation
 from .oracles import FunctionOracle, PreconditionViolated
 
 # a string with at most this many set bits is scanned bit by bit, which up to
@@ -13,6 +13,14 @@ _INT_SCAN_CUTOFF = 4
 _BLOCK = 16  # ranks per block of MonotoneDLRep's prefix table
 
 
+def _bits(values, length: int, name: str) -> tuple:
+    """values as a tuple of ints, after checking that it holds length bits."""
+    out = tuple(int(b) for b in values)
+    if len(out) != length or not set(out) <= {0, 1}:
+        raise ValueError(f"{name} must hold {length} values in {{0, 1}}")
+    return out
+
+
 class MonotoneDLRep:
     """Monotone decision list (pi, nu): rules are positive literals in priority
     order pi, rule j outputs nu[j], default nu[n+1]."""
@@ -20,12 +28,8 @@ class MonotoneDLRep:
     __slots__ = ("n", "pi", "nu", "_rank_list", "_prefix")
 
     def __init__(self, n: int, pi, nu):
-        pi = tuple(pi)
-        nu = tuple(int(b) for b in nu)
-        if sorted(pi) != list(range(1, n + 1)):
-            raise ValueError("pi must be a permutation of [1..n]")
-        if len(nu) != n + 1:
-            raise ValueError("nu must have length n+1")
+        pi = check_permutation(pi, n, "pi")
+        nu = _bits(nu, n + 1, "nu")
         self.n = n
         self.pi = pi
         self.nu = nu
@@ -86,9 +90,7 @@ class GeneralDLRep:
     __slots__ = ("n", "pi", "mu", "nu", "_mono", "_flip")
 
     def __init__(self, n: int, pi, mu, nu):
-        mu = tuple(int(b) for b in mu)
-        if len(mu) != n:
-            raise ValueError("mu must have length n")
+        mu = _bits(mu, n, "mu")
         self.n = n
         self.mu = mu
         self._mono = MonotoneDLRep(n, pi, nu)

@@ -13,17 +13,18 @@ from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 from .core import BitString, FiniteDistribution, PairDistribution, SeededRng
-from .dlmodel import GeneralDLRep, MonotoneDLRep, table_target
+from .dlmodel import GeneralDLRep, MonotoneDLRep
 from .exact import dist_mdl
 from .instances import (InstanceBundle, gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pentagon,
-                        gen_total_yes, groups4_from_pi, ordering_less, pentagon_less)
+                        gen_total_yes, groups4_from_pi, list_bundle, ordering_bundle,
+                        pentagon_from_order, table_bundle)
 from .mdl import MdlConstants, budget_mdl, monotone_dl_tester
 from .dl import DlConstants, budget_dl, decision_list_tester
 from .oracles import BudgetExhausted, QueryLedger
 from .total_order import TotalConstants, budget_total, test_total_ordering
 
 CSV_COLUMNS = ["family", "n", "eps", "delta", "trial", "seed", "verdict", "error",
-               "queries", "samples", "runtime_ms"]
+               "queries", "samples", "runtime_ms", "witness"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -117,35 +118,38 @@ class TrialReport:
         return sum(r["samples"] for r in self.rows)
 
 
-def default_support(n: int) -> int:
-    return max(4, min(2048, n // 2))
+# family -> (the tester it is an instance for, its generator on (n, support,
+# rng)).  The generators are looked up when called, so a wrapper that rebinds
+# a gen_* name here (as bench/tracer.py does) sees every build.
+FAMILIES = {
+    "total-yes": ("total", lambda n, s, rng: gen_total_yes(n, min(s, n * (n - 1) // 2), rng)),
+    "pentagon": ("total", lambda n, s, rng: gen_pentagon(n, rng)),
+    "mdl-yes": ("mdl", lambda n, s, rng: gen_mdl_yes(n, s, rng)),
+    "dl-yes": ("dl", lambda n, s, rng: gen_dl_yes(n, s, rng)),
+    "groups4-yes": ("mdl", lambda n, s, rng: gen_groups4(n, rng, "yes")),
+    "groups4-no": ("mdl", lambda n, s, rng: gen_groups4(n, rng, "no")),
+}
 
 
-# the tester each generated family is an instance for
-FAMILY_TESTER = {"total-yes": "total", "pentagon": "total", "mdl-yes": "mdl",
-                 "groups4-yes": "mdl", "groups4-no": "mdl", "dl-yes": "dl"}
+def lookup_family(name: str) -> tuple:
+    """(tester, generator) of a generated family."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r} (accepted: {', '.join(FAMILIES)})")
+    return FAMILIES[name]
+
+
+def generate(name: str, n: int, support: int | None, seed: int) -> InstanceBundle:
+    """The instance of family name at width n; support defaults to n/2 within [4, 2048]."""
+    gen = lookup_family(name)[1]
+    return gen(n, max(4, min(2048, n // 2)) if support is None else support,
+               SeededRng(seed, 0xB00))
 
 
 def build_instance(cfg: RunConfig) -> InstanceBundle:
     if cfg.instance_path:
         with open(cfg.instance_path, "r", encoding="utf-8") as fh:
             return load_bundle(json.load(fh))
-    rng = SeededRng(cfg.seed, 0xB00)
-    support = default_support(cfg.n) if cfg.support_size is None else cfg.support_size
-    fam = cfg.family
-    if fam == "total-yes":
-        return gen_total_yes(cfg.n, min(support, cfg.n * (cfg.n - 1) // 2), rng)
-    if fam == "pentagon":
-        return gen_pentagon(cfg.n, rng)
-    if fam == "mdl-yes":
-        return gen_mdl_yes(cfg.n, support, rng)
-    if fam == "dl-yes":
-        return gen_dl_yes(cfg.n, support, rng)
-    if fam == "groups4-yes":
-        return gen_groups4(cfg.n, rng, "yes")
-    if fam == "groups4-no":
-        return gen_groups4(cfg.n, rng, "no")
-    raise ValueError(f"unknown family {fam!r}")
+    return generate(cfg.family, cfg.n, cfg.support_size, cfg.seed)
 
 
 # --const name -> (constants class, field), read from the fields' metadata
@@ -181,11 +185,13 @@ def run_one_trial(cfg: RunConfig, bundle: InstanceBundle, trial: int):
     ledger = QueryLedger(query_budget=cfg.budget)
     trial_rng = SeededRng(cfg.seed, 0).derive(trial + 1)
     start = time.perf_counter()
-    error = ""
+    error = witness = ""
     try:
         verdict = tester(oracle_of(bundle, ledger), bundle.dist, cfg.eps, trial_rng,
                          cfg.constants)
         decision = verdict.decision
+        if verdict.witness is not None:
+            witness = json.dumps(verdict.witness)
     except BudgetExhausted:
         decision = "overbudget"
     except Exception as exc:
@@ -195,9 +201,10 @@ def run_one_trial(cfg: RunConfig, bundle: InstanceBundle, trial: int):
     runtime_ms = (time.perf_counter() - start) * 1000.0
     fq, samples = ledger.snapshot()
     return {
-        "family": bundle.family, "n": cfg.n, "eps": cfg.eps, "delta": cfg.delta,
+        "family": bundle.family, "n": bundle.n, "eps": cfg.eps, "delta": cfg.delta,
         "trial": trial, "seed": cfg.seed, "verdict": decision, "error": error,
         "queries": fq, "samples": samples, "runtime_ms": round(runtime_ms, 3),
+        "witness": witness,
     }
 
 
@@ -214,12 +221,11 @@ def _pool_task(args):
     return run_one_trial(cfg, bundle, trial)
 
 
-def run_trials(cfg: RunConfig, bundle: InstanceBundle | None = None) -> TrialReport:
+def run_trials(cfg: RunConfig) -> TrialReport:
     cfg.validate()
-    explicit = bundle is not None
-    if bundle is None:
-        bundle = build_instance(cfg)
-    if cfg.jobs > 1 and not explicit:
+    bundle = build_instance(cfg)
+    _tester(cfg)[1](bundle)  # raises ValueError when the tester cannot query this kind
+    if cfg.jobs > 1:
         # per-trial seeds make scheduling irrelevant; rows come back by index
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -338,44 +344,42 @@ def save_bundle(bundle: InstanceBundle) -> dict:
 
 
 def load_bundle(doc: dict) -> InstanceBundle:
-    if doc.get("version") != 1:
-        raise ValueError("unsupported instance file version")
-    n = doc["n"]
-    fn = doc["function"]
-    kind = fn["type"]
-    dist_doc = doc["distribution"]
-    if isinstance(dist_doc, dict):
-        dist = PairDistribution(n, [((e["u"], e["v"]), e["p"]) for e in dist_doc["pairs"]])
-    else:
-        dist = FiniteDistribution(n, [(BitString.from_hex(n, e["x"]), e["p"])
-                                      for e in dist_doc])
-    if kind == "mdl":
-        rep = MonotoneDLRep(n, fn["pi"], fn["nu"])
-        return InstanceBundle(kind="boolean", family="mdl-yes", n=n, seed=0,
-                              params={"rep": rep}, dist=dist, ground_truth=("yes",),
-                              target=rep.target())
-    if kind == "dl":
-        rep = GeneralDLRep(n, fn["pi"], fn["mu"], fn["nu"])
-        return InstanceBundle(kind="boolean", family="dl-yes", n=n, seed=0,
-                              params={"rep": rep}, dist=dist, ground_truth=("yes",),
-                              target=rep.target())
-    if kind == "table":
-        bits = fn["bits"]
-        return InstanceBundle(kind="boolean", family="table", n=n, seed=0,
-                              params={"bits": bits}, dist=dist,
-                              ground_truth=("unknown",), target=table_target(bits))
-    if kind in ("groups4-yes", "groups4-no"):
-        side = kind.split("-")[1]
-        bundle = groups4_from_pi(n, fn["pi"], side)
-        bundle.dist = dist
-        return bundle
-    if kind in ("pentagon", "ordering"):
-        order = fn["order"]
-        if kind == "ordering":
-            fam, truth, less = "total-yes", ("yes",), ordering_less(order)
+    """The bundle an instance file describes, built by the constructor that its
+    family's generator uses.  A malformed document raises ValueError."""
+    try:
+        if doc.get("version") != 1:
+            raise ValueError("unsupported instance file version")
+        n, fn, dist_doc = doc["n"], doc["function"], doc["distribution"]
+        if not isinstance(n, int) or n < 2:
+            raise ValueError("n must be an integer of at least 2")
+        kind = fn["type"]
+        if kind in ("pentagon", "ordering"):
+            if not isinstance(dist_doc, dict):
+                raise ValueError(f"function type {kind!r} needs a distribution over pairs")
+            dist = PairDistribution(n, [((e["u"], e["v"]), e["p"]) for e in dist_doc["pairs"]])
         else:
-            fam, truth, less = "pentagon", ("far", 0.2), pentagon_less(order)
-        return InstanceBundle(kind="comparison", family=fam, n=n, seed=0,
-                              params={"order": tuple(order)}, dist=dist,
-                              ground_truth=truth, less=less)
-    raise ValueError(f"unknown function type {kind!r}")
+            if not isinstance(dist_doc, list):
+                raise ValueError(f"function type {kind!r} needs a distribution over strings")
+            dist = FiniteDistribution(n, [(BitString.from_hex(n, e["x"]), e["p"])
+                                          for e in dist_doc])
+        if kind == "ordering":
+            return ordering_bundle(n, fn["order"], dist)
+        if kind == "mdl":
+            return list_bundle("mdl-yes", MonotoneDLRep(n, fn["pi"], fn["nu"]), dist)
+        if kind == "dl":
+            return list_bundle("dl-yes", GeneralDLRep(n, fn["pi"], fn["mu"], fn["nu"]), dist)
+        if kind == "table":
+            return table_bundle(n, fn["bits"], dist)
+        if kind == "pentagon":
+            bundle = pentagon_from_order(n, fn["order"])
+        elif kind in ("groups4-yes", "groups4-no"):
+            bundle = groups4_from_pi(n, fn["pi"], kind[len("groups4-"):])
+        else:
+            raise ValueError(f"unknown function type {kind!r}")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed instance file ({type(exc).__name__}: {exc})") from None
+    # the function fixes the distribution that the bundle's certificate is for
+    if dist._mass != bundle.dist._mass:
+        raise ValueError(f"the distribution of a {kind} instance is fixed by its function, "
+                         f"and the file's differs")
+    return bundle

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import BitString, FiniteDistribution, PairDistribution, SeededRng, clamped_log2
+from .core import (BitString, FiniteDistribution, PairDistribution, SeededRng, check_permutation,
+                   clamped_log2)
 from .dlmodel import GeneralDLRep, MonotoneDLRep, random_mdl, table_target
 from .exact import MAX_DL_N, dist_mdl
 from .oracles import ComparisonOracle, FunctionOracle, QueryLedger
@@ -54,12 +55,12 @@ class InstanceBundle:
 
     def function_oracle(self, ledger: QueryLedger | None = None) -> FunctionOracle:
         if self.kind != "boolean":
-            raise ValueError("not a boolean instance")
+            raise ValueError(f"{self.family} is a {self.kind} instance, not a boolean function")
         return FunctionOracle(self.n, _cached(self.target), ledger)
 
     def comparison_oracle(self, ledger: QueryLedger | None = None) -> ComparisonOracle:
         if self.kind != "comparison":
-            raise ValueError("not a comparison instance")
+            raise ValueError(f"{self.family} is a {self.kind} instance, not a comparison relation")
         return ComparisonOracle(self.n, self.less, ledger)
 
     @property
@@ -97,11 +98,19 @@ def pentagon_less(order):
     return less
 
 
+def ordering_bundle(n: int, order, dist: PairDistribution, seed: int = 0,
+                    **params) -> InstanceBundle:
+    """The total ordering that lists the vertices in order, under dist."""
+    order = check_permutation(order, n, "order")
+    return InstanceBundle(kind="comparison", family="total-yes", n=n, seed=seed,
+                          params={**params, "order": order}, dist=dist,
+                          ground_truth=("yes",), less=ordering_less(order))
+
+
 def gen_total_yes(n: int, support_size: int, rng: SeededRng) -> InstanceBundle:
     """Random total ordering with a random edge distribution."""
     if support_size > n * (n - 1) // 2:
         raise ValueError("support larger than the number of pairs")
-    seed = rng.stream_id
     perm = rng.permutation(n)
     pairs = set()
     while len(pairs) < support_size:
@@ -113,9 +122,7 @@ def gen_total_yes(n: int, support_size: int, rng: SeededRng) -> InstanceBundle:
     raw = [0.5 + rng.random() for _ in pairs]
     total = sum(raw)
     dist = PairDistribution(n, [(p, w / total) for p, w in zip(pairs, raw)])
-    return InstanceBundle(kind="comparison", family="total-yes", n=n, seed=seed,
-                          params={"support_size": support_size, "order": perm},
-                          dist=dist, ground_truth=("yes",), less=ordering_less(perm))
+    return ordering_bundle(n, perm, dist, rng.stream_id, support_size=support_size)
 
 
 def gen_pentagon(n: int, rng: SeededRng) -> InstanceBundle:
@@ -123,22 +130,26 @@ def gen_pentagon(n: int, rng: SeededRng) -> InstanceBundle:
     each group, a global order across groups, and the distribution uniform on
     the five cycle edges of every group.  Every ordering must flip at least
     one cycle edge per group, so the instance is exactly 1/5-far."""
+    return pentagon_from_order(n, rng.permutation(n), rng.stream_id)
+
+
+def pentagon_from_order(n: int, order, seed: int = 0) -> InstanceBundle:
+    """The pentagon instance on order; order also fixes the distribution."""
     if n % 5 != 0 or n < 5:
         raise ValueError("n must be a positive multiple of 5")
-    seed = rng.stream_id
-    perm = rng.permutation(n)
+    order = check_permutation(order, n, "order")
     edges = []
     for k in range(n // 5):
-        g = [perm[5 * k + i] for i in range(5)]
+        g = [order[5 * k + i] for i in range(5)]
         for i in range(5):
             a, b = g[i], g[(i + 1) % 5]
             edges.append((min(a, b), max(a, b)))
     dist = PairDistribution.uniform(n, edges)
     return InstanceBundle(kind="comparison", family="pentagon", n=n, seed=seed,
-                          params={"order": perm}, dist=dist,
+                          params={"order": order}, dist=dist,
                           ground_truth=("far", 0.2),
                           certificate="one cycle edge per group must flip; five edges per group",
-                          less=pentagon_less(perm))
+                          less=pentagon_less(order))
 
 
 # -- boolean yes-instances ---------------------------------------------------
@@ -160,21 +171,25 @@ def _weight2_atoms(n: int, support_size: int, rng: SeededRng) -> list[BitString]
     return atoms
 
 
+def list_bundle(family: str, rep, dist: FiniteDistribution, seed: int = 0,
+                **params) -> InstanceBundle:
+    """The decision list rep (a MonotoneDLRep or GeneralDLRep) under dist."""
+    return InstanceBundle(kind="boolean", family=family, n=rep.n, seed=seed,
+                          params={"rep": rep, **params}, dist=dist, ground_truth=("yes",),
+                          target=rep.target())
+
+
 def gen_mdl_yes(n: int, support_size: int, rng: SeededRng) -> InstanceBundle:
     """Random monotone list with a uniform distribution on random weight-2
     strings (low-weight supports keep the block structure nontrivial)."""
-    seed = rng.stream_id
     rep = random_mdl(n, rng)
     dist = FiniteDistribution.uniform(_weight2_atoms(n, support_size, rng))
-    return InstanceBundle(kind="boolean", family="mdl-yes", n=n, seed=seed,
-                          params={"rep": rep, "support_size": support_size},
-                          dist=dist, ground_truth=("yes",), target=rep.target())
+    return list_bundle("mdl-yes", rep, dist, rng.stream_id, support_size=support_size)
 
 
 def gen_dl_yes(n: int, support_size: int, rng: SeededRng) -> InstanceBundle:
     """Random decision list whose polarity vector is mostly positive (a few
     negated variables), with a uniform weight-2 support."""
-    seed = rng.stream_id
     pi = rng.permutation(n)
     zeros = max(1, rng.integer(1, max(2, int(clamped_log2(n)) + 1)))
     mu = [1] * n
@@ -186,9 +201,7 @@ def gen_dl_yes(n: int, support_size: int, rng: SeededRng) -> InstanceBundle:
     nu = [rng.coin() for _ in range(n + 1)]
     rep = GeneralDLRep(n, pi, mu, nu)
     dist = FiniteDistribution.uniform(_weight2_atoms(n, support_size, rng))
-    return InstanceBundle(kind="boolean", family="dl-yes", n=n, seed=seed,
-                          params={"rep": rep, "support_size": support_size},
-                          dist=dist, ground_truth=("yes",), target=rep.target())
+    return list_bundle("dl-yes", rep, dist, rng.stream_id, support_size=support_size)
 
 
 def gen_random_table(n: int, rng: SeededRng) -> InstanceBundle:
@@ -201,9 +214,17 @@ def gen_random_table(n: int, rng: SeededRng) -> InstanceBundle:
     while len(chosen) < size:
         chosen.add(int(rng.integer(0, 1 << n)))
     atoms = [BitString(n, v) for v in sorted(chosen)]
-    return InstanceBundle(kind="boolean", family="table", n=n, seed=rng.stream_id,
-                          params={"bits": bits}, dist=FiniteDistribution.uniform(atoms),
-                          ground_truth=("unknown",), target=table_target(bits))
+    return table_bundle(n, bits, FiniteDistribution.uniform(atoms), rng.stream_id)
+
+
+def table_bundle(n: int, bits, dist: FiniteDistribution, seed: int = 0) -> InstanceBundle:
+    """The truth table bits (bits[v] is the value on backing int v) under dist."""
+    bits = list(bits)
+    if len(bits) != 1 << n or not set(bits) <= {0, 1}:
+        raise ValueError("a truth table over n bits lists 2^n values in {0, 1}")
+    return InstanceBundle(kind="boolean", family="table", n=n, seed=seed,
+                          params={"bits": bits}, dist=dist, ground_truth=("unknown",),
+                          target=table_target(bits))
 
 
 # -- the group-of-four construction ------------------------------------------

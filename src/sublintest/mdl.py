@@ -221,14 +221,25 @@ def _or_all(vs) -> int:
     return out
 
 
+def _halving(query, or_range, c: int, y_v: int, b: int) -> int:
+    """Rank that a halving search over ranks 0..c-1 keeps: a window keeps its left
+    half when query(or_range(left half) | y_v) answers b, else its right half."""
+    a = 0
+    while c > 1:
+        half = c // 2
+        if query(or_range(a, a + half) | y_v) == b:
+            c = half
+        else:
+            a += half
+            c -= half
+    return a
+
+
 def _rep_search(f: FunctionOracle, vs: list[int], y_v: int) -> int:
     """Halving search returning some v in vs; when the target is a monotone
     list, v's rule outranks every other rule fired in vs or in the union y_v."""
     b = f.query_raw(_or_all(vs) | y_v)
-    while len(vs) > 1:
-        left, right = vs[:len(vs) // 2], vs[len(vs) // 2:]
-        vs = left if f.query_raw(_or_all(left) | y_v) == b else right
-    return vs[0]
+    return vs[_halving(f.query_raw, lambda lo, hi: _or_all(vs[lo:hi]), len(vs), y_v, b)]
 
 
 def _recharge(ledger: QueryLedger, before: int):
@@ -255,18 +266,7 @@ def _extract(g: FunctionOracle, vs: list[int], vals: list[int]) -> list[tuple[in
         b = query(union_v)
         _recharge(ledger, before)  # the halving search's own reference query
         tree = trees[b]
-        or_range = tree.or_range
-        other_v = trees[1 - b].or_all()
-        # inner halving search over the alive prefix order
-        a, c = 0, tree.alive
-        while c > 1:
-            half = c // 2
-            if query(or_range(a, a + half) | other_v) == b:
-                c = half
-            else:
-                a += half
-                c -= half
-        pos = tree.kth_alive(a)
+        pos = tree.kth_alive(_halving(query, tree.or_range, tree.alive, trees[1 - b].or_all(), b))
         extracted.append((lists[b][pos], b))
         tree.remove(pos)
     for b, tree in enumerate(trees):

@@ -1,7 +1,9 @@
 """Statistical acceptance gate: one test per criterion, each printing a
 PASS/FAIL line with the measured quantities behind it."""
 
+import concurrent.futures
 import math
+import multiprocessing
 import time
 
 import pytest
@@ -122,21 +124,27 @@ def test_criterion_3_mdl_contract_desk_scale():
                   f"{elapsed:.0f}s (< 1800s)")
 
 
-def test_criterion_4_dl_contract():
-    n, eps = 1024, 0.2
+def _criterion_4_trial(task) -> bool:
+    """Whether criterion 4's trial t on side ("yes" or "no") decides as that side
+    should; a pure function of (side, t), so a worker process can run it."""
+    side, t = task
     rng = SeededRng(0xC4)
-    accepts = 0
-    for t in range(100):
-        bundle = gen_dl_yes(n, 256, rng.derive(t))
-        v = decision_list_tester(bundle.function_oracle(), bundle.dist, eps,
-                                 rng.derive(1000 + t), DL_DESK)
-        accepts += v.accepted
-    rejects = 0
-    for t in range(100):
-        bundle = gen_groups4(n, rng.derive(2000 + t), "no")
-        v = decision_list_tester(bundle.function_oracle(), bundle.dist, eps,
-                                 rng.derive(3000 + t), DL_DESK)
-        rejects += v.rejected
+    if side == "yes":
+        bundle, trial_rng = gen_dl_yes(1024, 256, rng.derive(t)), rng.derive(1000 + t)
+    else:
+        bundle, trial_rng = gen_groups4(1024, rng.derive(2000 + t), "no"), rng.derive(3000 + t)
+    v = decision_list_tester(bundle.function_oracle(), bundle.dist, 0.2, trial_rng, DL_DESK)
+    return v.accepted if side == "yes" else v.rejected
+
+
+def test_criterion_4_dl_contract():
+    # the 200 seeded trials are independent and the criterion has no time
+    # bound, so two worker processes share them
+    tasks = [("yes", t) for t in range(100)] + [("no", t) for t in range(100)]
+    spawn = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(2, mp_context=spawn) as pool:
+        hits = list(pool.map(_criterion_4_trial, tasks))
+    accepts, rejects = sum(hits[:100]), sum(hits[100:])
     ok = accepts >= 75 and rejects >= 75
     report(4, ok, f"dl-yes accept {accepts}/100, groups4-no reject {rejects}/100 "
                   f"(desk round profile, see README)")

@@ -9,9 +9,14 @@ from sublintest.core import SeededRng
 from sublintest.cli import main as cli_main
 from sublintest import harness
 from sublintest.harness import (CONSTS, CSV_COLUMNS, EXIT_TRIAL_ERROR, RunConfig, budget_for,
-                                build_instance, load_bundle, oracle_check, report_csv,
-                                run_trials, save_bundle, scaling_experiment, wilson_interval)
-from sublintest.instances import gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pentagon, gen_total_yes
+                                build_instance, generate, load_bundle, oracle_check, report_csv,
+                                run_one_trial, run_trials, save_bundle, scaling_experiment,
+                                wilson_interval)
+from sublintest.instances import (gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pentagon,
+                                  gen_random_table, gen_total_yes)
+from sublintest.mdl import monotone_dl_tester
+from sublintest.oracles import QueryLedger
+from sublintest.total_order import test_total_ordering as total_tester
 
 
 def test_wilson_interval_known_values():
@@ -271,6 +276,125 @@ def test_cli_gen_instance_round_trip(tmp_path):
     assert report.rows[0]["verdict"] == "accept"
 
 
+def _one_error_line(capsys) -> str:
+    """stderr of a command that must fail as a usage error: one error line."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Fails the test if any trial runs."""
+    def refuse(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(harness, "run_one_trial", refuse)
+
+
+MDL8 = save_bundle(gen_mdl_yes(8, 4, SeededRng(3)))
+PAIRS = {"pairs": [{"u": 1, "v": 2, "p": 1.0}]}
+FIVE = {"type": "pentagon", "order": [1, 2, 3, 4, 5]}
+MALFORMED_FILES = {
+    "missing_key": {"version": 1},
+    "mdl_over_pairs": {**MDL8, "distribution": PAIRS},
+    "pentagon_order_not_a_permutation": {"version": 1, "n": 8, "function": FIVE,
+                                         "distribution": PAIRS},
+    "pentagon_order_too_short": {"version": 1, "n": 10, "function": FIVE, "distribution": PAIRS},
+    "table_without_2_to_the_n_bits": {**MDL8, "function": {"type": "table", "bits": [0, 1]}},
+    "pentagon_with_another_distribution": {
+        **save_bundle(gen_pentagon(10, SeededRng(4))), "distribution": PAIRS},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_cli_malformed_instance_file_is_usage_error(doc, tmp_path, capsys, no_trials):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["test-mdl", "--instance", str(path), "--trials", "3"]) == 2
+    _one_error_line(capsys)
+    with pytest.raises(ValueError):
+        load_bundle(doc)
+
+
+@pytest.mark.parametrize("argv", [["test-mdl", "--instance", "PENTAGON"],
+                                  ["test-dl", "--family", "pentagon", "--n", "255"],
+                                  ["test-total", "--family", "mdl-yes"]],
+                         ids=lambda argv: argv[0])
+def test_cli_tester_that_cannot_query_the_instance_is_usage_error(argv, tmp_path, capsys,
+                                                                  no_trials):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(save_bundle(gen_pentagon(20, SeededRng(5)))))
+    argv = [str(path) if a == "PENTAGON" else a for a in argv]
+    assert cli_main(argv + ["--trials", "3"]) == 2
+    assert "instance, not a" in _one_error_line(capsys)
+
+
+def test_rows_carry_the_bundles_n(tmp_path, capsys):
+    path = tmp_path / "m32.json"
+    path.write_text(json.dumps(save_bundle(gen_mdl_yes(32, 8, SeededRng(6)))))
+    assert cli_main(["test-mdl", "--instance", str(path), "--n", "64", "--eps", "0.3",
+                     "--trials", "2"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["n"] for row in rows] == ["32", "32"]
+
+
+@pytest.mark.parametrize("argv", [["scaling", "--instance", "x.json"], ["scaling", "--n", "64"],
+                                  ["gen-instance", "--eps", "0.2"],
+                                  ["gen-instance", "--const", "c_sk=4"]],
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_cli_refuses_flags_the_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+OUT_COMMANDS = [["test-total", "--n", "16"], ["test-mdl", "--n", "16"], ["test-dl", "--n", "16"],
+                ["scaling", "--n-list", "16"], ["gen-instance", "--n", "16"],
+                ["birthday", "--size", "4", "--trials", "10"],
+                ["oracle-check", "--n", "3", "--bundles", "1", "--trials", "2"]]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
+def test_cli_out_in_a_missing_directory_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "f"
+    assert cli_main(argv + ["--out", str(out)]) == 2
+    assert "No such file or directory" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("tester, family, n", [("total", "pentagon", 255),
+                                               ("mdl", "groups4-no", 256)])
+def test_row_witness_is_the_verdicts_as_json(tester, family, n):
+    cfg = RunConfig(tester=tester, family=family, n=n, eps=0.1, seed=5)
+    bundle = build_instance(cfg)
+    row = run_one_trial(cfg, bundle, 0)
+    rng = SeededRng(cfg.seed, 0).derive(1)
+    if tester == "total":
+        verdict = total_tester(bundle.comparison_oracle(QueryLedger()), bundle.dist, 0.1, rng)
+    else:
+        verdict = monotone_dl_tester(bundle.function_oracle(QueryLedger()), bundle.dist, 0.1, rng)
+    assert verdict.rejected and row["verdict"] == "reject"
+    assert row["witness"] == json.dumps(verdict.witness)
+    assert list(row) == CSV_COLUMNS and CSV_COLUMNS[-1] == "witness"
+
+
+ROUND_TRIP = {"total-yes": 20, "pentagon": 20, "mdl-yes": 24, "dl-yes": 10, "groups4-yes": 32,
+              "groups4-no": 32, "table": 4}
+
+
+@pytest.mark.parametrize("family", ROUND_TRIP)
+def test_load_keeps_what_the_generator_built(family):
+    n = ROUND_TRIP[family]
+    bundle = (gen_random_table(n, SeededRng(7)) if family == "table"
+              else generate(family, n, None, 7))
+    again = load_bundle(json.loads(json.dumps(save_bundle(bundle))))
+    keep = lambda b: (b.kind, b.family, b.n, b.ground_truth, b.certificate)
+    assert keep(again) == keep(bundle)
+
+
 def test_cli_dl_desk_profile_runs(tmp_path):
     out = tmp_path / "dl.csv"
     code = cli_main(["test-dl", "--n", "64", "--eps", "0.2", "--trials", "1", "--seed", "3",
@@ -311,7 +435,8 @@ def test_env_seed_respected(monkeypatch, tmp_path):
     monkeypatch.setenv("SUBLINTEST_SEED", "909")
     cli_main(["test-total", "--n", "64", "--trials", "1", "--out", str(out1)])
     cli_main(["test-total", "--n", "64", "--trials", "1", "--out", str(out2)])
-    strip = lambda p: [line.rsplit(",", 1)[0] for line in p.read_text().splitlines()]
+    strip = lambda p: [{k: v for k, v in row.items() if k != "runtime_ms"}
+                       for row in csv.DictReader(io.StringIO(p.read_text()))]
     assert strip(out1) == strip(out2)
     assert "909" in out1.read_text()
 
