@@ -4,6 +4,7 @@ cross-checks."""
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -40,6 +41,24 @@ def _default_seed(seed: int | None) -> int:
         return int(env)
     except ValueError:
         raise ValueError(f"SUBLINTEST_SEED must be an integer, got {env!r}") from None
+
+
+def _check_args(args):
+    """The usage errors found before a command runs: a count flag below 1, and
+    an --out the report could not be written to (the OSError that writing it
+    would raise, with the file left untouched)."""
+    for name in COUNT_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if args.out:
+        folder = os.path.dirname(args.out) or "."
+        target = args.out if os.path.exists(args.out) else folder
+        code = (errno.EISDIR if os.path.isdir(args.out) else
+                errno.ENOENT if not os.path.isdir(folder) else
+                errno.EACCES if not os.access(target, os.W_OK) else 0)
+        if code:
+            raise OSError(code, os.strerror(code), args.out)
 
 
 def _config(args, tester: str, n: int, instance: str | None = None) -> RunConfig:
@@ -88,8 +107,9 @@ def _birthday(args) -> int:
         left = {f"u{i}": 1.0 / (2 * size) for i in range(size)}
         right = {f"v{i}": 1.0 / (2 * size) for i in range(size)}
         edges = [(f"u{i}", f"v{j}") for i in range(size) for j in range(size)]
+        m = size if args.m is None else args.m
         exp = CollisionExperiment(
-            edges=edges, left=left, right=right, m=args.m or size, m_prime=args.m or size,
+            edges=edges, left=left, right=right, m=m, m_prime=m,
             trials=args.trials, epsilon=0.5, justification="uniform complete bipartite")
     else:
         k = 3 if variant == "hyper3" else 4
@@ -97,7 +117,9 @@ def _birthday(args) -> int:
         left = {f"w{i}": 1.0 / (groups * k) for i in range(groups * k)}
         edges = [tuple(f"w{g * k + j}" for j in range(k)) for g in range(groups)]
         eps = 1.0 / k  # one vertex per edge must be covered
-        m = args.m or int(10 * k * k * (groups * k) ** ((k - 1) / k) / eps) + 1
+        m = args.m
+        if m is None:
+            m = int(10 * k * k * (groups * k) ** ((k - 1) / k) / eps) + 1
         exp = CollisionExperiment(edges=edges, left=left, m=m, trials=args.trials,
                                   epsilon=eps, justification="disjoint edges")
     runner = run_bipartite_birthday if exp.right is not None else run_hypergraph_birthday
@@ -155,6 +177,7 @@ FLAGS = {
     "m": dict(type=int, default=None),
     "bundles": dict(type=int, default=50),
 }
+COUNT_FLAGS = ("size", "m", "bundles", "trials")  # each must be at least 1
 RUN_FLAGS = "eps delta trials seed family budget support out jobs const"
 
 # subcommand -> (its function, the flags it reads, the defaults it changes)
@@ -184,6 +207,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.seed = _default_seed(args.seed)
+        _check_args(args)
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

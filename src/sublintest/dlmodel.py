@@ -102,10 +102,7 @@ class GeneralDLRep:
     def min_rank_raw(self, v: int) -> int:
         return self._mono.min_rank_raw(v ^ self._flip)
 
-    def target(self):
-        nu = self.nu
-        min_rank = self.min_rank_raw
-        return lambda v: nu[min_rank(v)]
+    target = MonotoneDLRep.target
 
 
 def min_index(rep, x: BitString) -> int:
@@ -115,16 +112,12 @@ def min_index(rep, x: BitString) -> int:
     return rep.min_rank_raw(x.v) + 1
 
 
-def eval_mdl(rep: MonotoneDLRep, x: BitString) -> int:
-    if x.n != rep.n:
-        raise ValueError("width mismatch")
-    return rep.nu[rep.min_rank_raw(x.v)]
+def eval_mdl(rep, x: BitString) -> int:
+    """Value of the list rep, monotone or general, on x."""
+    return rep.nu[min_index(rep, x) - 1]
 
 
-def eval_dl(rep: GeneralDLRep, x: BitString) -> int:
-    if x.n != rep.n:
-        raise ValueError("width mismatch")
-    return rep.nu[rep.min_rank_raw(x.v)]
+eval_dl = eval_mdl
 
 
 def monotonize(rep: GeneralDLRep) -> tuple[MonotoneDLRep, BitString]:

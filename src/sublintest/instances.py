@@ -242,6 +242,13 @@ def gen_groups4(n: int, rng: SeededRng, side: str) -> InstanceBundle:
     return groups4_from_pi(n, rng.permutation(n), side, seed=rng.stream_id)
 
 
+# per side: the pairs of group members (0..3) that the group's four atoms
+# join, the values of the group's four rules, the ground truth and certificate
+_GROUPS4 = {"no": (((0, 1), (1, 2), (2, 3), (3, 0)), (0, 1, 0, 1), ("far", 0.25),
+                   "per group, the four supported pair values block every halfspace"),
+            "yes": (((0, 1), (0, 2), (1, 3), (2, 3)), (0, 1, 1, 0), ("yes",), None)}
+
+
 def groups4_from_pi(n: int, pi, side: str, seed: int = 0) -> InstanceBundle:
     if side not in ("yes", "no"):
         raise ValueError("side must be 'yes' or 'no'")
@@ -249,19 +256,8 @@ def groups4_from_pi(n: int, pi, side: str, seed: int = 0) -> InstanceBundle:
         raise ValueError("n must be a positive multiple of 16")
     pi = tuple(pi)
     half = n // 2
-    nu = [1] * (n + 1)
-    for j0 in range(half, n, 4):  # j0 = 4k (0-based), positions j0+1..j0+4
-        if side == "no":
-            nu[j0] = 0      # position 4k+1
-            nu[j0 + 1] = 1
-            nu[j0 + 2] = 0  # position 4k+3
-            nu[j0 + 3] = 1
-        else:
-            nu[j0] = 0
-            nu[j0 + 1] = 1
-            nu[j0 + 2] = 1
-            nu[j0 + 3] = 0  # position 4k+4
-    nu[n] = 1
+    pairs, values, truth, cert = _GROUPS4[side]
+    nu = [1] * half + list(values) * (half // 4) + [1]
     rep = MonotoneDLRep(n, pi, nu)
 
     if side == "yes":
@@ -279,26 +275,12 @@ def groups4_from_pi(n: int, pi, side: str, seed: int = 0) -> InstanceBundle:
 
     atoms = []
     for j0 in range(half, n, 4):
-        g = [pi[j0 + i] for i in range(4)]
-        e = [1 << (i - 1) for i in g]
-        if side == "no":
-            four = [e[0] | e[1], e[1] | e[2], e[2] | e[3], e[3] | e[0]]
-        else:
-            four = [e[0] | e[1], e[0] | e[2], e[1] | e[3], e[2] | e[3]]
-        atoms.extend(BitString(n, v) for v in four)
+        e = [1 << (i - 1) for i in pi[j0:j0 + 4]]
+        for k, (a, b) in enumerate(pairs):
+            atoms.append(BitString(n, e[a] | e[b]))
+            # the no side's pairs take 0, 1, 0, 1 around the group's cycle
+            assert side == "yes" or target(e[a] | e[b]) == k % 2
     dist = FiniteDistribution.uniform(atoms)
-
-    if side == "no":
-        for j0 in range(half, n, 4):
-            g = [pi[j0 + i] for i in range(4)]
-            e = [1 << (i - 1) for i in g]
-            assert target(e[3] | e[0]) == 1 and target(e[1] | e[2]) == 1
-            assert target(e[0] | e[1]) == 0 and target(e[2] | e[3]) == 0
-        truth = ("far", 0.25)
-        cert = "per group, the four supported pair values block every halfspace"
-    else:
-        truth = ("yes",)
-        cert = None
     return InstanceBundle(kind="boolean", family=f"groups4-{side}", n=n, seed=seed,
                           params={"pi": pi, "nu": tuple(nu)}, dist=dist,
                           ground_truth=truth, certificate=cert, target=target)

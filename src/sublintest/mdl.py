@@ -337,6 +337,15 @@ def _find_block_ex(f: FunctionOracle, sk: MdlSketch, x: BitString) -> tuple[int,
     return p + 2 * hi, fx
 
 
+def _first_per_index(recs, cap: int) -> list[tuple[int, BitString]]:
+    """(max index, string) for the first string of recs with each max index,
+    the first cap of them."""
+    firsts: dict[int, BitString] = {}
+    for x, _, _, mi in recs:
+        firsts.setdefault(mi, x)
+    return list(firsts.items())[:cap]
+
+
 class MdlRun:
     """One tester run on the sampler it is handed: owns the sketch, the
     big-block set and the replay caches.  The deterministic sub-procedures
@@ -411,7 +420,7 @@ class MdlRun:
     # -- preprocessing ------------------------------------------------------
 
     def preprocess(self) -> Verdict | None:
-        T = [x for x in self.sampler.draw_set(self.sz.pre) if x.v != 0]
+        T = self._draw_strings(self.sz.pre)
         if not T:
             return Verdict("accept")
         before = self.f.ledger.function_queries
@@ -461,6 +470,8 @@ class MdlRun:
         return [x for x in self.sampler.draw_set(m) if x.v != 0]
 
     def _info(self, xs, mi_only_big=False):
+        """(x, block, f(x), max index) per distinct string of xs, in draw order;
+        with mi_only_big, only strings in big blocks get a max index."""
         out = {}
         for x in xs:
             if x.v in out:
@@ -472,56 +483,57 @@ class MdlRun:
             out[x.v] = (x, ell, fx, mi)
         return out
 
-    def _by_bit(self, info, keys):
+    def _small(self, ell: int) -> bool:
+        return ell not in self.L and ell not in self.NL
+
+    def _crossings(self, mp: int, mq: int, mi_only_big=False):
+        """Draws P (mp strings) and Q (mq strings); for each y in Q with a max
+        index, in draw order, yields y's record and the records, in draw order,
+        of the strings of P whose support holds that index."""
+        P = self._draw_strings(mp)
+        Q = self._draw_strings(mq)
+        info = self._info(P + Q, mi_only_big)
+        p_by_bit: dict[int, list] = {}
+        for x in P:
+            for j in x.support():
+                p_by_bit.setdefault(j, []).append(info[x.v])
+        for y in Q:
+            rec = info[y.v]
+            if rec[3] is not None:
+                yield rec, p_by_bit.get(rec[3], ())
+
+    def _small_blocks(self, m: int) -> dict[int, list]:
+        """Records of m drawn strings that have a max index in a small block,
+        bucketed by block, in draw order."""
         buckets: dict[int, list] = {}
-        for v in keys:
-            rec = info[v]
-            for j in rec[0].support():
-                buckets.setdefault(j, []).append(rec)
+        for rec in self._info(self._draw_strings(m)).values():
+            if rec[3] is not None and self._small(rec[1]):
+                buckets.setdefault(rec[1], []).append(rec)
         return buckets
 
     def test_type1(self) -> Verdict:
-        P = self._draw_strings(self.sz.m1)
-        Q = self._draw_strings(self.sz.m1)
-        info = self._info(P + Q)
-        p_by_bit = self._by_bit(info, [x.v for x in P])
-        for y in Q:
-            _, ly, fy, mi = info[y.v]
-            if mi is None:
-                continue
-            for x, lx, fx, _ in p_by_bit.get(mi, ()):
+        for (y, ly, fy, mi), xs in self._crossings(self.sz.m1, self.sz.m1):
+            for x, lx, fx, _ in xs:
                 if fx != fy and ly <= lx - 2:
                     return Verdict("reject", witness=("type1", x.v, y.v, lx, ly, mi))
         return Verdict("accept")
 
     def test_type2(self) -> Verdict:
-        P = self._draw_strings(self.sz.p2)
-        Q = self._draw_strings(self.sz.q2)
-        info = self._info(P + Q, mi_only_big=True)
-        p_by_bit = self._by_bit(info, [x.v for x in P])
-        for y in Q:
-            _, ly, _, mi = info[y.v]
-            if mi is None or ly not in self.L:
-                continue
-            for x, lx, _, _ in p_by_bit.get(mi, ()):
+        # only strings in big blocks get a max index here, so y's block is big
+        for (y, ly, _, mi), xs in self._crossings(self.sz.p2, self.sz.q2, True):
+            for x, lx, _, _ in xs:
                 if lx in self.L and ly == lx - 1:
                     return Verdict("reject", witness=("type2", x.v, y.v, lx, ly, mi))
         return Verdict("accept")
 
     def test_type3(self) -> Verdict:
-        P = self._draw_strings(self.sz.m1)
-        Q = self._draw_strings(self.sz.m1)
-        info = self._info(P + Q)
-        p_by_bit = self._by_bit(info, [x.v for x in P])
-        small = lambda ell: ell not in self.L and ell not in self.NL
         cap = self.sz.pair_cap
         partners: dict[int, int] = {}
-        for y in Q:
-            _, ly, fy, v = info[y.v]
-            if v is None or not small(ly):
+        for (y, ly, _, v), xs in self._crossings(self.sz.m1, self.sz.m1):
+            if not self._small(ly):
                 continue
-            for x, lx, fx, u in p_by_bit.get(v, ()):
-                if u is None or abs(lx - ly) != 1 or not small(lx):
+            for x, lx, fx, u in xs:
+                if u is None or abs(lx - ly) != 1 or not self._small(lx):
                     continue
                 if partners.get(x.v, 0) >= cap:
                     continue
@@ -532,75 +544,54 @@ class MdlRun:
         return Verdict("accept")
 
     def test_type4(self) -> Verdict:
-        P = self._draw_strings(self.sz.m4)
-        info = self._info(P)
-        small = lambda ell: ell not in self.L and ell not in self.NL
-        buckets: dict[int, list] = {}
-        for rec in info.values():
-            if rec[3] is not None and small(rec[1]):
-                buckets.setdefault(rec[1], []).append(rec)
+        buckets = self._small_blocks(self.sz.m4)
         cap = self.sz.pair_cap
         for ell in sorted(buckets):
-            tops = buckets.get(ell)
             mids = buckets.get(ell - 1)
             bots = buckets.get(ell - 2)
-            if not (tops and mids and bots):
+            if not (mids and bots):
                 continue
+            tops, bots = buckets[ell][:cap], bots[:cap]
             for y, _, fy, v in mids:
                 up = None
-                for x, _, fx, u in tops[:cap]:
+                for x, _, fx, u in tops:
                     if self.f.query_raw((1 << (u - 1)) | (1 << (v - 1))) == fx:
                         up = (x, u)
                         break
                 if up is None:
                     continue
-                for z, _, fz, w in bots[:cap]:
+                for z, _, fz, w in bots:
                     if self.f.query_raw((1 << (v - 1)) | (1 << (w - 1))) == fy:
                         return Verdict("reject",
                                        witness=("type4", up[0].v, y.v, z.v, up[1], v, w))
         return Verdict("accept")
 
     def test_type5(self) -> Verdict:
-        P = self._draw_strings(self.sz.m5)
-        info = self._info(P)
-        small = lambda ell: ell not in self.L and ell not in self.NL
-        buckets: dict[int, dict[int, object]] = {}
-        for rec in info.values():
-            if rec[3] is not None and small(rec[1]):
-                buckets.setdefault(rec[1], {}).setdefault(rec[3], rec[0])
+        buckets = self._small_blocks(self.sz.m5)
         cap = self.sz.pair_cap
         for ell in sorted(buckets):
-            top = buckets.get(ell)
-            bot = buckets.get(ell - 1)
-            if not top or not bot:
+            if ell - 1 not in buckets:
                 continue
-            a_items = list(top.items())[:cap]
-            b_items = list(bot.items())[:cap]
+            tops = _first_per_index(buckets[ell], cap)
+            bots = _first_per_index(buckets[ell - 1], cap)
+            # bit j of zeros[i] is set when tops[i] and bots[j] join to 0, else they join to 1
             zeros = []
-            ones = []
-            for u, _ in a_items:
-                z_mask = o_mask = 0
-                for idx, (w, _) in enumerate(b_items):
+            for u, _ in tops:
+                z_mask = 0
+                for j, (w, _) in enumerate(bots):
                     if self.f.query_raw((1 << (u - 1)) | (1 << (w - 1))) == 0:
-                        z_mask |= 1 << idx
-                    else:
-                        o_mask |= 1 << idx
+                        z_mask |= 1 << j
                 zeros.append(z_mask)
-                ones.append(o_mask)
-            for i1 in range(len(a_items)):
-                for i3 in range(i1 + 1, len(a_items)):
-                    m24 = zeros[i1] & ones[i3]
-                    m42 = zeros[i3] & ones[i1]
+            for i1, z1 in enumerate(zeros):
+                for i3 in range(i1 + 1, len(zeros)):
+                    m24 = z1 & ~zeros[i3]
+                    m42 = zeros[i3] & ~z1
                     if m24 and m42:
-                        u1 = a_items[i1][0]
-                        u3 = a_items[i3][0]
-                        u2 = b_items[(m24 & -m24).bit_length() - 1][0]
-                        u4 = b_items[(m42 & -m42).bit_length() - 1][0]
-                        return Verdict("reject", witness=(
-                            "type5",
-                            (a_items[i1][1].v, b_items[(m24 & -m24).bit_length() - 1][1].v,
-                             a_items[i3][1].v, b_items[(m42 & -m42).bit_length() - 1][1].v),
-                            (u1, u2, u3, u4)))
+                        (u1, x1), (u3, x3) = tops[i1], tops[i3]
+                        u2, x2 = bots[(m24 & -m24).bit_length() - 1]
+                        u4, x4 = bots[(m42 & -m42).bit_length() - 1]
+                        return Verdict("reject", witness=("type5", (x1.v, x2.v, x3.v, x4.v),
+                                                          (u1, u2, u3, u4)))
         return Verdict("accept")
 
     def test_type(self, c: int) -> Verdict:

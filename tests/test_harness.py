@@ -2,12 +2,13 @@ import csv
 import dataclasses
 import io
 import json
+import os
 
 import pytest
 
 from sublintest.core import SeededRng
 from sublintest.cli import main as cli_main
-from sublintest import harness
+from sublintest import cli, harness
 from sublintest.harness import (CONSTS, CSV_COLUMNS, EXIT_TRIAL_ERROR, RunConfig, budget_for,
                                 build_instance, generate, load_bundle, oracle_check, report_csv,
                                 run_one_trial, run_trials, save_bundle, scaling_experiment,
@@ -358,11 +359,52 @@ OUT_COMMANDS = [["test-total", "--n", "16"], ["test-mdl", "--n", "16"], ["test-d
                 ["oracle-check", "--n", "3", "--bundles", "1", "--trials", "2"]]
 
 
+
+
+@pytest.fixture
+def command_calls(monkeypatch):
+    """The calls of what the commands run (trials, experiments, generators),
+    each replaced by a stub that records its name."""
+    calls = []
+    for name in ("run_trials", "scaling_experiment", "run_bipartite_birthday",
+                 "run_hypergraph_birthday", "oracle_check", "generate"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name: calls.append(_name))
+    return calls
+
+
 @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
-def test_cli_out_in_a_missing_directory_is_usage_error(argv, tmp_path, capsys):
+def test_cli_out_in_a_missing_directory_is_usage_error(argv, tmp_path, capsys, command_calls):
     out = tmp_path / "missing" / "f"
     assert cli_main(argv + ["--out", str(out)]) == 2
     assert "No such file or directory" in _one_error_line(capsys)
+    assert command_calls == [] and not out.parent.exists()
+
+
+@pytest.mark.parametrize("bad", ["directory", "not_writable"])
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
+def test_cli_out_that_cannot_be_written_is_usage_error(argv, bad, tmp_path, monkeypatch, capsys,
+                                                       command_calls):
+    kept = tmp_path / "kept.txt"
+    kept.write_text("kept")
+    real_access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: p != str(kept) and real_access(p, mode))
+    path = tmp_path if bad == "directory" else kept
+    assert cli_main(argv + ["--out", str(path)]) == 2
+    assert ("Is a directory" if bad == "directory" else "Permission denied") in \
+        _one_error_line(capsys)
+    assert command_calls == []
+    assert kept.read_text() == "kept" and list(tmp_path.iterdir()) == [kept]
+
+
+@pytest.mark.parametrize("argv", [["birthday", "--m", "0"], ["birthday", "--size", "0"],
+                                  ["birthday", "--size", "-2"], ["oracle-check", "--bundles", "0"],
+                                  ["oracle-check", "--bundles", "-1"],
+                                  ["oracle-check", "--trials", "0"], ["test-mdl", "--trials", "0"],
+                                  ["scaling", "--trials", "-1"]], ids=" ".join)
+def test_cli_count_flag_below_one_is_usage_error(argv, capsys, command_calls):
+    assert cli_main(argv) == 2
+    assert _one_error_line(capsys).startswith(f"error: {argv[1][2:]} must be at least 1, got ")
+    assert command_calls == []
 
 
 @pytest.mark.parametrize("tester, family, n", [("total", "pentagon", 255),

@@ -4,7 +4,8 @@ from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_or, cl
 from sublintest.dl import HybridFunction, _extraction_replay, _RecordingOracle
 from sublintest.dlmodel import MonotoneDLRep, eval_mdl, min_index, monotonize, random_mdl
 from sublintest.harness import RunConfig, build_instance
-from sublintest.instances import gen_groups4, gen_mdl_yes, gen_planted_violation
+from sublintest.instances import (gen_groups4, gen_mdl_yes, gen_planted_violation, list_bundle,
+                                  table_bundle)
 from sublintest.mdl import (DEFAULT_MDL, BigBlockSet, MdlConstants, MdlRun, MdlSketch,
                             _extract, _find_block_ex, _or_all, _OrTree, _runs, budget_mdl,
                             monotone_dl_tester, sketch_mdl)
@@ -874,3 +875,235 @@ def test_extraction_replay_charges_like_querying_every_string():
                 _extract_per_step(ref.g, vs, [ref.g.query_raw(v) for v in vs])
             assert new.ledger.function_queries == budget
             assert new.state() == ref.state()
+
+
+# -- the five cycle-pattern stages one by one --------------------------------
+# Each stage written out on its own, with its own draws, record table and
+# small-block test: the reference for MdlRun.test_type's verdicts, witnesses,
+# ledgers and queried strings.
+
+def _info_ref(run, xs, mi_only_big=False):
+    out = {}
+    for x in xs:
+        if x.v in out:
+            continue
+        ell, fx = run.find_block_ex(x)
+        mi = None
+        if not mi_only_big or ell in run.L:
+            mi = run.max_index(x)
+        out[x.v] = (x, ell, fx, mi)
+    return out
+
+
+def _by_bit_ref(info, keys):
+    buckets = {}
+    for v in keys:
+        rec = info[v]
+        for j in rec[0].support():
+            buckets.setdefault(j, []).append(rec)
+    return buckets
+
+
+def _draw_ref(run, m):
+    return [x for x in run.sampler.draw_set(m) if x.v != 0]
+
+
+def _type1_ref(run):
+    P = _draw_ref(run, run.sz.m1)
+    Q = _draw_ref(run, run.sz.m1)
+    info = _info_ref(run, P + Q)
+    p_by_bit = _by_bit_ref(info, [x.v for x in P])
+    for y in Q:
+        _, ly, fy, mi = info[y.v]
+        if mi is None:
+            continue
+        for x, lx, fx, _ in p_by_bit.get(mi, ()):
+            if fx != fy and ly <= lx - 2:
+                return Verdict("reject", witness=("type1", x.v, y.v, lx, ly, mi))
+    return Verdict("accept")
+
+
+def _type2_ref(run):
+    P = _draw_ref(run, run.sz.p2)
+    Q = _draw_ref(run, run.sz.q2)
+    info = _info_ref(run, P + Q, mi_only_big=True)
+    p_by_bit = _by_bit_ref(info, [x.v for x in P])
+    for y in Q:
+        _, ly, _, mi = info[y.v]
+        if mi is None or ly not in run.L:
+            continue
+        for x, lx, _, _ in p_by_bit.get(mi, ()):
+            if lx in run.L and ly == lx - 1:
+                return Verdict("reject", witness=("type2", x.v, y.v, lx, ly, mi))
+    return Verdict("accept")
+
+
+def _small_ref(run, ell):
+    return ell not in run.L and ell not in run.NL
+
+
+def _type3_ref(run):
+    P = _draw_ref(run, run.sz.m1)
+    Q = _draw_ref(run, run.sz.m1)
+    info = _info_ref(run, P + Q)
+    p_by_bit = _by_bit_ref(info, [x.v for x in P])
+    cap = run.sz.pair_cap
+    partners = {}
+    for y in Q:
+        _, ly, fy, v = info[y.v]
+        if v is None or not _small_ref(run, ly):
+            continue
+        for x, lx, fx, u in p_by_bit.get(v, ()):
+            if u is None or abs(lx - ly) != 1 or not _small_ref(run, lx):
+                continue
+            if partners.get(x.v, 0) >= cap:
+                continue
+            partners[x.v] = partners.get(x.v, 0) + 1
+            if run.f.query_raw((1 << (u - 1)) | (1 << (v - 1))) != fx:
+                return Verdict("reject", witness=("type3", x.v, y.v, u, v))
+    return Verdict("accept")
+
+
+def _type4_ref(run):
+    info = _info_ref(run, _draw_ref(run, run.sz.m4))
+    buckets = {}
+    for rec in info.values():
+        if rec[3] is not None and _small_ref(run, rec[1]):
+            buckets.setdefault(rec[1], []).append(rec)
+    cap = run.sz.pair_cap
+    for ell in sorted(buckets):
+        tops, mids, bots = buckets.get(ell), buckets.get(ell - 1), buckets.get(ell - 2)
+        if not (tops and mids and bots):
+            continue
+        for y, _, fy, v in mids:
+            up = None
+            for x, _, fx, u in tops[:cap]:
+                if run.f.query_raw((1 << (u - 1)) | (1 << (v - 1))) == fx:
+                    up = (x, u)
+                    break
+            if up is None:
+                continue
+            for z, _, fz, w in bots[:cap]:
+                if run.f.query_raw((1 << (v - 1)) | (1 << (w - 1))) == fy:
+                    return Verdict("reject", witness=("type4", up[0].v, y.v, z.v, up[1], v, w))
+    return Verdict("accept")
+
+
+def _type5_ref(run):
+    info = _info_ref(run, _draw_ref(run, run.sz.m5))
+    buckets = {}
+    for rec in info.values():
+        if rec[3] is not None and _small_ref(run, rec[1]):
+            buckets.setdefault(rec[1], {}).setdefault(rec[3], rec[0])
+    cap = run.sz.pair_cap
+    for ell in sorted(buckets):
+        top, bot = buckets.get(ell), buckets.get(ell - 1)
+        if not top or not bot:
+            continue
+        a_items = list(top.items())[:cap]
+        b_items = list(bot.items())[:cap]
+        zeros, ones = [], []
+        for u, _ in a_items:
+            z_mask = o_mask = 0
+            for idx, (w, _) in enumerate(b_items):
+                if run.f.query_raw((1 << (u - 1)) | (1 << (w - 1))) == 0:
+                    z_mask |= 1 << idx
+                else:
+                    o_mask |= 1 << idx
+            zeros.append(z_mask)
+            ones.append(o_mask)
+        for i1 in range(len(a_items)):
+            for i3 in range(i1 + 1, len(a_items)):
+                m24 = zeros[i1] & ones[i3]
+                m42 = zeros[i3] & ones[i1]
+                if m24 and m42:
+                    i2 = (m24 & -m24).bit_length() - 1
+                    i4 = (m42 & -m42).bit_length() - 1
+                    return Verdict("reject", witness=(
+                        "type5",
+                        (a_items[i1][1].v, b_items[i2][1].v, a_items[i3][1].v, b_items[i4][1].v),
+                        (a_items[i1][0], b_items[i2][0], a_items[i3][0], b_items[i4][0])))
+    return Verdict("accept")
+
+
+STAGE_REFS = {1: _type1_ref, 2: _type2_ref, 3: _type3_ref, 4: _type4_ref, 5: _type5_ref}
+
+# pair_cap 1, so that the caps bind, and a type-2 first sample set of about 17
+# strings at n = 256 and eps = 0.15, so that type 2 finds pairs
+TIGHT = MdlConstants(pair_cap_factor=1e-9, t2_factor=100.0)
+
+
+def _stage_cases():
+    """(name, sketch source, stage bundle, eps, constants): every stage runs on
+    the source's preprocessed sketch against the stage bundle."""
+    rng = SeededRng(0x57A6E)
+    base = gen_mdl_yes(1024, 64, rng.derive(200))
+    plant = gen_planted_violation(base, 2, 0.9, rng.derive(201))
+    yield "plant2", plant, plant, 0.45, MdlConstants(t2_factor=2.0e6)
+    for trial in range(3):
+        groups4 = gen_groups4(256, rng.derive(10 + trial), "yes")
+        for consts in (MdlConstants(), TIGHT):
+            yield f"groups4-yes/{trial}", groups4, groups4, 0.15, consts
+    for trial in range(6):
+        # flipping the values of three fired rules breaks the list under the
+        # base's sketch
+        base = gen_mdl_yes(256, (64, 8)[trial % 2], rng.derive(trial))
+        rep = base.params["rep"]
+        nu = list(rep.nu)
+        fired = sorted({rep.min_rank_raw(a.v) for a in base.dist.atoms})
+        for _ in range(3):
+            nu[fired[rng.integer(0, len(fired))]] ^= 1
+        flipped = list_bundle("mdl-yes", MonotoneDLRep(base.n, rep.pi, nu), base.dist)
+        for consts in (MdlConstants(), TIGHT):
+            yield f"mdl-yes/{trial}", base, base, 0.15, consts
+            yield f"flipped/{trial}", base, flipped, 0.15, consts
+    for trial in range(4):  # a tiny list with a tenth of its truth table flipped
+        base = gen_mdl_yes(12, 16, rng.derive(60 + trial))
+        noise = rng.derive(70 + trial)
+        bits = [base.target(v) ^ (noise.integer(0, 10) == 0) for v in range(1 << 12)]
+        for consts in (MdlConstants(), TIGHT):
+            yield f"noisy/{trial}", base, table_bundle(12, bits, base.dist), 0.15, consts
+    for c in (1, 3, 4, 5):
+        for trial in range(2):
+            base = gen_mdl_yes(256, 64, rng.derive(100 * c + trial))
+            plant = gen_planted_violation(base, c, 0.3, rng.derive(100 * c + 50 + trial))
+            for consts in (MdlConstants(), TIGHT):
+                yield f"plant{c}/{trial}", base, plant, 0.15, consts
+                yield f"plant{c}/{trial}/own", plant, plant, 0.15, consts
+
+
+def _logged_stage(bundle, eps, consts, seed, sk, L):
+    """A run on bundle starting from sk and L, with its ledger and the list
+    of strings its target evaluated, in order."""
+    log = []
+
+    def target(v):
+        log.append(v)
+        return bundle.target(v)
+
+    ledger = QueryLedger()
+    run = mdl_run(FunctionOracle(bundle.n, target, ledger), bundle.dist, eps,
+                  SeededRng(seed, 0x5A), consts, sk, L)
+    return run, ledger, log
+
+
+def test_stages_match_their_one_by_one_references():
+    rejected = set()
+    for seed, (name, source, bundle, eps, consts) in enumerate(_stage_cases()):
+        pre = mdl_run(source.function_oracle(), source.dist, eps, SeededRng(seed, 0x5B), consts)
+        if pre.preprocess() is not None:
+            continue
+        # the big blocks found, and a middle block made big, so that big,
+        # neighbouring and small blocks all occur
+        k = pre.sk.k
+        for L in (pre.L, BigBlockSet({k // 2}, k)):
+            for c, ref_stage in STAGE_REFS.items():
+                new, new_ledger, new_log = _logged_stage(bundle, eps, consts, seed, pre.sk, L)
+                ref, ref_ledger, ref_log = _logged_stage(bundle, eps, consts, seed, pre.sk, L)
+                got, want = new.test_type(c), ref_stage(ref)
+                assert got == want, (name, c)
+                assert new_ledger.snapshot() == ref_ledger.snapshot(), (name, c)
+                assert new_log == ref_log, (name, c)
+                if want.rejected:
+                    rejected.add(c)
+    assert rejected == {1, 2, 3, 4, 5}  # every stage's rejecting path is compared
