@@ -64,8 +64,9 @@ def mdl_sizes(n: int, eps: float, c: MdlConstants = DEFAULT_MDL) -> MdlSizes:
 
 
 class MdlSketch:
-    """Chain of strings with alternating values, each dominating the next;
-    all three properties are verified with fresh queries at construction."""
+    """Chain of strings with alternating values, each dominating the next.
+    The constructor only stores them: _sketch checks all three properties
+    with fresh queries before it builds one."""
 
     __slots__ = ("strings", "values")
 
@@ -249,28 +250,47 @@ def _recharge(ledger: QueryLedger, before: int):
     ledger.charge_queries(ledger.function_queries - before)
 
 
+def _log2_floor_sum(c: int) -> int:
+    """Sum of floor(log2 k) over k = 1..c: the queries of halving searches over
+    c, c-1, ..., 1 ranks that always keep their left half."""
+    lg = c.bit_length() - 1
+    return (c + 1) * lg - (1 << (lg + 1)) + 2
+
+
 def _extract(g: FunctionOracle, vs: list[int], vals: list[int]) -> list[tuple[int, int]]:
     """Order the strings vs (with values vals) by priority, highest first:
     each step queries the union of the alive strings, then halving-searches
     the alive strings of that value for the one whose rule fires on it.  Once
     one value is left, its strings follow in list order.  Returns (backing
-    int, value) pairs in extraction order."""
+    int, value) pairs in extraction order.
+
+    When the other value's strings cover the searched ones, every later query
+    is the union again: each search keeps rank 0 and each step leaves the
+    union as it was.  The searched strings then follow in list order, and the
+    repeats of those steps are charged in one sum."""
     lists = ([v for v, b in zip(vs, vals) if b == 0], [v for v, b in zip(vs, vals) if b == 1])
     trees = (_OrTree(lists[0]), _OrTree(lists[1]))
     query = g.query_raw
     ledger = g.ledger
     extracted = []
+    b = 0
     while trees[0].alive and trees[1].alive:
         union_v = trees[0].or_all() | trees[1].or_all()
         before = ledger.function_queries
         b = query(union_v)
-        _recharge(ledger, before)  # the halving search's own reference query
+        cost = ledger.function_queries - before
+        ledger.charge_queries(cost)  # the halving search's own reference query
         tree = trees[b]
-        pos = tree.kth_alive(_halving(query, tree.or_range, tree.alive, trees[1 - b].or_all(), b))
+        y_v = trees[1 - b].or_all()
+        if union_v == y_v:
+            c = tree.alive
+            ledger.charge_queries(cost * (_log2_floor_sum(c) + 2 * (c - 1)))
+            break
+        pos = tree.kth_alive(_halving(query, tree.or_range, tree.alive, y_v, b))
         extracted.append((lists[b][pos], b))
         tree.remove(pos)
-    for b, tree in enumerate(trees):
-        extracted += [(lists[b][pos], b) for pos in tree.alive_positions()]
+    for t in (b, 1 - b):  # a covered run's strings first; otherwise one tree is empty
+        extracted += [(lists[t][pos], t) for pos in trees[t].alive_positions()]
     return extracted
 
 

@@ -4,11 +4,11 @@ from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_or, cl
 from sublintest.dl import HybridFunction, _extraction_replay, _RecordingOracle
 from sublintest.dlmodel import MonotoneDLRep, eval_mdl, min_index, monotonize, random_mdl
 from sublintest.harness import RunConfig, build_instance
-from sublintest.instances import (gen_groups4, gen_mdl_yes, gen_planted_violation, list_bundle,
-                                  table_bundle)
+from sublintest.instances import (gen_groups4, gen_mdl_yes, gen_planted_violation,
+                                  groups4_from_pi, list_bundle, table_bundle)
 from sublintest.mdl import (DEFAULT_MDL, BigBlockSet, MdlConstants, MdlRun, MdlSketch,
-                            _extract, _find_block_ex, _or_all, _OrTree, _runs, budget_mdl,
-                            monotone_dl_tester, sketch_mdl)
+                            _extract, _find_block_ex, _log2_floor_sum, _or_all, _OrTree, _runs,
+                            budget_mdl, monotone_dl_tester, sketch_mdl)
 from sublintest.oracles import BudgetExhausted, DistSampler, FunctionOracle, QueryLedger, Verdict
 
 from helpers import find_rep, mdl_run
@@ -731,13 +731,15 @@ WRAPS = {
 class _Viewed:
     """A wrapped oracle over target on a ledger with the given budget;
     `evaluated` lists the strings the target evaluated, in first evaluation
-    order, whichever view asked."""
+    order, whichever view asked, and `calls` counts the evaluations."""
 
     def __init__(self, wrap, n, target, rng, budget=None):
         self.evaluated = {}
+        self.calls = 0
 
         def logged(v):
             self.evaluated.setdefault(v, None)
+            self.calls += 1
             return target(v)
 
         self.ledger = QueryLedger(query_budget=budget)
@@ -766,6 +768,29 @@ def _extraction_input(seed, wrap):
     return vs, vals
 
 
+def _groups4_view(wrap, seed, budget=None) -> _Viewed:
+    """The view of a groups4-no instance at n = 16 or 32; `atoms` holds its
+    support."""
+    rng = SeededRng(seed, 0x61)
+    n = 16 << (seed % 2)
+    bundle = groups4_from_pi(n, rng.permutation(n), "no")
+    view = _Viewed(wrap, n, bundle.target, rng, budget)
+    view.atoms = [x.v for x in bundle.dist.atoms]
+    return view
+
+
+def _covered_inputs(seed, wrap):
+    """The groups4-no atoms, as they are and xor the view's own shift (as the
+    shifted samplers of check_dl and test_dl hand them over), with their
+    values under the view.  Each value's atoms cover every group variable, so
+    most of these extractions reach a run that one value's strings cover."""
+    probe = _groups4_view(wrap, seed)
+    shift = getattr(probe.g, "shift_v", getattr(probe.g, "z_v", 0))
+    for s in dict.fromkeys((0, shift)):
+        vs = [v ^ s for v in probe.atoms if v != s]
+        yield vs, [probe.g.query_raw(v) for v in vs]
+
+
 @pytest.mark.parametrize("wrap", WRAPS)
 def test_extract_matches_per_step_extraction(wrap):
     for seed in range(40):
@@ -773,6 +798,15 @@ def test_extract_matches_per_step_extraction(wrap):
         new, ref = _list_view(wrap, seed), _list_view(wrap, seed)
         assert _extract(new.g, vs, vals) == _extract_per_step(ref.g, vs, vals), seed
         assert new.state() == ref.state(), seed
+    covered = 0
+    for seed in range(12):
+        for vs, vals in _covered_inputs(seed, wrap):
+            new, ref = _groups4_view(wrap, seed), _groups4_view(wrap, seed)
+            assert _extract(new.g, vs, vals) == _extract_per_step(ref.g, vs, vals), seed
+            assert new.state() == ref.state(), seed
+            assert new.calls <= ref.calls
+            covered += new.calls < ref.calls
+    assert covered  # a covered run skipped its searches
 
 
 @pytest.mark.parametrize("wrap", WRAPS)
@@ -792,6 +826,27 @@ def test_extract_exhausts_a_budget_on_a_recharged_query_like_per_step(wrap):
                     _extract_per_step(ref.g, vs, vals)
                 assert new.ledger.function_queries == budget
                 assert new.state() == ref.state(), (seed, budget)
+    for seed in range(12):
+        for vs, vals in _covered_inputs(seed, wrap):
+            ref = _groups4_view(wrap, seed)
+            start = ref.ledger.function_queries
+            _extract_per_step(ref.g, vs, vals)
+            # a covered run is charged in one sum, so most of these fall inside it
+            for budget in range(start, ref.ledger.function_queries):
+                new, ref = _groups4_view(wrap, seed, budget), _groups4_view(wrap, seed, budget)
+                with pytest.raises(BudgetExhausted):
+                    _extract(new.g, vs, vals)
+                with pytest.raises(BudgetExhausted):
+                    _extract_per_step(ref.g, vs, vals)
+                assert new.ledger.function_queries == budget
+                assert new.state() == ref.state(), (seed, budget)
+
+
+def test_log2_floor_sum_matches_the_loop():
+    total = 0
+    for c in range(1, 1025):
+        total += c.bit_length() - 1
+        assert _log2_floor_sum(c) == total, c
 
 
 def _preprocess_querying_twice(run: MdlRun):
