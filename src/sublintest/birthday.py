@@ -63,19 +63,34 @@ class CollisionExperiment:
 def experiment_from_json(doc: dict) -> CollisionExperiment:
     """Load an experiment definition from the harness JSON shape:
     {"edges": [[u, v, ...], ...], "left": {...}, "right": {...} | null,
-     "m": ..., "m_prime": ..., "trials": ..., "epsilon": ..., "justification": ...}."""
+     "m": ..., "m_prime": ..., "trials": ..., "epsilon": ..., "justification": ...}.
+    Refuses a field of the wrong type, a weight outside [0, 1], an edge vertex
+    without one and m < 1."""
     if not isinstance(doc, dict) or "edges" not in doc or "left" not in doc:
         raise ValueError("an experiment definition needs 'edges' and 'left'")
-    return CollisionExperiment(
-        edges=[tuple(e) for e in doc["edges"]],
-        left=dict(doc["left"]),
-        right=dict(doc["right"]) if doc.get("right") else None,
-        m=int(doc.get("m", 1)),
-        m_prime=int(doc.get("m_prime", 1)),
-        trials=int(doc.get("trials", 1000)),
-        epsilon=doc.get("epsilon"),
-        justification=doc.get("justification"),
-    )
+    try:
+        exp = CollisionExperiment(
+            edges=[tuple(e) for e in doc["edges"]],
+            left=dict(doc["left"]),
+            right=dict(doc["right"]) if doc.get("right") else None,
+            m=int(doc.get("m", 1)),
+            m_prime=int(doc.get("m_prime", 1)),
+            trials=int(doc.get("trials", 1000)),
+            epsilon=doc.get("epsilon"),
+            justification=doc.get("justification"),
+        )
+        sides = (exp.left,) if exp.right is None else (exp.left, exp.right)
+        if not all(0 <= w <= 1 for side in sides for w in side.values()):
+            raise ValueError("every vertex weight must be a number in [0, 1]")
+        for e in exp.edges:
+            owners = sides * len(e) if exp.right is None else sides  # bipartite: (left, right)
+            if any(v not in side for v, side in zip(e, owners)):
+                raise ValueError(f"edge {list(e)} has a vertex without a weight")
+        if exp.m < 1 or (exp.right is not None and exp.m_prime < 1):
+            raise ValueError("m and, for a bipartite experiment, m_prime must be at least 1")
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValueError(f"malformed experiment definition: {exc}") from None
+    return exp
 
 
 def _draw_sets(weight_map: dict, m: int, trials: int, rng: SeededRng):

@@ -85,22 +85,19 @@ class _RecordingOracle(FunctionOracle):
     """Shifted view g(x) = f(x xor r) that records every distinct queried
     string in first-query order, together with its value."""
 
-    __slots__ = ("base", "shift_v", "seen")
+    __slots__ = ("shift_v", "seen")
 
     def __init__(self, base: FunctionOracle, r: BitString):
-        self.n = base.n
-        self.base = base
-        self.shift_v = r.v
-        self.ledger = base.ledger
-        self.seen = {}  # insertion-ordered: first-query order
+        target = base.target
+        shift_v = self.shift_v = r.v
+        seen = self.seen = {}  # insertion-ordered: first-query order
 
-    def query(self, x: BitString) -> int:
-        return self.query_raw(x.v)
+        def record(v: int) -> int:
+            out = target(v ^ shift_v)
+            seen.setdefault(v, out)
+            return out
 
-    def query_raw(self, v: int) -> int:
-        out = self.base.query_raw(v ^ self.shift_v)
-        self.seen.setdefault(v, out)
-        return out
+        super().__init__(base.n, record, base.ledger)
 
 
 class HybridFunction(FunctionOracle):
@@ -108,76 +105,62 @@ class HybridFunction(FunctionOracle):
     g(x) = f(x xor z), and h keeps g's value except on opposite-value strings
     that the pivot image r xor z dominates, which are forced back to f(r).
     Each evaluation costs at most two base queries (plus one query for the
-    pivot value at construction)."""
+    pivot value at construction); the target charges the second itself."""
 
-    __slots__ = ("base", "z_v", "pivot_v", "pivot_value")
+    __slots__ = ("z_v", "pivot_value")
 
     def __init__(self, base: FunctionOracle, r: BitString, z: BitString):
-        self.n = base.n
-        self.base = base
-        self.ledger = base.ledger
-        self.z_v = z.v
-        self.pivot_v = r.v ^ z.v
-        self.pivot_value = base.query(r)
+        target, ledger = base.target, base.ledger
+        z_v = self.z_v = z.v
+        pivot_v = r.v ^ z_v
+        b = self.pivot_value = base.query(r)
 
-    def g_raw(self, v: int) -> int:
-        return self.base.query_raw(v ^ self.z_v)
+        def truncate(v: int) -> int:
+            gv = target(v ^ z_v)
+            if gv == b:
+                return gv
+            # g(x) != b: keep it only when x dominates the pivot image
+            ledger.charge_queries()
+            return gv if target((v | pivot_v) ^ z_v) == gv else b
 
-    def query_raw(self, v: int) -> int:
-        gv = self.base.query_raw(v ^ self.z_v)
-        if gv == self.pivot_value:
-            return gv
-        # g(x) != b: keep it only when x dominates the pivot image
-        if self.base.query_raw((v | self.pivot_v) ^ self.z_v) == gv:
-            return gv
-        return self.pivot_value
-
-    def query(self, x: BitString) -> int:
-        return self.query_raw(x.v)
+        super().__init__(base.n, truncate, ledger)
 
 
 def index_search(f: FunctionOracle, r: BitString, y: BitString) -> int | None:
     """Deterministic two-phase halving search for an index i in the support of
     y xor r whose flip changes f(r).  Returns the index or None."""
     fr = f.query(r)
-    fy = f.query(y)
-    if fr == fy:
+    if fr == f.query(y):
         raise PreconditionViolated("index_search needs f(r) != f(y)")
     rv = r.v
-    n = f.n
 
     def _or_bits(idxs) -> int:
-        v = 0
-        for i in idxs:
-            v |= 1 << (i - 1)
-        return v
+        return sum(1 << (i - 1) for i in idxs)  # distinct bits: the sum is the OR
 
     def halving(idxs):
-        """Descend while the g-value stays opposite; returns (index, trail) or
-        (None, trail) with the visited-set trail for the fallback phase."""
+        """Descend while the g-value stays opposite; returns (index, skipped)
+        or (None, skipped), where skipped lists the half left behind at each
+        level, for the fallback phase."""
         cur = idxs
-        trail = [cur]
+        skipped = []
         while len(cur) > 1:
             half = (len(cur) + 1) // 2
             first, second = cur[:half], cur[half:]
             if f.query_raw(_or_bits(first) ^ rv) != fr:
-                cur = first
+                cur, other = first, second
             elif f.query_raw(_or_bits(second) ^ rv) != fr:
-                cur = second
+                cur, other = second, first
             else:
-                return None, trail
-            trail.append(cur)
-        return cur[0], trail
+                return None, skipped
+            skipped.append(other)
+        return cur[0], skipped
 
-    support = BitString(n, y.v ^ rv).support()
-    found, trail = halving(support)
+    found, skipped = halving(BitString(f.n, y.v ^ rv).support())
     if found is not None:
         return found
-    for prev, cur in zip(trail, trail[1:]):
-        gap = [i for i in prev if i not in cur]
-        if gap and f.query_raw(_or_bits(gap) ^ rv) != fr:
-            found, _ = halving(gap)
-            return found
+    for gap in skipped:
+        if f.query_raw(_or_bits(gap) ^ rv) != fr:
+            return halving(gap)[0]
     return None
 
 
@@ -195,10 +178,9 @@ def test_dl(f: FunctionOracle, sampler: DistSampler, eps: float,
     cutoff = constants.dist_reject_factor * clamped_log2(n) / eps
     diff = 0
     for x in shifted.draw_list(rounds):
-        gv = h.g_raw(x.v)
-        if gv != h.pivot_value:
-            if f.query_raw((x.v | h.pivot_v) ^ h.z_v) != gv:
-                diff += 1
+        # g(x) is charged here and h(x) charges only its second base query
+        if f.query_raw(x.v ^ z.v) != h.target(x.v):
+            diff += 1
         if diff >= cutoff:
             break
     if diff >= cutoff:

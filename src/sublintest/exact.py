@@ -64,7 +64,6 @@ def dist_total_orderings(n: int, less, d: PairDistribution) -> DistanceReport:
             if cost < dp[t]:
                 dp[t] = cost
                 parent[t] = v
-        dp[s] = base
     order = []
     s = size - 1
     while s:
@@ -75,8 +74,9 @@ def dist_total_orderings(n: int, less, d: PairDistribution) -> DistanceReport:
     return DistanceReport(distance=dp[size - 1], witness=tuple(order), enumeration_size=size)
 
 
-def _value_buckets(n, pi, atom_vs, masses, values, mu_v=None):
-    """Per firing-position disagreement masses (m0[j], m1[j]) for one list."""
+def _value_buckets(n, pi, atom_vs, masses, values, mu_v):
+    """Per firing-position disagreement masses (m0[j], m1[j]) for one list;
+    mu_v None is the monotone list."""
     mask = (1 << n) - 1
     rank = [0] * n
     for j, var in enumerate(pi):
@@ -99,26 +99,11 @@ def _value_buckets(n, pi, atom_vs, masses, values, mu_v=None):
     return m0, m1
 
 
-def _best_nu(m0, m1):
-    dist = 0.0
-    nu = []
-    for a, b in zip(m0, m1):
-        if b <= a:
-            nu.append(1)
-            dist += b
-        else:
-            nu.append(0)
-            dist += a
-    return dist, tuple(nu)
-
-
-def dist_mdl(n: int, f, d: FiniteDistribution) -> DistanceReport:
-    """Exact distance to monotone decision lists.
-
-    Enumerates every priority order; for each order the optimal rule values
-    decompose per firing position, so the 2^(n+1) value vectors are minimized
-    exactly without enumeration.
-    """
+def _best_list(n: int, f, d: FiniteDistribution, polarities):
+    """(distance, pi, polarity, nu) of the nearest list over every priority
+    order pi and every polarity, plus the number of (pi, polarity) pairs.
+    For each pair the optimal rule values decompose per firing position, so
+    the 2^(n+1) value vectors are minimized exactly without enumeration."""
     if n > MAX_DL_N:
         raise SizeRefusal(f"n={n} exceeds the exact-DL ceiling {MAX_DL_N}")
     atom_vs = [a.v for a in d.atoms]
@@ -127,32 +112,26 @@ def dist_mdl(n: int, f, d: FiniteDistribution) -> DistanceReport:
     best = None
     count = 0
     for pi in itertools.permutations(range(1, n + 1)):
-        count += 1
-        m0, m1 = _value_buckets(n, pi, atom_vs, masses, values)
-        dist, nu = _best_nu(m0, m1)
-        if best is None or dist < best[0] - 1e-15:
-            best = (dist, pi, nu)
-    dist, pi, nu = best
+        for mu_v in polarities:
+            count += 1
+            m0, m1 = _value_buckets(n, pi, atom_vs, masses, values, mu_v)
+            dist = 0.0  # each slot predicts the value that disagrees with less mass
+            for a, b in zip(m0, m1):
+                dist += b if b <= a else a
+            if best is None or dist < best[0] - 1e-15:
+                best = (dist, pi, mu_v, tuple(int(b <= a) for a, b in zip(m0, m1)))
+    return best, count
+
+
+def dist_mdl(n: int, f, d: FiniteDistribution) -> DistanceReport:
+    """Exact distance to monotone decision lists: the one polarity None."""
+    (dist, pi, _, nu), count = _best_list(n, f, d, (None,))
     return DistanceReport(distance=dist, witness=("mdl", pi, nu), enumeration_size=count)
 
 
 def dist_dl(n: int, f, d: FiniteDistribution) -> DistanceReport:
     """Exact distance to general decision lists (enumerates (pi, mu) pairs)."""
-    if n > MAX_DL_N:
-        raise SizeRefusal(f"n={n} exceeds the exact-DL ceiling {MAX_DL_N}")
-    atom_vs = [a.v for a in d.atoms]
-    masses = [float(w) for w in d.weights]
-    values = [f(v) for v in atom_vs]
-    best = None
-    count = 0
-    for pi in itertools.permutations(range(1, n + 1)):
-        for mu_v in range(1 << n):
-            count += 1
-            m0, m1 = _value_buckets(n, pi, atom_vs, masses, values, mu_v=mu_v)
-            dist, nu = _best_nu(m0, m1)
-            if best is None or dist < best[0] - 1e-15:
-                best = (dist, pi, mu_v, nu)
-    dist, pi, mu_v, nu = best
+    (dist, pi, mu_v, nu), count = _best_list(n, f, d, range(1 << n))
     mu = tuple((mu_v >> i) & 1 for i in range(n))
     return DistanceReport(distance=dist, witness=("dl", pi, mu, nu), enumeration_size=count)
 

@@ -338,7 +338,7 @@ def _find_block_ex(f: FunctionOracle, sk: MdlSketch, x: BitString) -> tuple[int,
     opposite to f(x) sit at positions p, p+2, ..., p+2(J-1); binary search
     for the first whose OR with x takes f(x), probing the first, then the
     last, then bisecting.  The result is its position, or p+2J if none does."""
-    fx = f.query(x)
+    fx = f.query_raw(x.v)
     xs = x.v
     strings = sk.strings
     p = 1 if fx == sk.values[0] else 0
@@ -444,7 +444,7 @@ class MdlRun:
         if not T:
             return Verdict("accept")
         before = self.f.ledger.function_queries
-        vals = [self.f.query(x) for x in T]
+        vals = [self.f.query_raw(x.v) for x in T]
         if all(v == 0 for v in vals) or all(v == 1 for v in vals):
             return Verdict("accept")
         _recharge(self.f.ledger, before)  # the sketch's own pass over T

@@ -101,8 +101,7 @@ class FunctionOracle:
     def query(self, x: BitString) -> int:
         if x.n != self.n:
             raise ValueError("query width mismatch")
-        self.ledger.charge_queries()
-        return self.target(x.v)
+        return self.query_raw(x.v)
 
     def query_raw(self, v: int) -> int:
         self.ledger.charge_queries()
@@ -150,7 +149,7 @@ class SupportSampler:
 
     def draw(self):
         self.ledger.charge_samples()
-        return self.dist.outcomes[self.dist.index_of(self.rng.random())]
+        return self._outcomes((self.dist.index_of(self.rng.random()),))[0]
 
     def draw_list(self, m: int) -> list:
         self.ledger.charge_samples(m)
@@ -212,11 +211,6 @@ class ShiftedSampler(DistSampler):
     def shifted(self, r: BitString) -> "ShiftedSampler":
         return ShiftedSampler(self, bit_xor(self.r, r))
 
-    def draw(self) -> BitString:
-        self.ledger.charge_samples()
-        i = self.dist.index_of(self.rng.random())
-        return self._atoms[i] or self._shift(i)
-
     def _outcomes(self, keys) -> list[BitString]:
         atoms = self._atoms
         return [atoms[i] or self._shift(i) for i in keys]
@@ -241,8 +235,7 @@ class MarginalSampler(SupportSampler):
     __slots__ = ()
 
     def draw(self) -> int:
-        u, v = super().draw()
-        return u if self.rng.coin() == 0 else v
+        return self.draw_list(1)[0]
 
     def _keys(self, m: int) -> list[int]:
         """m uncharged draws, as vertices."""

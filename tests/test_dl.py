@@ -69,6 +69,104 @@ def test_index_search_contract_randomized():
             assert out is None or out == rep.pi[mr - 1]
 
 
+def _index_search_by_trail(f, r, y):
+    """The reference for index_search: the halving phase keeps the trail of
+    sets it descended into, and the fallback rescans that trail for the half
+    left behind at each level.  Returns the index (or None) and whether the
+    fallback ran."""
+    fr = f.query(r)
+    if fr == f.query(y):
+        raise PreconditionViolated("index_search needs f(r) != f(y)")
+    rv = r.v
+
+    def _or_bits(idxs):
+        v = 0
+        for i in idxs:
+            v |= 1 << (i - 1)
+        return v
+
+    def halving(idxs):
+        cur = idxs
+        trail = [cur]
+        while len(cur) > 1:
+            half = (len(cur) + 1) // 2
+            first, second = cur[:half], cur[half:]
+            if f.query_raw(_or_bits(first) ^ rv) != fr:
+                cur = first
+            elif f.query_raw(_or_bits(second) ^ rv) != fr:
+                cur = second
+            else:
+                return None, trail
+            trail.append(cur)
+        return cur[0], trail
+
+    found, trail = halving(BitString(f.n, y.v ^ rv).support())
+    if found is not None:
+        return found, False
+    for prev, cur in zip(trail, trail[1:]):
+        gap = [i for i in prev if i not in cur]
+        if gap and f.query_raw(_or_bits(gap) ^ rv) != fr:
+            return halving(gap)[0], True
+    return None, True
+
+
+def _noisy_oracle(rep, rate, salt, log):
+    """rep's target with the value flipped on a pseudo-random share `rate` of
+    the strings (fixed per string), logging each evaluated string."""
+    t = rep.target()
+    cut = int(rate * (1 << 16))
+
+    def noisy(v):
+        log.append(v)
+        return t(v) ^ ((((v ^ salt) * 0x9E3779B97F4A7C15) >> 20) & 0xFFFF < cut)
+
+    return FunctionOracle(rep.n, noisy)
+
+
+def test_index_search_matches_trail_reference_on_noisy_targets():
+    rng = SeededRng(31)
+    outcomes = set()
+    for trial in range(600):
+        n = 4 + rng.integer(0, 40)
+        rep = random_dl(n, rng)
+        rate = (0.0, 0.1, 0.3)[trial % 3]
+        salt = rng.integer(0, 1 << 30)
+        r, y = rng.bit_string(n), rng.bit_string(n)
+        new_log, ref_log = [], []
+        new, ref = _noisy_oracle(rep, rate, salt, new_log), _noisy_oracle(rep, rate, salt, ref_log)
+        if new.target(r.v) == new.target(y.v):
+            continue
+        new_log.clear()
+        ref_log.clear()
+        out = index_search(new, r, y)
+        ref_out, fell_back = _index_search_by_trail(ref, r, y)
+        assert out == ref_out, trial
+        assert new.ledger.snapshot() == ref.ledger.snapshot(), trial
+        assert new_log == ref_log, trial
+        outcomes.add((fell_back, out is None))
+    # the fallback ran, and both found an index and came back empty
+    assert {(True, False), (True, True), (False, False)} <= outcomes
+
+
+# an 8-bit oracle as it is and through the two views
+VIEWS = {
+    "function": lambda f: f,
+    "recording": lambda f: _RecordingOracle(f, BitString(8, 0b10110001)),
+    "hybrid": lambda f: HybridFunction(f, BitString(8, 0b10110001), BitString(8, 0b01100110)),
+}
+
+
+@pytest.mark.parametrize("wrap", VIEWS.values(), ids=VIEWS)
+def test_views_refuse_a_string_of_the_wrong_width(wrap):
+    view = wrap(oracle_for(random_dl(8, SeededRng(32))))
+    before = view.ledger.snapshot()
+    for width in (7, 9):
+        with pytest.raises(ValueError, match="width"):
+            view.query(BitString(width, 1))
+    assert view.ledger.snapshot() == before
+    assert view.query(BitString(8, 1)) in (0, 1)
+
+
 def test_hybrid_function_cases():
     rng = SeededRng(4)
     for trial in range(40):
@@ -124,11 +222,7 @@ def _calls_until_exhausted(wrap, budget, strings):
     return ledger, done
 
 
-@pytest.mark.parametrize("wrap", [
-    lambda f: f,
-    lambda f: _RecordingOracle(f, BitString(8, 0b10110001)),
-    lambda f: HybridFunction(f, BitString(8, 0b10110001), BitString(8, 0b01100110)),
-], ids=["function", "recording", "hybrid"])
+@pytest.mark.parametrize("wrap", VIEWS.values(), ids=VIEWS)
 def test_budget_exhausted_at_exactly_the_budget_through_wrappers(wrap):
     strings = list(range(0, 256, 7))
     setup = _calls_until_exhausted(wrap, None, [])[0].function_queries

@@ -532,6 +532,40 @@ def test_cli_birthday_bad_instance_is_usage_error(content, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+EXPERIMENT = {"edges": [["u", "v"]], "left": {"u": 0.5}, "right": {"v": 0.5}, "m": 4,
+              "m_prime": 4, "trials": 20}
+BAD_EXPERIMENTS = {
+    "edge_vertex_without_weight": {**EXPERIMENT, "edges": [["u", "w"]]},
+    "right_vertex_only_on_the_left": {**EXPERIMENT, "left": {"u": 0.5, "v": 0.1},
+                                      "right": {"w": 0.5}},
+    "hyperedge_vertex_without_weight": {"edges": [["a", "b", "c"]], "left": {"a": 0.5, "b": 0.5}},
+    "negative_weight": {**EXPERIMENT, "left": {"u": -0.5}},
+    "nan_weight": {**EXPERIMENT, "left": {"u": float("nan")}},
+    "weight_not_a_number": {**EXPERIMENT, "left": {"u": "0.5"}},
+    "m_zero": {**EXPERIMENT, "m": 0},
+    "bipartite_m_prime_zero": {**EXPERIMENT, "m_prime": 0},
+    "m_null": {**EXPERIMENT, "m": None},
+    "edge_not_a_list": {**EXPERIMENT, "edges": [1]},
+    "vertex_not_a_name": {**EXPERIMENT, "edges": [["u", ["v"]]]},
+}
+
+
+@pytest.mark.parametrize("doc", BAD_EXPERIMENTS.values(), ids=BAD_EXPERIMENTS)
+def test_cli_birthday_refuses_an_experiment_it_cannot_run(doc, tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["birthday", "--instance", str(path)]) == 2
+    _one_error_line(capsys)
+
+
+def test_cli_birthday_hypergraph_file_ignores_m_prime(tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"edges": [["a", "b"]], "left": {"a": 0.5, "b": 0.5}, "m": 6,
+                                "m_prime": 0, "trials": 20}))
+    assert cli_main(["birthday", "--instance", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["variant"] == "file"
+
+
 @pytest.mark.parametrize("cmd", ["test-mdl", "test-dl", "gen-instance", "test-total"])
 def test_cli_negative_support_is_usage_error(cmd, capsys):
     for support in ("-1", "0"):

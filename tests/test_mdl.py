@@ -785,7 +785,9 @@ def _covered_inputs(seed, wrap):
     values under the view.  Each value's atoms cover every group variable, so
     most of these extractions reach a run that one value's strings cover."""
     probe = _groups4_view(wrap, seed)
-    shift = getattr(probe.g, "shift_v", getattr(probe.g, "z_v", 0))
+    # read by name, so that a view that loses its shift fails here
+    shift = {"function": lambda g: 0, "recording": lambda g: g.shift_v,
+             "hybrid": lambda g: g.z_v}[wrap](probe.g)
     for s in dict.fromkeys((0, shift)):
         vs = [v ^ s for v in probe.atoms if v != s]
         yield vs, [probe.g.query_raw(v) for v in vs]
