@@ -21,13 +21,10 @@ from .instances import gen_mdl_yes, gen_random_table
 
 
 def _parse_consts(entries) -> dict:
-    out = {}
-    for item in entries or ():
+    for item in entries:
         if "=" not in item:
             raise ValueError(f"--const expects name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        out[name] = value  # the harness converts it to its field's type
-    return out
+    return dict(item.split("=", 1) for item in entries)  # the harness converts each value
 
 
 def _default_seed(seed: int | None) -> int:
@@ -135,6 +132,8 @@ def _oracle_check(args) -> int:
     # far one, as in acceptance criterion 5
     if not 3 <= args.n <= MAX_DL_N:
         raise ValueError(f"--n must lie in 3..{MAX_DL_N} for exact distances")
+    if not 0 < args.eps < 1:
+        raise ValueError("eps must lie in (0,1)")
     tables = SeededRng(args.seed, 0x7AB1E)
     bundles = [gen_mdl_yes(args.n, 3, SeededRng(args.seed, i)) for i in range(args.bundles)]
     bundles += [gen_random_table(args.n, tables.derive(i)) for i in range(args.bundles)]

@@ -1,9 +1,8 @@
-"""Brute-force ground truth: exact class distances and exact weighted vertex
-covers on instances small enough to enumerate."""
+"""Exact ground truth: class distances by dynamic programming and weighted
+vertex covers by branch and bound, on instances small enough to solve exactly."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import PairDistribution, FiniteDistribution
@@ -37,20 +36,15 @@ def dist_total_orderings(n: int, less, d: PairDistribution) -> DistanceReport:
     # the oracle says w precedes v
     viol = [[0.0] * (n + 1) for _ in range(n + 1)]
     for (u, w), p in zip(d.pairs, d.weights):
-        p = float(p)
-        if less(u, w):
-            viol[w][u] += p  # placing w before u violates u<w
-        else:
-            viol[u][w] += p
+        first, second = (w, u) if less(u, w) else (u, w)  # placing w before u violates u<w
+        viol[first][second] += float(p)
     size = 1 << n
     INF = float("inf")
     dp = [INF] * size
     parent = [0] * size
     dp[0] = 0.0
     for s in range(size):
-        base = dp[s]
-        if base == INF:
-            continue
+        base = dp[s]  # finite: every smaller set was expanded before s
         for v in range(1, n + 1):
             bit = 1 << (v - 1)
             if s & bit:
@@ -74,66 +68,63 @@ def dist_total_orderings(n: int, less, d: PairDistribution) -> DistanceReport:
     return DistanceReport(distance=dp[size - 1], witness=tuple(order), enumeration_size=size)
 
 
-def _value_buckets(n, pi, atom_vs, masses, values, mu_v):
-    """Per firing-position disagreement masses (m0[j], m1[j]) for one list;
-    mu_v None is the monotone list."""
-    mask = (1 << n) - 1
-    rank = [0] * n
-    for j, var in enumerate(pi):
-        rank[var - 1] = j
-    m0 = [0.0] * (n + 1)
-    m1 = [0.0] * (n + 1)
-    for v, p, fv in zip(atom_vs, masses, values):
-        t = v if mu_v is None else ((v ^ mu_v) ^ mask)
-        best = n
-        while t:
-            lsb = t & -t
-            r = rank[lsb.bit_length() - 1]
-            if r < best:
-                best = r
-            t ^= lsb
-        if fv:
-            m0[best] += p  # predicting 0 at this slot disagrees with f
-        else:
-            m1[best] += p
-    return m0, m1
-
-
-def _best_list(n: int, f, d: FiniteDistribution, polarities):
-    """(distance, pi, polarity, nu) of the nearest list over every priority
-    order pi and every polarity, plus the number of (pi, polarity) pairs.
-    For each pair the optimal rule values decompose per firing position, so
-    the 2^(n+1) value vectors are minimized exactly without enumeration."""
+def _nearest_list(n: int, f, d: FiniteDistribution, polarities) -> DistanceReport:
+    """The nearest list whose rules fire on x_i = c, c in polarities, by a DP
+    over the sets m of atoms no rule has fired yet (bitmasks over atom indices;
+    enumeration_size counts them): dp(m) is the smaller of const(m), the cost of
+    giving all of m one value, and const(F) + dp(m - F) over the literals that
+    fire a proper part F of m."""
     if n > MAX_DL_N:
         raise SizeRefusal(f"n={n} exceeds the exact-DL ceiling {MAX_DL_N}")
-    atom_vs = [a.v for a in d.atoms]
     masses = [float(w) for w in d.weights]
-    values = [f(v) for v in atom_vs]
-    best = None
-    count = 0
-    for pi in itertools.permutations(range(1, n + 1)):
-        for mu_v in polarities:
-            count += 1
-            m0, m1 = _value_buckets(n, pi, atom_vs, masses, values, mu_v)
-            dist = 0.0  # each slot predicts the value that disagrees with less mass
-            for a, b in zip(m0, m1):
-                dist += b if b <= a else a
-            if best is None or dist < best[0] - 1e-15:
-                best = (dist, pi, mu_v, tuple(int(b <= a) for a, b in zip(m0, m1)))
-    return best, count
+    ones = sum(1 << k for k, a in enumerate(d.atoms) if f(a.v))
+    literals = [(i, c, sum(1 << k for k, a in enumerate(d.atoms) if (a.v >> i) & 1 == c))
+                for i in range(n) for c in polarities]
+
+    def const(s):
+        """(mass of s's lighter value class, the value s is given; 1 on a tie)."""
+        w = [0.0, 0.0]  # mass where f is 0, where f is 1
+        for k in range(s.bit_length()):
+            if (s >> k) & 1:
+                w[(ones >> k) & 1] += masses[k]
+        return (w[0], 1) if w[0] <= w[1] else (w[1], 0)
+
+    best = {}  # m -> (dp(m), the literal (i, c, its atoms) that fires first, or None)
+
+    def solve(m):
+        if m not in best:
+            options = [(const(m)[0], None)]
+            for literal in literals:
+                if 0 != (fired := m & literal[2]) != m:
+                    options.append((const(fired)[0] + solve(m ^ fired), literal))
+            best[m] = min(options, key=lambda o: o[0])
+        return best[m][0]
+
+    m = (1 << len(masses)) - 1
+    dist = solve(m)
+    pi, mu, nu = [], [1] * n, []
+    while best[m][1]:
+        i, c, atoms = best[m][1]
+        pi.append(i + 1)
+        mu[i] = c
+        nu.append(const(m & atoms)[1])
+        m &= ~atoms
+    # the unused rules, in index order, and the default give what is left one value
+    nu += [const(m)[1]] * (n + 1 - len(pi))
+    pi += [v for v in range(1, n + 1) if v not in pi]
+    witness = (("mdl", tuple(pi), tuple(nu)) if polarities == (1,) else
+               ("dl", tuple(pi), tuple(mu), tuple(nu)))
+    return DistanceReport(distance=dist, witness=witness, enumeration_size=len(best))
 
 
 def dist_mdl(n: int, f, d: FiniteDistribution) -> DistanceReport:
-    """Exact distance to monotone decision lists: the one polarity None."""
-    (dist, pi, _, nu), count = _best_list(n, f, d, (None,))
-    return DistanceReport(distance=dist, witness=("mdl", pi, nu), enumeration_size=count)
+    """Exact distance to monotone decision lists: rules fire on x_i = 1."""
+    return _nearest_list(n, f, d, (1,))
 
 
 def dist_dl(n: int, f, d: FiniteDistribution) -> DistanceReport:
-    """Exact distance to general decision lists (enumerates (pi, mu) pairs)."""
-    (dist, pi, mu_v, nu), count = _best_list(n, f, d, range(1 << n))
-    mu = tuple((mu_v >> i) & 1 for i in range(n))
-    return DistanceReport(distance=dist, witness=("dl", pi, mu, nu), enumeration_size=count)
+    """Exact distance to general decision lists: rules fire on x_i = 0 or 1."""
+    return _nearest_list(n, f, d, (0, 1))
 
 
 def min_vertex_cover_weight(vertices, edges, weights) -> float:

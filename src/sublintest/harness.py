@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 import traceback
 from dataclasses import dataclass, field, fields, replace
@@ -62,8 +63,6 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0,1)")
         if self.trials < 1:
@@ -122,7 +121,7 @@ class TrialReport:
 # rng)).  The generators are looked up when called, so a wrapper that rebinds
 # a gen_* name here (as bench/tracer.py does) sees every build.
 FAMILIES = {
-    "total-yes": ("total", lambda n, s, rng: gen_total_yes(n, min(s, n * (n - 1) // 2), rng)),
+    "total-yes": ("total", lambda n, s, rng: gen_total_yes(n, s, rng)),
     "pentagon": ("total", lambda n, s, rng: gen_pentagon(n, rng)),
     "mdl-yes": ("mdl", lambda n, s, rng: gen_mdl_yes(n, s, rng)),
     "dl-yes": ("dl", lambda n, s, rng: gen_dl_yes(n, s, rng)),
@@ -139,10 +138,14 @@ def lookup_family(name: str) -> tuple:
 
 
 def generate(name: str, n: int, support: int | None, seed: int) -> InstanceBundle:
-    """The instance of family name at width n; support defaults to n/2 within [4, 2048]."""
+    """The instance of family name at width n; support defaults to n/2 within
+    [4, 2048], cut to the n(n-1)/2 pairs or weight-2 strings a family draws from."""
     gen = lookup_family(name)[1]
-    return gen(n, max(4, min(2048, n // 2)) if support is None else support,
-               SeededRng(seed, 0xB00))
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if support is None:
+        support = min(max(4, min(2048, n // 2)), n * (n - 1) // 2)
+    return gen(n, support, SeededRng(seed, 0xB00))
 
 
 def build_instance(cfg: RunConfig) -> InstanceBundle:
@@ -158,14 +161,17 @@ CONSTS = {f.metadata["const"]: (cls, f) for cls in (TotalConstants, MdlConstants
 
 
 def _const_value(name: str, value):
-    """value (text or number) converted to the type of the field it sets."""
+    """value (text or number) as the type of the field it sets; a number finite and positive."""
     if name not in CONSTS:
         raise ValueError(f"unknown constant {name!r} (accepted: {', '.join(CONSTS)})")
     kind = CONSTS[name][1].type.split(" ")[0]  # "int | None" -> "int"
     try:
-        return {"int": int, "float": float, "str": str}[kind](value)
+        value = {"int": int, "float": float, "str": str}[kind](value)
     except (TypeError, ValueError):
         raise ValueError(f"constant {name} expects {kind}, got {value!r}") from None
+    if kind != "str" and not 0 < value < math.inf:
+        raise ValueError(f"constant {name} must be finite and positive, got {value!r}")
+    return value
 
 
 def _tester(cfg: RunConfig):
@@ -225,10 +231,11 @@ def run_trials(cfg: RunConfig) -> TrialReport:
     cfg.validate()
     bundle = build_instance(cfg)
     _tester(cfg)[1](bundle)  # raises ValueError when the tester cannot query this kind
-    if cfg.jobs > 1:
+    jobs = min(cfg.jobs, cfg.trials, os.cpu_count() or 1)
+    if jobs > 1:
         # per-trial seeds make scheduling irrelevant; rows come back by index
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_pool_task, [(cfg, t) for t in range(cfg.trials)]))
     else:
         rows = [run_one_trial(cfg, bundle, t) for t in range(cfg.trials)]

@@ -379,7 +379,7 @@ def gen_planted_violation(base: InstanceBundle, c: int, eps0: float,
     if n <= MAX_DL_N:
         report = dist_mdl(n, target, dist)
         truth = ("far", report.distance) if report.distance > 0 else ("unknown",)
-        cert = f"exact distance {report.distance:.6f} by enumeration"
+        cert = f"exact distance {report.distance:.6f} by dynamic programming"
     return InstanceBundle(kind="boolean", family=f"planted-type{c}", n=n,
                           seed=rng.stream_id,
                           params={"base_family": base.family, "window": a, "indices": idx},

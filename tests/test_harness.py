@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import shlex
 
 import pytest
 
@@ -447,13 +448,6 @@ def test_cli_dl_desk_profile_runs(tmp_path):
     assert out.read_text().splitlines()[1].split(",")[6] in ("accept", "reject")
 
 
-@pytest.mark.parametrize("const", ["bogus=1", "t_amplify=x", "sketch_source=lite"])
-def test_cli_bad_const_is_usage_error(const, capsys):
-    code = cli_main(["test-dl", "--n", "64", "--trials", "1", "--const", const])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
-
-
 def test_const_of_another_tester_is_still_checked(capsys):
     assert cli_main(["test-total", "--n", "64", "--const", "sketch_source=lite"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -571,3 +565,99 @@ def test_cli_negative_support_is_usage_error(cmd, capsys):
     for support in ("-1", "0"):
         assert cli_main([cmd, "--n", "16", "--support", support]) == 2
         assert "error: a distribution needs at least one outcome" in capsys.readouterr().err
+
+
+# values outside each numeric flag's range, for every command that reads it,
+# and what their refusal says; --seed has no range
+OUT_OF_RANGE = {"n": (["1"], "n must"),
+                "eps": (["0", "1", "nan", "inf"], "eps must lie in (0,1)"),
+                "delta": (["0", "1", "nan"], "delta must lie in (0,1)"),
+                "trials": (["0", "-3"], "trials must be at least 1, got"), "seed": ([], None),
+                "budget": (["-5"], "budget must not be negative"),
+                "support": (["0"], "a distribution needs at least one outcome"),
+                "jobs": (["0", "-2"], "jobs must be at least 1"),
+                "size": (["0"], "size must be at least 1, got"),
+                "m": (["0"], "m must be at least 1, got"),
+                "bundles": (["0"], "bundles must be at least 1, got")}
+NUMERIC_FLAGS = [name for name, spec in cli.FLAGS.items() if spec.get("type") in (int, float)]
+BAD_CONSTS = {"c_type=nan": "finite and positive", "c_nil=nan": "finite and positive",
+              "c_type=inf": "finite and positive", "c_type=0": "finite and positive",
+              "c_type=-1": "finite and positive", "t_amplify=0": "finite and positive",
+              "bogus=1": "unknown constant", "t_amplify=x": "expects int",
+              "sketch_source=lite": "sketch_source must be"}
+
+
+def _refusals():
+    """(argv, what its error line says) for every value a command must refuse:
+    each numeric flag it reads out of range, not a number and empty; each bad
+    --const; and a --support above what a total-yes ordering of width 16 holds."""
+    for cmd, (_, flags, _) in cli.COMMANDS.items():
+        flags = flags.split()
+        for flag in NUMERIC_FLAGS:
+            if flag in flags:
+                values, says = OUT_OF_RANGE[flag]
+                yield from (([cmd, f"--{flag}", v], says) for v in values)
+                yield from (([cmd, f"--{flag}", v], f"argument --{flag}") for v in ("x", ""))
+        if "const" in flags:
+            yield from (([cmd, "--const", c], says) for c, says in BAD_CONSTS.items())
+        if "support" in flags:
+            width = ["--n", "16"] if "n" in flags else ["--n-list", "16"]
+            yield ([cmd, "--family", "total-yes", *width, "--support", "121"],
+                   "support larger than the number of pairs")
+
+
+def test_every_numeric_flag_has_a_range():
+    assert sorted(OUT_OF_RANGE) == sorted(NUMERIC_FLAGS)
+
+
+@pytest.mark.parametrize("argv, says", [pytest.param(argv, says, id=shlex.join(argv))
+                                         for argv, says in _refusals()])
+def test_cli_refuses_bad_value(argv, says, tmp_path, monkeypatch, capsys):
+    work = []
+    for module, name in ((harness, "run_one_trial"), (harness, "monotone_dl_tester"),
+                         (cli, "run_bipartite_birthday"), (cli, "run_hypergraph_birthday"),
+                         (cli, "_emit")):
+        monkeypatch.setattr(module, name, lambda *args, _name=name: work.append(_name))
+    out = tmp_path / "out"
+    try:
+        code = cli_main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # argparse's refusal of a value it cannot convert
+        code = exc.code
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert code == 2 and captured.out == "" and "Traceback" not in captured.err
+    assert len(errors) == 1 and says in errors[0], captured.err
+    assert work == [] and not out.exists()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, trials, cpus, workers", [(1000, 3, 8, 3), (1000, 6, 4, 4),
+                                                          (2, 6, 4, 2), (5, 1, 4, None),
+                                                          (5, 6, 1, None)])
+def test_jobs_capped_by_trials_and_cpus(jobs, trials, cpus, workers, monkeypatch):
+    import concurrent.futures
+    _RecordingPool.sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = RunConfig(tester="mdl", family="mdl-yes", n=16, eps=0.3, trials=trials, seed=3,
+                    jobs=jobs)
+    rows = run_trials(cfg).rows
+    assert _RecordingPool.sizes == ([] if workers is None else [workers])
+    strip = lambda rows: [(r["trial"], r["verdict"], r["queries"], r["samples"]) for r in rows]
+    assert strip(rows) == strip(run_trials(dataclasses.replace(cfg, jobs=1)).rows)
