@@ -132,8 +132,6 @@ def _oracle_check(args) -> int:
     # far one, as in acceptance criterion 5
     if not 3 <= args.n <= MAX_DL_N:
         raise ValueError(f"--n must lie in 3..{MAX_DL_N} for exact distances")
-    if not 0 < args.eps < 1:
-        raise ValueError("eps must lie in (0,1)")
     tables = SeededRng(args.seed, 0x7AB1E)
     bundles = [gen_mdl_yes(args.n, 3, SeededRng(args.seed, i)) for i in range(args.bundles)]
     bundles += [gen_random_table(args.n, tables.derive(i)) for i in range(args.bundles)]

@@ -14,18 +14,12 @@ from .mdl import DEFAULT_MDL, MdlConstants, MdlRun, _extract, _runs, budget_mdl
 class DlConstants:
     mdl: MdlConstants = DEFAULT_MDL
     t_amplify: int | None = const(None, "t_amplify")  # default: ceil(6 * log2 n)
-    outer_factor: float = const(100.0, "c_outer")  # rounds: ceil(outer_factor / eps)
-    # per-round runs: ceil(inner_factor * log2(n/eps))
-    inner_factor: float = const(100.0, "c_inner")
     accept_threshold: float | None = const(None, "c_accept_threshold")  # default: log2(n/eps)
-    # absolute overrides for scaled-down runs
+    # rounds and per-round check_dl attempts; default: ceil(100 / eps), ceil(100 log2(n/eps))
     outer_rounds: int | None = const(None, "outer_rounds")
     inner_rounds: int | None = const(None, "inner_rounds")
-    dist_rounds_factor: float = 10.0    # hybrid-distance stage: ceil(10 log2 n / eps)
-    dist_reject_factor: float = 2.0     # reject when count >= 2 log2(n) / eps
     # "full" | "light": strings replayed into the sketch
     sketch_source: str = const("full", "sketch_source")
-    light_weight_cap: int = 6
 
     def __post_init__(self):
         if self.sketch_source not in ("full", "light"):
@@ -43,18 +37,14 @@ def _amplify_count(n: int, constants: DlConstants) -> int:
 
 def _rounds(n: int, eps: float, constants: DlConstants) -> tuple[int, int]:
     """(outer rounds, check_dl attempts per round) of decision_list_tester."""
-    outer = constants.outer_rounds
-    if outer is None:
-        outer = ceil_pos(constants.outer_factor / eps)
-    inner = constants.inner_rounds
-    if inner is None:
-        inner = ceil_pos(constants.inner_factor * clamped_log2(n / eps))
-    return outer, inner
+    outer, inner = constants.outer_rounds, constants.inner_rounds
+    return (ceil_pos(100.0 / eps) if outer is None else outer,
+            ceil_pos(100.0 * clamped_log2(n / eps)) if inner is None else inner)
 
 
-def _dist_rounds(n: int, eps: float, constants: DlConstants) -> int:
+def _dist_rounds(n: int, eps: float) -> int:
     """Draws of test_dl's hybrid-distance stage."""
-    return ceil_pos(constants.dist_rounds_factor * clamped_log2(n) / eps)
+    return ceil_pos(10.0 * clamped_log2(n) / eps)
 
 
 @accounted
@@ -174,8 +164,8 @@ def test_dl(f: FunctionOracle, sampler: DistSampler, eps: float,
     n = f.n
     h = HybridFunction(f, r, z)
     shifted = sampler.shifted(z)
-    rounds = _dist_rounds(n, eps, constants)
-    cutoff = constants.dist_reject_factor * clamped_log2(n) / eps
+    rounds = _dist_rounds(n, eps)
+    cutoff = 2.0 * clamped_log2(n) / eps
     diff = 0
     for x in shifted.draw_list(rounds):
         # g(x) is charged here and h(x) charges only its second base query
@@ -190,8 +180,7 @@ def test_dl(f: FunctionOracle, sampler: DistSampler, eps: float,
 
 def _sketch_inputs(rec: _RecordingOracle, constants: DlConstants) -> list[int]:
     if constants.sketch_source == "light":
-        cap = constants.light_weight_cap
-        return [v for v in rec.seen if v and v.bit_count() <= cap]
+        return [v for v in rec.seen if v and v.bit_count() <= 6]
     return [v for v in rec.seen if v]
 
 
@@ -289,7 +278,7 @@ def budget_dl(n: int, eps: float, constants: DlConstants = DEFAULT_DL) -> tuple[
     """Closed-form ceilings on function queries and on samples for one tester run."""
     outer, inner = _rounds(n, eps, constants)
     t = _amplify_count(n, constants)
-    dist_rounds = _dist_rounds(n, eps, constants)
+    dist_rounds = _dist_rounds(n, eps)
     mdl_q, mdl_s = budget_mdl(n, eps, constants.mdl)
     half_q, half_s = budget_mdl(n, eps / 2.0, constants.mdl)
     # every hybrid query costs at most 2 base queries, plus the pivot value

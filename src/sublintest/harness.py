@@ -227,10 +227,19 @@ def _pool_task(args):
     return run_one_trial(cfg, bundle, trial)
 
 
-def run_trials(cfg: RunConfig) -> TrialReport:
+def _checked_instance(cfg: RunConfig) -> InstanceBundle:
+    """cfg's instance, once every check that needs no trial has passed."""
     cfg.validate()
     bundle = build_instance(cfg)
     _tester(cfg)[1](bundle)  # raises ValueError when the tester cannot query this kind
+    return bundle
+
+
+def run_trials(cfg: RunConfig) -> TrialReport:
+    return _run_trials(cfg, _checked_instance(cfg))
+
+
+def _run_trials(cfg: RunConfig, bundle: InstanceBundle) -> TrialReport:
     jobs = min(cfg.jobs, cfg.trials, os.cpu_count() or 1)
     if jobs > 1:
         # per-trial seeds make scheduling irrelevant; rows come back by index
@@ -257,17 +266,15 @@ def report_csv(report: TrialReport) -> str:
 
 
 def scaling_experiment(cfg: RunConfig, n_list: list[int]) -> tuple[str, list[dict]]:
-    """One row per (n, trial) plus a mean-queries summary per n."""
-    rows = []
-    summaries = []
-    for n in n_list:
-        report = run_trials(replace(cfg, n=n))
-        rows.extend(report.rows)
-        mean_q = report.total_queries() / report.trials
-        summaries.append({"n": n, "mean_queries": mean_q,
-                          "mean_samples": report.total_samples() / report.trials,
-                          "trials": report.trials})
-    return _csv_text(rows), summaries
+    """One row per (n, trial) plus a mean-queries summary per n.  Every width's
+    instance is built and checked before the first trial runs."""
+    cfgs = [replace(cfg, n=n) for n in n_list]
+    bundles = [_checked_instance(c) for c in cfgs]
+    reports = [_run_trials(c, bundle) for c, bundle in zip(cfgs, bundles)]
+    summaries = [{"n": c.n, "mean_queries": r.total_queries() / r.trials,
+                  "mean_samples": r.total_samples() / r.trials, "trials": r.trials}
+                 for c, r in zip(cfgs, reports)]
+    return _csv_text([row for r in reports for row in r.rows]), summaries
 
 
 def budget_for(cfg: RunConfig) -> tuple[int, int]:
@@ -281,6 +288,10 @@ def oracle_check(bundles: list[InstanceBundle], eps: float, trials_per_stratum: 
     """Cross-tabulate monotone-tester verdict rates against exact distances on
     a tiny corpus.  Returns the stratified rates and any contract violations
     (close instances accepted too rarely / far ones rejected too rarely)."""
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0,1)")
+    if trials_per_stratum < 1:
+        raise ValueError("trials_per_stratum must be at least 1")
     strata = {"zero": [], "far": [], "middle": []}
     for b in bundles:
         report = dist_mdl(b.n, b.target, b.dist)

@@ -21,8 +21,8 @@ class TotalConstants:
 DEFAULT_TOTAL = TotalConstants()
 
 
-# draw counts of the sketch, the long-edge stage and the local stage (that
-# many edges and as many vertices); budget_total reads the same helpers
+# draw counts of the sketch, the long-edge stage and the local stage (as many
+# edges as vertices), and the per-block crowd cap; budget_total reads them too
 def _sketch_draws(n: int, eps: float, c: TotalConstants) -> int:
     return ceil_pos(c.sketch_factor * (n ** 0.5) / eps)
 
@@ -33,6 +33,10 @@ def _long_draws(eps: float, c: TotalConstants) -> int:
 
 def _local_draws(n: int, eps: float, c: TotalConstants) -> int:
     return ceil_pos(c.local_factor * (n ** 0.5) / eps)
+
+
+def _crowd_cap(n: int, c: TotalConstants) -> float:
+    return c.crowd_factor * clamped_log2(n)
 
 
 class TotalSketch:
@@ -120,13 +124,11 @@ def order_sketch(cmp: ComparisonOracle, items: list[int]):
     return TotalSketch(ordered)
 
 
-def sketch_total(cmp: ComparisonOracle, d: PairDistribution, eps: float,
-                 rng: SeededRng, constants: TotalConstants = DEFAULT_TOTAL):
+def sketch_total(cmp: ComparisonOracle, verts: MarginalSampler, eps: float,
+                 constants: TotalConstants = DEFAULT_TOTAL):
     """Sample the vertex marginal and order the distinct draws into a sketch
     (see order_sketch)."""
-    m = _sketch_draws(cmp.n, eps, constants)
-    sampler = MarginalSampler(d, rng, cmp.ledger)
-    return order_sketch(cmp, sampler.draw_set(m))
+    return order_sketch(cmp, verts.draw_set(_sketch_draws(cmp.n, eps, constants)))
 
 
 def find_block_total(cmp: ComparisonOracle, sk: TotalSketch, u: int) -> int:
@@ -170,12 +172,10 @@ def find_block_total(cmp: ComparisonOracle, sk: TotalSketch, u: int) -> int:
     return lower
 
 
-def test_long_cycles(cmp: ComparisonOracle, d: PairDistribution, eps: float,
-                     rng: SeededRng, sk: TotalSketch,
+def test_long_cycles(cmp: ComparisonOracle, pairs: PairSampler, eps: float, sk: TotalSketch,
                      constants: TotalConstants = DEFAULT_TOTAL) -> Verdict:
     """Reject iff a sampled edge points from a later block into an earlier one."""
-    sampler = PairSampler(d, rng, cmp.ledger)
-    for u, v in sampler.draw_list(_long_draws(eps, constants)):
+    for u, v in pairs.draw_list(_long_draws(eps, constants)):
         if not cmp.less(u, v):
             u, v = v, u
         bu = find_block_total(cmp, sk, u)
@@ -185,29 +185,26 @@ def test_long_cycles(cmp: ComparisonOracle, d: PairDistribution, eps: float,
     return Verdict("accept")
 
 
-def test_local_cycles(cmp: ComparisonOracle, d: PairDistribution, eps: float,
-                      rng: SeededRng, sk: TotalSketch,
+def test_local_cycles(cmp: ComparisonOracle, pairs: PairSampler, verts: MarginalSampler,
+                      eps: float, sk: TotalSketch,
                       constants: TotalConstants = DEFAULT_TOTAL) -> Verdict:
     """Reject on an overcrowded block, or on a directed triangle formed by a
     sampled edge and a sampled vertex inside one block."""
-    n = cmp.n
-    m = _local_draws(n, eps, constants)
-    edge_sampler = PairSampler(d, rng, cmp.ledger)
-    vertex_sampler = MarginalSampler(d, rng, cmp.ledger)
-    edges = edge_sampler.draw_set(m)
-    verts = vertex_sampler.draw_set(m)
+    m = _local_draws(cmp.n, eps, constants)
+    edges = pairs.draw_set(m)
+    vertices = verts.draw_set(m)
 
     block = {}
-    for u in verts:
+    for u in vertices:
         block[u] = find_block_total(cmp, sk, u)
     for u, v in edges:
         for w in (u, v):
             if w not in block:
                 block[w] = find_block_total(cmp, sk, w)
 
-    cap = constants.crowd_factor * clamped_log2(n)
+    cap = _crowd_cap(cmp.n, constants)
     per_block = {}
-    for u in verts:
+    for u in vertices:
         per_block.setdefault(block[u], []).append(u)
     for b, members in per_block.items():
         if len(members) > cap:
@@ -232,16 +229,19 @@ def test_local_cycles(cmp: ComparisonOracle, d: PairDistribution, eps: float,
 def test_total_ordering(cmp: ComparisonOracle, d: PairDistribution, eps: float,
                         rng: SeededRng,
                         constants: TotalConstants = DEFAULT_TOTAL) -> Verdict:
-    """Sketch, then long-edge and local-triangle stages; accept iff all pass."""
+    """Sketch, then long-edge and local-triangle stages, all drawing from the
+    two samplers built here on rng; accept iff all pass."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    sk = sketch_total(cmp, d, eps, rng, constants)
+    pairs = PairSampler(d, rng, cmp.ledger)
+    verts = MarginalSampler(d, rng, cmp.ledger)
+    sk = sketch_total(cmp, verts, eps, constants)
     if isinstance(sk, Verdict):
         return sk
-    v = test_long_cycles(cmp, d, eps, rng, sk, constants)
+    v = test_long_cycles(cmp, pairs, eps, sk, constants)
     if v.rejected:
         return v
-    return test_local_cycles(cmp, d, eps, rng, sk, constants)
+    return test_local_cycles(cmp, pairs, verts, eps, sk, constants)
 
 
 def verify_total_witness(cmp: ComparisonOracle, sk, witness) -> bool:
@@ -279,6 +279,6 @@ def budget_total(n: int, eps: float, constants: TotalConstants = DEFAULT_TOTAL) 
     fb = lg + 2  # find_block_total ceiling
     sketch = m * (lg + 1) + m
     long_stage = m_long * (1 + 2 * fb)
-    crowd = ceil_pos(constants.crowd_factor * clamped_log2(n))
+    crowd = ceil_pos(_crowd_cap(n, constants))
     local = 3 * m_lc * fb + m_lc + 2 * m_lc * crowd
     return sketch + long_stage + local, m + m_long + 2 * m_lc

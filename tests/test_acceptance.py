@@ -19,7 +19,8 @@ from sublintest.instances import (gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pent
                                   gen_random_table, gen_total_yes)
 from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, _find_block_ex, budget_mdl,
                             monotone_dl_tester, sketch_mdl)
-from sublintest.oracles import FunctionOracle, QueryLedger, Verdict
+from sublintest.oracles import (FunctionOracle, MarginalSampler, PairSampler, QueryLedger,
+                               Verdict)
 from sublintest.total_order import TotalSketch, sketch_total
 from sublintest.total_order import test_long_cycles as long_stage
 from sublintest.total_order import test_total_ordering as run_total_tester
@@ -69,11 +70,11 @@ def test_criterion_2_one_sided_stages():
         n = 64 + 8 * int(rng.integer(0, 121))
         bundle = gen_total_yes(n, min(3 * n, n * (n - 1) // 2), rng.derive(i))
         cmp = bundle.comparison_oracle()
-        sk = sketch_total(cmp, bundle.dist, 0.2, rng.derive(1000 + i))
+        sk = sketch_total(cmp, MarginalSampler(bundle.dist, rng.derive(1000 + i), cmp.ledger), 0.2)
         if not isinstance(sk, TotalSketch):
             order_rejects += 1
             continue
-        v = long_stage(cmp, bundle.dist, 0.2, rng.derive(2000 + i), sk)
+        v = long_stage(cmp, PairSampler(bundle.dist, rng.derive(2000 + i), cmp.ledger), 0.2, sk)
         order_rejects += v.rejected
 
     stage_rejects = 0

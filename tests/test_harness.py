@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import shlex
 
 import pytest
@@ -100,6 +101,18 @@ def test_oracle_check_strata():
     assert out["strata"]["zero"]["bundles"] == 6
     assert out["strata"]["zero"]["rate"] >= 2 / 3 - 0.05
     assert not out["violations"]
+
+
+@pytest.mark.parametrize("eps, trials, says", [(0, 60, "eps must lie in (0,1)"),
+                                               (1, 60, "eps must lie in (0,1)"),
+                                               (0.2, 0, "trials_per_stratum must be at least 1")])
+def test_oracle_check_refuses_before_any_distance(eps, trials, says, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "dist_mdl", lambda *args: calls.append(args))
+    bundles = [gen_mdl_yes(4, 3, SeededRng(13, i)) for i in range(2)]
+    with pytest.raises(ValueError, match=re.escape(says)):
+        oracle_check(bundles, eps=eps, trials_per_stratum=trials, seed=17)
+    assert calls == []
 
 
 def test_bundle_json_round_trip_boolean():
@@ -461,8 +474,8 @@ def test_unknown_tester_is_rejected():
 def test_const_names_come_from_the_constants():
     assert sorted(CONSTS) == sorted([
         "c_sk", "c_lc", "c_long", "c_crowd", "c_type", "c_nil", "c_blockcap", "c_paircap",
-        "c_t2", "t_amplify", "c_outer", "c_inner", "c_accept_threshold", "outer_rounds",
-        "inner_rounds", "sketch_source"])
+        "c_t2", "t_amplify", "c_accept_threshold", "outer_rounds", "inner_rounds",
+        "sketch_source"])
 
 
 def test_env_seed_respected(monkeypatch, tmp_path):
@@ -585,12 +598,22 @@ BAD_CONSTS = {"c_type=nan": "finite and positive", "c_nil=nan": "finite and posi
               "c_type=-1": "finite and positive", "t_amplify=0": "finite and positive",
               "bogus=1": "unknown constant", "t_amplify=x": "expects int",
               "sketch_source=lite": "sketch_source must be"}
+# scaling widths, each refused before the widths ahead of it run
+BAD_N_LISTS = [(["--n-list", "16,1"], "n must be at least 2"),
+               (["--n-list", "16,x"], "invalid literal for int()"),
+               (["--n-list", "16,"], "invalid literal for int()"),
+               (["--family", "total-yes", "--n-list", "64,16", "--support", "200"],
+                "support larger than the number of pairs")]
+# --instance paths, relative to the folder the sweep runs in
+BAD_INSTANCES = {"missing.json": "No such file or directory", "folder": "Is a directory",
+                 "text.json": "Expecting value"}
 
 
 def _refusals():
     """(argv, what its error line says) for every value a command must refuse:
     each numeric flag it reads out of range, not a number and empty; each bad
-    --const; and a --support above what a total-yes ordering of width 16 holds."""
+    --const; a --support above what a total-yes ordering of width 16 holds;
+    each bad --n-list; and each --instance path that names no instance."""
     for cmd, (_, flags, _) in cli.COMMANDS.items():
         flags = flags.split()
         for flag in NUMERIC_FLAGS:
@@ -604,6 +627,10 @@ def _refusals():
             width = ["--n", "16"] if "n" in flags else ["--n-list", "16"]
             yield ([cmd, "--family", "total-yes", *width, "--support", "121"],
                    "support larger than the number of pairs")
+        if "n-list" in flags:
+            yield from (([cmd, *argv], says) for argv, says in BAD_N_LISTS)
+        if "instance" in flags:
+            yield from (([cmd, "--instance", path], says) for path, says in BAD_INSTANCES.items())
 
 
 def test_every_numeric_flag_has_a_range():
@@ -613,6 +640,9 @@ def test_every_numeric_flag_has_a_range():
 @pytest.mark.parametrize("argv, says", [pytest.param(argv, says, id=shlex.join(argv))
                                          for argv, says in _refusals()])
 def test_cli_refuses_bad_value(argv, says, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "text.json").write_text("not json")
     work = []
     for module, name in ((harness, "run_one_trial"), (harness, "monotone_dl_tester"),
                          (cli, "run_bipartite_birthday"), (cli, "run_hypergraph_birthday"),

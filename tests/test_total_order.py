@@ -3,9 +3,11 @@ import pytest
 from sublintest.core import PairDistribution, SeededRng
 from sublintest.harness import wilson_interval
 from sublintest.instances import gen_pentagon, gen_total_yes, pentagon_less
-from sublintest.oracles import BudgetExhausted, ComparisonOracle, QueryLedger, Verdict
-from sublintest.total_order import (TotalSketch, budget_total, find_block_total, order_sketch,
-                                    sketch_total, verify_total_witness)
+from sublintest.oracles import (BudgetExhausted, ComparisonOracle, MarginalSampler, PairSampler,
+                                QueryLedger, Verdict)
+from sublintest.total_order import (TotalConstants, TotalSketch, _crowd_cap, budget_total,
+                                    find_block_total, order_sketch, sketch_total,
+                                    verify_total_witness)
 from sublintest.total_order import test_local_cycles as local_stage
 from sublintest.total_order import test_long_cycles as long_stage
 from sublintest.total_order import test_total_ordering as run_total_tester
@@ -20,7 +22,7 @@ def test_sketch_never_rejects_total_ordering():
     cmp = natural_oracle(64)
     d = PairDistribution.uniform(64, [(i, i + 1) for i in range(1, 64)])
     for trial in range(20):
-        out = sketch_total(cmp, d, 0.3, rng.derive(trial))
+        out = sketch_total(cmp, MarginalSampler(d, rng.derive(trial), cmp.ledger), 0.3)
         assert isinstance(out, TotalSketch)
         assert out.elements == sorted(out.elements)
 
@@ -33,7 +35,7 @@ def test_sketch_on_triangle_stays_consistent_but_tester_rejects():
     cmp = ComparisonOracle(3, lambda u, v: orient[(u, v)])
     d = PairDistribution.uniform(3, [(1, 2), (2, 3), (1, 3)])
     for trial in range(20):
-        out = sketch_total(cmp, d, 0.2, SeededRng(7, trial))
+        out = sketch_total(cmp, MarginalSampler(d, SeededRng(7, trial), cmp.ledger), 0.2)
         assert isinstance(out, TotalSketch)
         for a, b in zip(out.elements, out.elements[1:]):
             assert cmp.less(a, b)
@@ -87,9 +89,11 @@ def test_long_stage_one_sided():
     for trial in range(25):
         bundle = gen_total_yes(128, 100, rng.derive(trial))
         cmp = bundle.comparison_oracle()
-        sk = sketch_total(cmp, bundle.dist, 0.2, rng.derive(1000 + trial))
+        verts = MarginalSampler(bundle.dist, rng.derive(1000 + trial), cmp.ledger)
+        sk = sketch_total(cmp, verts, 0.2)
         assert isinstance(sk, TotalSketch)
-        v = long_stage(cmp, bundle.dist, 0.2, rng.derive(2000 + trial), sk)
+        v = long_stage(cmp, PairSampler(bundle.dist, rng.derive(2000 + trial), cmp.ledger),
+                       0.2, sk)
         assert v.accepted
 
 
@@ -103,7 +107,7 @@ def test_long_cycle_witness_detected():
     cmp = ComparisonOracle(10, base)
     sk = TotalSketch([2, 5, 8])
     d = PairDistribution.uniform(10, [(1, 10)])
-    v = long_stage(cmp, d, 0.5, SeededRng(1), sk)
+    v = long_stage(cmp, PairSampler(d, SeededRng(1), cmp.ledger), 0.5, sk)
     assert v.rejected and v.witness[0] == "long_edge"
     assert verify_total_witness(cmp, sk, v.witness)
 
@@ -121,12 +125,38 @@ def test_local_cycles_triangle_detected():
     d = PairDistribution.uniform(10, [(4, 5), (5, 6), (4, 6)])
     hits = 0
     for trial in range(30):
-        v = local_stage(cmp, d, 0.4, SeededRng(9, trial), sk)
+        rng = SeededRng(9, trial)
+        v = local_stage(cmp, PairSampler(d, rng, cmp.ledger), MarginalSampler(d, rng, cmp.ledger),
+                        0.4, sk)
         if v.rejected:
             assert v.witness[0] == "triangle"
             assert verify_total_witness(cmp, sk, v.witness)
             hits += 1
     assert hits >= 25
+
+
+def test_local_stage_rejects_a_block_above_the_crowd_cap():
+    # every vertex of 5..12 falls between the sketch's two elements, in block 1
+    cmp = natural_oracle(16)
+    sk = TotalSketch([1, 16])
+    d = PairDistribution.uniform(16, [(u, v) for u in range(5, 13) for v in range(u + 1, 13)])
+
+    def run(crowd_factor):
+        rng = SeededRng(21)
+        c = TotalConstants(crowd_factor=crowd_factor)
+        v = local_stage(cmp, PairSampler(d, rng, cmp.ledger), MarginalSampler(d, rng, cmp.ledger),
+                        0.5, sk, c)
+        return v, _crowd_cap(16, c)
+
+    # a cap below one vertex: the witness reports how many the block holds
+    v, _ = run(0.01)
+    count = v.witness[2]
+    assert v.witness == ("overcrowded_block", 1, count) and count > 1
+    at_cap, cap = run(count / 4)  # log2(16) = 4
+    assert cap == count and at_cap.accepted
+    above, cap = run((count - 1) / 4)
+    assert cap == count - 1 and above.witness == ("overcrowded_block", 1, count)
+    assert verify_total_witness(cmp, sk, above.witness)
 
 
 def test_total_ordering_accepts_yes_instances():
