@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng
+from .core import GuidedSearch, SeededRng
 from .exact import min_vertex_cover_weight, MAX_COVER_V
 
 NULL = "#"
@@ -103,11 +103,11 @@ def _draw_sets(weight_map: dict, m: int, trials: int, rng: SeededRng):
     total = probs.sum()
     if total > 1 + 1e-9:
         raise ValueError("vertex weights exceed 1")
-    cum = np.cumsum(probs)
+    # the null symbol's entry, index len(verts), takes every u past the listed mass
+    search = GuidedSearch(np.append(np.cumsum(probs), np.inf))
     member = np.zeros((trials, len(verts) + 1), dtype=bool)
     for row in member:
-        # == len(verts) means the null symbol
-        row[np.searchsorted(cum, rng.random_block(m), side="right")] = True
+        row[search(rng.random_block(m))] = True
     return verts, member[:, :-1]
 
 

@@ -14,8 +14,8 @@ from .core import SeededRng
 from .birthday import (CollisionExperiment, experiment_from_json, run_bipartite_birthday,
                        run_hypergraph_birthday)
 from .harness import (EXIT_BUDGET, EXIT_OK, EXIT_TRIAL_ERROR, EXIT_USAGE, RunConfig,
-                      generate, lookup_family, oracle_check, report_csv, run_trials,
-                      save_bundle, scaling_experiment, wilson_interval)
+                      generate, lookup_family, oracle_check, read_instance_file, report_csv,
+                      run_trials, save_bundle, scaling_experiment, wilson_interval)
 from .exact import MAX_DL_N
 from .instances import gen_mdl_yes, gen_random_table
 
@@ -86,7 +86,11 @@ def _test(tester: str, args) -> int:
 
 def _scaling(args) -> int:
     tester = lookup_family(args.family)[0]
-    n_list = [int(x) for x in args.n_list.split(",")]
+    try:
+        n_list = [int(x) for x in args.n_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--n-list expects comma-separated integers, got {args.n_list!r}") \
+            from None
     csv_text, summaries = scaling_experiment(_config(args, tester, n_list[0]), n_list)
     _emit(csv_text, args.out)
     for s in summaries:
@@ -98,8 +102,7 @@ def _birthday(args) -> int:
     """The --instance experiment, else the canned family of --variant."""
     size, variant = args.size, args.variant
     if args.instance:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            variant, exp = "file", experiment_from_json(json.load(fh))
+        variant, exp = "file", experiment_from_json(read_instance_file(args.instance))
     elif variant == "bipartite":
         left = {f"u{i}": 1.0 / (2 * size) for i in range(size)}
         right = {f"v{i}": 1.0 / (2 * size) for i in range(size)}

@@ -20,6 +20,15 @@ _MIX2 = 0xBF58476D1CE4E5B9
 WEIGHT_TOL = 1e-9
 EMPTY_SUPPORT = "a distribution needs at least one outcome"
 
+# Batches of fewer draws than this take one plain searchsorted, and their
+# dedupe one dict: below it the guide's and the array dedupe's extra passes
+# over the batch cost more than they save.
+BATCH_CUTOFF = 512
+# Guide buckets per cumulative entry (rounded up to a power of two), and the
+# most buckets one guide holds.
+GUIDE_BUCKETS_PER_ENTRY = 2
+GUIDE_MAX_BUCKETS = 1 << 14
+
 
 def clamped_log2(x: float) -> float:
     """log2(x) clamped below at 1; the logarithm used by every budget formula."""
@@ -202,13 +211,56 @@ class SeededRng:
         return tuple(items)
 
 
+class GuidedSearch:
+    """np.searchsorted(cum, u, side="right") for batches of u in [0, 1), equal
+    to it element for element.  cum is non-decreasing and its last entry is at
+    least 1, so every answer lies below len(cum).
+
+    [0, 1) is cut into g = 2^k buckets, so u*g and b/g are exact in floating
+    point and a draw in bucket b = floor(u*g) has b/g <= u < (b+1)/g.  The
+    guide table keeps, for each bucket whose interior holds at most one entry
+    of cum, the answer at its left end, lo; a draw there is answered by lo,
+    plus one when it reaches cum[lo].  Only the draws in the other buckets
+    (marked -1) are searched.  The table is built on the first batch of
+    BATCH_CUTOFF draws or more."""
+
+    __slots__ = ("cum", "_guide")
+
+    def __init__(self, cum: np.ndarray):
+        self.cum = cum
+        self._guide = None
+
+    def _build(self) -> np.ndarray:
+        want = min(GUIDE_BUCKETS_PER_ENTRY * len(self.cum), GUIDE_MAX_BUCKETS)
+        g = 1 << max(0, want - 1).bit_length()
+        # the answers at the bucket ends; their differences also count an
+        # entry lying exactly on a bucket's right end, which can only send
+        # that bucket's draws to the search
+        lo = np.searchsorted(self.cum, np.arange(g + 1) / g, side="right")
+        guide = lo[:-1].astype(np.int32)
+        guide[np.diff(lo) > 1] = -1
+        self._guide = guide
+        return guide
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        if len(u) < BATCH_CUTOFF:
+            return np.searchsorted(self.cum, u, side="right")
+        guide = self._guide if self._guide is not None else self._build()
+        idx = guide[(u * len(guide)).astype(np.intp)]
+        idx += self.cum[idx] <= u  # at -1, cum[-1] >= 1 > u adds nothing
+        miss = np.flatnonzero(idx < 0)
+        if miss.size:
+            idx[miss] = np.searchsorted(self.cum, u[miss], side="right")
+        return idx
+
+
 class WeightedSupport:
     """Distinct outcomes with weights in (0, 1] that sum to 1.  Validation,
     the cumulative weights and index sampling live here.  A subclass names
     its outcomes and defines `_check(n, item)`, which rejects a malformed
     item and returns (item as stored, its mass-table key)."""
 
-    __slots__ = ("n", "outcomes", "weights", "_cum", "_mass")
+    __slots__ = ("n", "outcomes", "weights", "_search", "_mass")
     _noun = "outcomes"
 
     def __init__(self, n: int, entries):
@@ -233,8 +285,9 @@ class WeightedSupport:
         self.n = n
         self.outcomes = outcomes
         self.weights = np.asarray(weights)
-        self._cum = np.cumsum(self.weights)
-        self._cum[-1] = 1.0
+        cum = np.cumsum(self.weights)
+        cum[-1] = 1.0
+        self._search = GuidedSearch(cum)
         self._mass = mass
 
     @staticmethod
@@ -249,13 +302,11 @@ class WeightedSupport:
         return list(self.outcomes)
 
     def index_of(self, u: float) -> int:
-        return min(int(np.searchsorted(self._cum, u, side="right")), len(self.outcomes) - 1)
+        """The outcome index of one uniform u in [0, 1)."""
+        return int(self._search(np.array([u]))[0])
 
     def sample_indices(self, rng: SeededRng, m: int) -> np.ndarray:
-        u = rng.random_block(m)
-        idx = np.searchsorted(self._cum, u, side="right")
-        np.clip(idx, 0, len(self.outcomes) - 1, out=idx)
-        return idx
+        return self._search(rng.random_block(m))
 
 
 class FiniteDistribution(WeightedSupport):
@@ -297,8 +348,12 @@ def xor_shift(d: FiniteDistribution, r: BitString) -> FiniteDistribution:
 class PairDistribution(WeightedSupport):
     """Distribution over unordered pairs {u,v} of distinct indices in [1..n]."""
 
-    __slots__ = ()
+    __slots__ = ("_ends",)
     _noun = "pairs"
+
+    def __init__(self, n: int, entries):
+        super().__init__(n, entries)
+        self._ends = None
 
     @staticmethod
     def _check(n: int, pair):
@@ -316,6 +371,13 @@ class PairDistribution(WeightedSupport):
     @property
     def pairs(self) -> list[tuple[int, int]]:
         return self.outcomes
+
+    def endpoints(self) -> np.ndarray:
+        """The pairs as a (pairs, 2) array of the narrowest unsigned type that
+        holds n, built on first use."""
+        if self._ends is None:
+            self._ends = np.array(self.outcomes, dtype=np.min_scalar_type(self.n))
+        return self._ends
 
     def mass(self, u: int, v: int) -> float:
         if u > v:

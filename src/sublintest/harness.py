@@ -148,10 +148,18 @@ def generate(name: str, n: int, support: int | None, seed: int) -> InstanceBundl
     return gen(n, support, SeededRng(seed, 0xB00))
 
 
+def read_instance_file(path: str):
+    """The JSON document in the --instance file at path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise ValueError(f"--instance {path} is not JSON: {exc}") from None
+
+
 def build_instance(cfg: RunConfig) -> InstanceBundle:
     if cfg.instance_path:
-        with open(cfg.instance_path, "r", encoding="utf-8") as fh:
-            return load_bundle(json.load(fh))
+        return load_bundle(read_instance_file(cfg.instance_path))
     return generate(cfg.family, cfg.n, cfg.support_size, cfg.seed)
 
 

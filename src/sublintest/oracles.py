@@ -8,12 +8,11 @@ report is just the ledger's two counters.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BitString, SeededRng, WeightedSupport, bit_xor
+from .core import BATCH_CUTOFF, BitString, SeededRng, WeightedSupport, bit_xor
 
 
 class BudgetExhausted(RuntimeError):
@@ -135,10 +134,26 @@ class ComparisonOracle:
         return not self.target(v, u)
 
 
+def _distinct(keys: np.ndarray) -> list[int]:
+    """dict.fromkeys(keys): the distinct keys in first-occurrence order.  A
+    batch of BATCH_CUTOFF keys or more finds each key's first position with
+    one np.minimum.at over the key range and keeps the keys at those
+    positions."""
+    m = len(keys)
+    if m < BATCH_CUTOFF:
+        return list(dict.fromkeys(keys.tolist()))
+    first = np.full(int(keys.max()) + 1, m, dtype=np.intp)
+    np.minimum.at(first, keys, np.arange(m))
+    is_first = np.zeros(m + 1, dtype=bool)  # slot m takes the keys never drawn
+    is_first[first] = True
+    return keys[is_first[:m]].tolist()
+
+
 class SupportSampler:
     """Sampling handle over a WeightedSupport; each drawn outcome charges one
-    sample to the ledger.  Batches are drawn as int keys, which are cheap to
-    deduplicate, and then mapped to the outcomes they name."""
+    sample to the ledger.  Batches are drawn as an array of int keys, which
+    are deduplicated and counted as arrays, and then mapped to the outcomes
+    they name."""
 
     __slots__ = ("dist", "rng", "ledger")
 
@@ -153,23 +168,24 @@ class SupportSampler:
 
     def draw_list(self, m: int) -> list:
         self.ledger.charge_samples(m)
-        return self._outcomes(self._keys(m))
+        return self._outcomes(self._keys(m).tolist())
 
     def draw_counts(self, m: int) -> list[tuple]:
         """m charged draws as (outcome, multiplicity) pairs in first-occurrence
         order; the rng moves exactly as in draw_list(m)."""
         self.ledger.charge_samples(m)
-        counts = Counter(self._keys(m))
-        return list(zip(self._outcomes(counts), counts.values()))
+        keys = self._keys(m)
+        distinct = _distinct(keys)
+        return list(zip(self._outcomes(distinct), np.bincount(keys)[distinct].tolist()))
 
     def draw_set(self, m: int) -> list:
         """m charged draws, deduplicated in first-occurrence order."""
         self.ledger.charge_samples(m)
-        return self._outcomes(dict.fromkeys(self._keys(m)))
+        return self._outcomes(_distinct(self._keys(m)))
 
-    def _keys(self, m: int) -> list[int]:
+    def _keys(self, m: int) -> np.ndarray:
         """m uncharged draws, as support indices."""
-        return self.dist.sample_indices(self.rng, m).tolist()
+        return self.dist.sample_indices(self.rng, m)
 
     def _outcomes(self, keys) -> list:
         outcomes = self.dist.outcomes
@@ -237,12 +253,10 @@ class MarginalSampler(SupportSampler):
     def draw(self) -> int:
         return self.draw_list(1)[0]
 
-    def _keys(self, m: int) -> list[int]:
+    def _keys(self, m: int) -> np.ndarray:
         """m uncharged draws, as vertices."""
-        pairs = self.dist.pairs
         idx = super()._keys(m)
-        coins = self.rng.integer_block(0, 2, m).tolist()
-        return [pairs[i][c] for i, c in zip(idx, coins)]
+        return self.dist.endpoints()[idx, self.rng.integer_block(0, 2, m)]
 
-    def _outcomes(self, keys) -> list[int]:
-        return list(keys)
+    def _outcomes(self, keys: list[int]) -> list[int]:
+        return keys

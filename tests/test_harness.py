@@ -600,13 +600,13 @@ BAD_CONSTS = {"c_type=nan": "finite and positive", "c_nil=nan": "finite and posi
               "sketch_source=lite": "sketch_source must be"}
 # scaling widths, each refused before the widths ahead of it run
 BAD_N_LISTS = [(["--n-list", "16,1"], "n must be at least 2"),
-               (["--n-list", "16,x"], "invalid literal for int()"),
-               (["--n-list", "16,"], "invalid literal for int()"),
+               (["--n-list", "16,x"], "--n-list expects comma-separated integers, got '16,x'"),
+               (["--n-list", "16,"], "--n-list expects comma-separated integers, got '16,'"),
                (["--family", "total-yes", "--n-list", "64,16", "--support", "200"],
                 "support larger than the number of pairs")]
 # --instance paths, relative to the folder the sweep runs in
 BAD_INSTANCES = {"missing.json": "No such file or directory", "folder": "Is a directory",
-                 "text.json": "Expecting value"}
+                 "text.json": "--instance text.json is not JSON: Expecting value"}
 
 
 def _refusals():
