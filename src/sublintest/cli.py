@@ -170,7 +170,7 @@ FLAGS = {
     "out": dict(type=str, default=None),
     "jobs": dict(type=int, default=1),
     "const": dict(action="append", default=[],
-                  help="override a tuning constant, e.g. --const c_sk=4"),
+                  help="override a tuning constant, e.g. --const c_crowd=4"),
     "n-list": dict(type=str, default="1024,4096,16384"),
     "variant": dict(choices=["bipartite", "hyper3", "hyper4"], default="bipartite"),
     "size": dict(type=int, default=20),

@@ -301,10 +301,6 @@ class WeightedSupport:
     def support(self) -> list:
         return list(self.outcomes)
 
-    def index_of(self, u: float) -> int:
-        """The outcome index of one uniform u in [0, 1)."""
-        return int(self._search(np.array([u]))[0])
-
     def sample_indices(self, rng: SeededRng, m: int) -> np.ndarray:
         return self._search(rng.random_block(m))
 

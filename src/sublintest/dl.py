@@ -211,27 +211,18 @@ def check_dl(f: FunctionOracle, d: FiniteDistribution, eps: float, r: BitString,
     source = _sketch_inputs(rec, constants)
     if not source or all(rec.seen[v] == rec.seen[source[0]] for v in source):
         return Verdict("reject", witness=("no_mixed_values",))
+    # source holds both values and the extraction emits each string once, so
+    # extracted and runs hold both values too, whichever value b is
     extracted, runs = _extraction_replay(rec, source)
 
-    opp = [v for v, val in extracted if val != b]
-    if not opp:
-        return Verdict("reject", witness=("no_opposite_strings",))
-    x_star = opp[-1]
+    x_star = next(v for v, val in reversed(extracted) if val != b)
     v2 = test_dl(f, base_sampler, eps, r, BitString(n, x_star ^ r.v), rng.derive(0xA2),
                  constants)
     if v2.accepted:
         return Verdict("accept")
 
-    last_opp = None
-    last_same = None
-    for members, val in runs:
-        if val == b:
-            last_same = members
-        else:
-            last_opp = members
-    if last_opp is None or last_same is None:
-        return Verdict("reject", witness=("no_final_intervals",))
-
+    last_opp = next(members for members, val in reversed(runs) if val != b)
+    last_same = next(members for members, val in reversed(runs) if val == b)
     results = []
     for xv in last_opp:
         idx = index_search(f, r, BitString(n, xv ^ r.v))

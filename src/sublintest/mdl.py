@@ -17,11 +17,7 @@ from .oracles import DistSampler, FunctionOracle, QueryLedger, Verdict, accounte
 @dataclass(frozen=True)
 class MdlConstants:
     delta: float = 1.0 / 6.0
-    type_factor: float = const(8.0, "c_type")     # sample factor for the type-1/3/4/5 stages
-    nil_factor: float = const(8.0, "c_nil")       # nil-probe count: ceil(nil_factor / eps)
-    # small-block size bound: 16 n^delta log2(n) / eps
-    block_cap_factor: float = const(16.0, "c_blockcap")
-    # per-point partner cap multiplier in types 3-5
+    # per-point partner cap in types 3-5, as a multiple of the small-block bound
     pair_cap_factor: float = const(2.0, "c_paircap")
     t2_factor: float = const(1.0, "c_t2")         # boost for the tiny type-2 first sample set
 
@@ -53,14 +49,14 @@ def mdl_sizes(n: int, eps: float, c: MdlConstants = DEFAULT_MDL) -> MdlSizes:
         probes=ceil_pos(n ** (1 - c.delta)),
         rounds=ceil_pos(200.0 / eps),
         inner=ceil_pos((100.0 / eps) * clamped_log2(n / eps)),
-        block_cap=ceil_pos(c.block_cap_factor * (n ** c.delta) * lg / eps),
-        pair_cap=ceil_pos(c.pair_cap_factor * c.block_cap_factor * (n ** c.delta) * lg / eps),
-        nil=ceil_pos(c.nil_factor / eps),
-        m1=ceil_pos(c.type_factor * (n ** 0.5) / eps),
+        block_cap=ceil_pos(16.0 * (n ** c.delta) * lg / eps),
+        pair_cap=ceil_pos(c.pair_cap_factor * 16.0 * (n ** c.delta) * lg / eps),
+        nil=ceil_pos(8.0 / eps),
+        m1=ceil_pos(8.0 * (n ** 0.5) / eps),
         p2=ceil_pos(c.t2_factor * n ** (c.delta / 2) / (eps * lg * lg)),
         q2=ceil_pos(n ** (1 - c.delta / 2) * lg * lg * lg / eps),
-        m4=ceil_pos(c.type_factor * (n ** (2.0 / 3.0)) / eps),
-        m5=ceil_pos(c.type_factor * (n ** 0.75) / eps))
+        m4=ceil_pos(8.0 * (n ** (2.0 / 3.0)) / eps),
+        m5=ceil_pos(8.0 * (n ** 0.75) / eps))
 
 
 class MdlSketch:
@@ -318,12 +314,10 @@ def sketch_mdl(f: FunctionOracle, T: list[BitString]) -> MdlSketch | None:
 
 
 def _sketch(f: FunctionOracle, T: list[BitString], vals: list[int]) -> MdlSketch | None:
-    """sketch_mdl on T, whose values vals are already known."""
+    """sketch_mdl on T, whose values vals are already known.  Both callers
+    hand over a T that holds both values and no zero string, and _extract
+    emits each string once, so there are at least two runs and none ORs to 0."""
     strings = [_or_all(members) for members, _ in _runs(_extract(f, [x.v for x in T], vals))]
-    if len(strings) < 2:
-        return None
-    if any(s == 0 for s in strings):
-        return None
     checked = [f.query_raw(s) for s in strings]
     for ell in range(len(strings) - 1):
         if checked[ell] == checked[ell + 1]:

@@ -16,7 +16,7 @@ from .core import BATCH_CUTOFF, BitString, SeededRng, WeightedSupport, bit_xor
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised when an access would push a counter past its budget ceiling."""
+    """Raised when a charge would push the query count past its budget."""
 
 
 class PreconditionViolated(ValueError):
@@ -24,15 +24,14 @@ class PreconditionViolated(ValueError):
 
 
 class QueryLedger:
-    __slots__ = ("function_queries", "samples_drawn", "query_budget", "sample_budget")
+    __slots__ = ("function_queries", "samples_drawn", "query_budget")
 
-    def __init__(self, query_budget: int | None = None, sample_budget: int | None = None):
-        if any(b is not None and b < 0 for b in (query_budget, sample_budget)):
+    def __init__(self, query_budget: int | None = None):
+        if query_budget is not None and query_budget < 0:
             raise ValueError("a budget must not be negative")
         self.function_queries = 0
         self.samples_drawn = 0
         self.query_budget = query_budget
-        self.sample_budget = sample_budget
 
     def charge_queries(self, c: int = 1):
         if self.query_budget is not None and self.function_queries + c > self.query_budget:
@@ -41,9 +40,6 @@ class QueryLedger:
         self.function_queries += c
 
     def charge_samples(self, c: int = 1):
-        if self.sample_budget is not None and self.samples_drawn + c > self.sample_budget:
-            self.samples_drawn = self.sample_budget
-            raise BudgetExhausted("sample budget exhausted")
         self.samples_drawn += c
 
     def snapshot(self) -> tuple[int, int]:
@@ -163,8 +159,7 @@ class SupportSampler:
         self.ledger = ledger
 
     def draw(self):
-        self.ledger.charge_samples()
-        return self._outcomes((self.dist.index_of(self.rng.random()),))[0]
+        return self.draw_list(1)[0]
 
     def draw_list(self, m: int) -> list:
         self.ledger.charge_samples(m)
@@ -249,9 +244,6 @@ class MarginalSampler(SupportSampler):
     charges one sample."""
 
     __slots__ = ()
-
-    def draw(self) -> int:
-        return self.draw_list(1)[0]
 
     def _keys(self, m: int) -> np.ndarray:
         """m uncharged draws, as vertices."""

@@ -11,28 +11,21 @@ from .oracles import ComparisonOracle, MarginalSampler, PairSampler, Verdict, ac
 
 @dataclass(frozen=True)
 class TotalConstants:
-    sketch_factor: float = const(8.0, "c_sk")  # sketch draws: ceil(factor * sqrt(n) / eps)
-    # long/local stage draws: ceil(factor * sqrt(n) / eps)
-    local_factor: float = const(8.0, "c_lc")
-    long_samples: float = const(100.0, "c_long")  # long-edge stage draws: ceil(long_samples / eps)
     crowd_factor: float = const(1000.0, "c_crowd")  # per-block cap: crowd_factor * log2(n)
 
 
 DEFAULT_TOTAL = TotalConstants()
 
 
-# draw counts of the sketch, the long-edge stage and the local stage (as many
-# edges as vertices), and the per-block crowd cap; budget_total reads them too
-def _sketch_draws(n: int, eps: float, c: TotalConstants) -> int:
-    return ceil_pos(c.sketch_factor * (n ** 0.5) / eps)
+# draw counts of the sketch and of the local stage (as many edges as
+# vertices), of the long-edge stage, and the per-block crowd cap;
+# budget_total reads them too
+def _sqrt_draws(n: int, eps: float) -> int:
+    return ceil_pos(8.0 * (n ** 0.5) / eps)
 
 
-def _long_draws(eps: float, c: TotalConstants) -> int:
-    return ceil_pos(c.long_samples / eps)
-
-
-def _local_draws(n: int, eps: float, c: TotalConstants) -> int:
-    return ceil_pos(c.local_factor * (n ** 0.5) / eps)
+def _long_draws(eps: float) -> int:
+    return ceil_pos(100.0 / eps)
 
 
 def _crowd_cap(n: int, c: TotalConstants) -> float:
@@ -124,11 +117,10 @@ def order_sketch(cmp: ComparisonOracle, items: list[int]):
     return TotalSketch(ordered)
 
 
-def sketch_total(cmp: ComparisonOracle, verts: MarginalSampler, eps: float,
-                 constants: TotalConstants = DEFAULT_TOTAL):
+def sketch_total(cmp: ComparisonOracle, verts: MarginalSampler, eps: float):
     """Sample the vertex marginal and order the distinct draws into a sketch
     (see order_sketch)."""
-    return order_sketch(cmp, verts.draw_set(_sketch_draws(cmp.n, eps, constants)))
+    return order_sketch(cmp, verts.draw_set(_sqrt_draws(cmp.n, eps)))
 
 
 def find_block_total(cmp: ComparisonOracle, sk: TotalSketch, u: int) -> int:
@@ -172,10 +164,10 @@ def find_block_total(cmp: ComparisonOracle, sk: TotalSketch, u: int) -> int:
     return lower
 
 
-def test_long_cycles(cmp: ComparisonOracle, pairs: PairSampler, eps: float, sk: TotalSketch,
-                     constants: TotalConstants = DEFAULT_TOTAL) -> Verdict:
+def test_long_cycles(cmp: ComparisonOracle, pairs: PairSampler, eps: float,
+                     sk: TotalSketch) -> Verdict:
     """Reject iff a sampled edge points from a later block into an earlier one."""
-    for u, v in pairs.draw_list(_long_draws(eps, constants)):
+    for u, v in pairs.draw_list(_long_draws(eps)):
         if not cmp.less(u, v):
             u, v = v, u
         bu = find_block_total(cmp, sk, u)
@@ -190,7 +182,7 @@ def test_local_cycles(cmp: ComparisonOracle, pairs: PairSampler, verts: Marginal
                       constants: TotalConstants = DEFAULT_TOTAL) -> Verdict:
     """Reject on an overcrowded block, or on a directed triangle formed by a
     sampled edge and a sampled vertex inside one block."""
-    m = _local_draws(cmp.n, eps, constants)
+    m = _sqrt_draws(cmp.n, eps)
     edges = pairs.draw_set(m)
     vertices = verts.draw_set(m)
 
@@ -235,10 +227,10 @@ def test_total_ordering(cmp: ComparisonOracle, d: PairDistribution, eps: float,
         raise ValueError("eps must lie in (0,1)")
     pairs = PairSampler(d, rng, cmp.ledger)
     verts = MarginalSampler(d, rng, cmp.ledger)
-    sk = sketch_total(cmp, verts, eps, constants)
+    sk = sketch_total(cmp, verts, eps)
     if isinstance(sk, Verdict):
         return sk
-    v = test_long_cycles(cmp, pairs, eps, sk, constants)
+    v = test_long_cycles(cmp, pairs, eps, sk)
     if v.rejected:
         return v
     return test_local_cycles(cmp, pairs, verts, eps, sk, constants)
@@ -272,13 +264,12 @@ def verify_total_witness(cmp: ComparisonOracle, sk, witness) -> bool:
 
 def budget_total(n: int, eps: float, constants: TotalConstants = DEFAULT_TOTAL) -> tuple[int, int]:
     """Closed-form ceilings on comparison queries and on samples for one tester run."""
-    m = _sketch_draws(n, eps, constants)
-    m_long = _long_draws(eps, constants)
-    m_lc = _local_draws(n, eps, constants)
+    m = _sqrt_draws(n, eps)  # the sketch's draws, and each of the local stage's two sets
+    m_long = _long_draws(eps)
     lg = ceil_pos(clamped_log2(max(m, 2)))
     fb = lg + 2  # find_block_total ceiling
     sketch = m * (lg + 1) + m
     long_stage = m_long * (1 + 2 * fb)
     crowd = ceil_pos(_crowd_cap(n, constants))
-    local = 3 * m_lc * fb + m_lc + 2 * m_lc * crowd
-    return sketch + long_stage + local, m + m_long + 2 * m_lc
+    local = 3 * m * fb + m + 2 * m * crowd
+    return sketch + long_stage + local, m + m_long + 2 * m

@@ -8,7 +8,7 @@ from sublintest.dl import (DlConstants, HybridFunction, _RecordingOracle, budget
 from sublintest.instances import gen_dl_yes, gen_groups4
 from sublintest.mdl import MdlConstants, MdlRun
 from sublintest.oracles import (BudgetExhausted, DistSampler, FunctionOracle,
-                                PreconditionViolated, QueryLedger)
+                                PreconditionViolated, QueryLedger, Verdict)
 
 DESK = DlConstants(t_amplify=1, outer_rounds=4, inner_rounds=5, accept_threshold=2,
                    sketch_source="light")
@@ -302,6 +302,42 @@ def test_check_dl_accepts_monotonized_pivot():
         v = check_dl(f, bundle.dist, 0.2, r, rng.derive(100 + trial), DESK)
         hits += v.accepted
     assert hits >= 8
+
+
+def test_check_dl_no_mixed_values_on_wide_strings():
+    """Parity on e1 and the strings of weight 7 and 8 of width 8: the monotone
+    run rejects its sketch having queried e1 and strings of weight 7 or more.
+    The light sketch source keeps only e1, of one value, so no mixed values
+    remain; the full source keeps them all and goes on."""
+    n = 8
+    d = FiniteDistribution.uniform([BitString(n, 0xFF ^ (1 << i)) for i in range(n)]
+                                   + [BitString(n, 0xFF), unit(1, n)])
+    verdicts = {}
+    for source in ("light", "full"):
+        f = FunctionOracle(n, lambda v: v.bit_count() & 1)
+        verdicts[source] = check_dl(f, d, 0.3, BitString(n, 0), SeededRng(0, 1),
+                                    DlConstants(t_amplify=1, sketch_source=source))
+    v = verdicts["light"]
+    assert (v.decision, v.witness, v.queries, v.samples) == \
+        ("reject", ("no_mixed_values",), 25, 23)
+    assert verdicts["full"].witness[0] != "no_mixed_values"
+
+
+def test_check_dl_no_candidate_shift(monkeypatch):
+    """f = x1 with the zero pivot, and a stub monotone tester that queries e1
+    and e2 and rejects: e1 is the last string of the opposite value, its index
+    search finds bit 1, and e2, the last same-value run, does not hold bit 1."""
+    def amplified(g, sampler, eps, rng, constants):
+        for v in (1, 2):
+            g.query_raw(v)
+        return Verdict("reject", witness=("stub",))
+
+    monkeypatch.setattr("sublintest.dl.monotone_dl_amplified", amplified)
+    f = FunctionOracle(2, lambda v: v & 1)
+    d = FiniteDistribution.uniform([unit(1, 2), unit(2, 2)])
+    v = check_dl(f, d, 0.3, BitString(2, 0), SeededRng(0, 1))
+    assert (v.decision, v.witness, v.queries, v.samples) == \
+        ("reject", ("no_candidate_shift",), 35, 34)
 
 
 def test_decision_list_tester_accepts_yes():

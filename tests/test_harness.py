@@ -358,7 +358,7 @@ def test_rows_carry_the_bundles_n(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["scaling", "--instance", "x.json"], ["scaling", "--n", "64"],
                                   ["gen-instance", "--eps", "0.2"],
-                                  ["gen-instance", "--const", "c_sk=4"]],
+                                  ["gen-instance", "--const", "c_crowd=4"]],
                          ids=lambda argv: " ".join(argv[:2]))
 def test_cli_refuses_flags_the_command_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -367,12 +367,9 @@ def test_cli_refuses_flags_the_command_does_not_read(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-OUT_COMMANDS = [["test-total", "--n", "16"], ["test-mdl", "--n", "16"], ["test-dl", "--n", "16"],
-                ["scaling", "--n-list", "16"], ["gen-instance", "--n", "16"],
-                ["birthday", "--size", "4", "--trials", "10"],
-                ["oracle-check", "--n", "3", "--bundles", "1", "--trials", "2"]]
-
-
+# every command that writes --out; the check refuses the path before the
+# command runs, so each runs with its defaults
+OUT_COMMANDS = [[cmd] for cmd, (_, flags, _) in cli.COMMANDS.items() if "out" in flags.split()]
 
 
 @pytest.fixture
@@ -473,9 +470,8 @@ def test_unknown_tester_is_rejected():
 
 def test_const_names_come_from_the_constants():
     assert sorted(CONSTS) == sorted([
-        "c_sk", "c_lc", "c_long", "c_crowd", "c_type", "c_nil", "c_blockcap", "c_paircap",
-        "c_t2", "t_amplify", "c_accept_threshold", "outer_rounds", "inner_rounds",
-        "sketch_source"])
+        "c_crowd", "c_paircap", "c_t2", "t_amplify", "c_accept_threshold", "outer_rounds",
+        "inner_rounds", "sketch_source"])
 
 
 def test_env_seed_respected(monkeypatch, tmp_path):
@@ -593,11 +589,17 @@ OUT_OF_RANGE = {"n": (["1"], "n must"),
                 "m": (["0"], "m must be at least 1, got"),
                 "bundles": (["0"], "bundles must be at least 1, got")}
 NUMERIC_FLAGS = [name for name, spec in cli.FLAGS.items() if spec.get("type") in (int, float)]
-BAD_CONSTS = {"c_type=nan": "finite and positive", "c_nil=nan": "finite and positive",
-              "c_type=inf": "finite and positive", "c_type=0": "finite and positive",
-              "c_type=-1": "finite and positive", "t_amplify=0": "finite and positive",
+BAD_CONSTS = {"c_t2=nan": "finite and positive", "c_paircap=nan": "finite and positive",
+              "c_t2=inf": "finite and positive", "c_t2=0": "finite and positive",
+              "c_paircap=-1": "finite and positive", "t_amplify=0": "finite and positive",
               "bogus=1": "unknown constant", "t_amplify=x": "expects int",
-              "sketch_source=lite": "sketch_source must be"}
+              "sketch_source=lite": "sketch_source must be",
+              # names that are not constants, whatever the value (the paper's fixed counts)
+              "c_type=nan": "unknown constant", "c_nil=nan": "unknown constant",
+              "c_type=inf": "unknown constant", "c_type=0": "unknown constant",
+              "c_type=-1": "unknown constant", "c_type=2": "unknown constant",
+              "c_sk=8": "unknown constant", "c_lc=8": "unknown constant",
+              "c_long=100": "unknown constant", "c_blockcap=16": "unknown constant"}
 # scaling widths, each refused before the widths ahead of it run
 BAD_N_LISTS = [(["--n-list", "16,1"], "n must be at least 2"),
                (["--n-list", "16,x"], "--n-list expects comma-separated integers, got '16,x'"),

@@ -154,6 +154,22 @@ def test_sketch_nil_on_xor():
     assert sketch_mdl(f, T) is None
 
 
+def test_sketch_nil_on_a_failed_join():
+    """f = x1 and not (x2 and x3) on the three unit strings: the chain e3, e1, e2
+    alternates 0, 1, 0, but e3 | e1 takes e1's value, so the first join check,
+    the last query, fails."""
+    queried = []
+
+    def target(v):
+        queried.append(v)
+        return int(v & 1 and v & 6 != 6)
+
+    f = FunctionOracle(3, target)
+    assert sketch_mdl(f, [unit(i, 3) for i in (1, 2, 3)]) is None
+    assert queried == [1, 2, 4, 7, 3, 3, 4, 1, 2, 5]
+    assert f.ledger.function_queries == 12
+
+
 def expected_blocks(rep, sk, x):
     """All block indices satisfying the three-case contract, by rank scan."""
     b = eval_mdl(rep, x)

@@ -48,7 +48,7 @@ def test_budget_exhaustion_counter_stops_at_budget():
     assert ledger.function_queries == 3
 
 
-@pytest.mark.parametrize("budgets", [{"query_budget": -1}, {"sample_budget": -5}])
+@pytest.mark.parametrize("budgets", [{"query_budget": -1}])
 def test_negative_budget_is_rejected(budgets):
     with pytest.raises(ValueError, match="negative"):
         QueryLedger(**budgets)
@@ -84,17 +84,6 @@ def test_cached_target_stops_storing_at_cap():
     for v in (1, 2, 3, 1, 2, 3):
         cached(v)
     assert calls == [1, 2, 3, 3]
-
-
-def test_sample_budget():
-    ledger = QueryLedger(sample_budget=2)
-    d = FiniteDistribution.point_mass(unit(1, 2))
-    s = DistSampler(d, SeededRng(1), ledger)
-    s.draw()
-    s.draw()
-    with pytest.raises(BudgetExhausted):
-        s.draw()
-    assert ledger.samples_drawn == 2
 
 
 def test_oracle_purity_repeated_queries():
@@ -258,18 +247,3 @@ def test_draw_counts_is_counted_draw_list(kind, m):
     assert counted.draw_counts(m) == list(Counter(listed.draw_list(m)).items())
     assert counted.ledger.samples_drawn == listed.ledger.samples_drawn == m
     assert [counted.draw() for _ in range(5)] == [listed.draw() for _ in range(5)]
-
-
-@pytest.mark.parametrize("kind", COUNTING_SAMPLERS)
-def test_draw_counts_exhausts_the_budget_where_draw_list_does(kind):
-    outcomes = []
-    for method in ("draw_counts", "draw_list"):
-        ledger = QueryLedger(sample_budget=10)
-        s = COUNTING_SAMPLERS[kind](SeededRng(3, 9), ledger)
-        getattr(s, method)(6)
-        with pytest.raises(BudgetExhausted):
-            getattr(s, method)(5)
-        assert ledger.samples_drawn == 10
-        ledger.sample_budget = None
-        outcomes.append([s.draw() for _ in range(3)])
-    assert outcomes[0] == outcomes[1]

@@ -87,13 +87,27 @@ def test_guided_search_with_a_null_entry_past_a_sub_one_total(total):
         assert np.array_equal(got, ref_search(cum[:-1], u))
 
 
+class Uniforms:
+    """Stub rng whose random_block hands out the given uniforms in turn."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = iter(u)
+
+    def random_block(self, m: int) -> np.ndarray:
+        return np.array([next(self.u) for _ in range(m)])
+
+
 @pytest.mark.parametrize("name", WEIGHTS)
 def test_index_of_equals_the_clipped_search(name):
+    """The outcome index of a single draw on uniform u is the clipped search's."""
     w = WEIGHTS[name]
     d = FiniteDistribution(20, [(BitString(20, i), x) for i, x in enumerate(w)])
     cum = forced_cum(w)
-    for u in edge_uniforms(cum)[::97]:
-        assert d.index_of(u) == min(int(ref_search(cum, u)), len(w) - 1)
+    us = edge_uniforms(cum)[::97]
+    s = DistSampler(d, Uniforms(us), QueryLedger())
+    for u in us:
+        assert s.draw().v == min(int(ref_search(cum, u)), len(w) - 1)
+    assert s.ledger.samples_drawn == len(us)
 
 
 # -- samplers ------------------------------------------------------------------
