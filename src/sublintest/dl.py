@@ -35,11 +35,21 @@ def _amplify_count(n: int, constants: DlConstants) -> int:
     return ceil_pos(6.0 * clamped_log2(n))
 
 
-def _rounds(n: int, eps: float, constants: DlConstants) -> tuple[int, int]:
-    """(outer rounds, check_dl attempts per round) of decision_list_tester."""
-    outer, inner = constants.outer_rounds, constants.inner_rounds
-    return (ceil_pos(100.0 / eps) if outer is None else outer,
-            ceil_pos(100.0 * clamped_log2(n / eps)) if inner is None else inner)
+def round_profile(n: int, eps: float, constants: DlConstants) -> tuple[int, int, float]:
+    """(outer rounds, check_dl attempts per round, acceptance threshold) of
+    decision_list_tester.  A round accepts once its accepted attempts reach the
+    threshold, so a threshold above the attempts would reject every input:
+    ValueError."""
+    outer, inner, threshold = (constants.outer_rounds, constants.inner_rounds,
+                               constants.accept_threshold)
+    outer = ceil_pos(100.0 / eps) if outer is None else outer
+    inner = ceil_pos(100.0 * clamped_log2(n / eps)) if inner is None else inner
+    threshold = clamped_log2(n / eps) if threshold is None else threshold
+    if threshold > inner:
+        raise ValueError(f"the acceptance threshold {threshold:g} (c_accept_threshold, by "
+                         f"default log2(n/eps)) exceeds the {inner} attempts of a round "
+                         f"(inner_rounds), so no round could accept")
+    return outer, inner, threshold
 
 
 def _dist_rounds(n: int, eps: float) -> int:
@@ -244,21 +254,17 @@ def decision_list_tester(f: FunctionOracle, d: FiniteDistribution, eps: float,
     """Accept iff some sampled pivot wins enough acceptance attempts."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    n = f.n
-    outer, inner = _rounds(n, eps, constants)
-    threshold = constants.accept_threshold
-    if threshold is None:
-        threshold = clamped_log2(n / eps)
+    outer, inner, threshold = round_profile(f.n, eps, constants)
     sampler = DistSampler(d, rng, f.ledger)
     for rd in range(outer):
         r = sampler.draw()
         count = 0
         for j in range(inner):
-            v = check_dl(f, d, eps, r, rng.derive((rd << 20) | j), constants)
-            if v.accepted:
-                count += 1
-            # once the threshold is reached the round's verdict cannot change
-            if count >= threshold:
+            count += check_dl(f, d, eps, r, rng.derive((rd << 20) | j), constants).accepted
+            # the round is decided once count reaches the threshold or the
+            # attempts left cannot take it there; each attempt draws from its
+            # own derived stream, so skipping the rest moves no later draw
+            if count >= threshold or count + (inner - 1 - j) < threshold:
                 break
         if count >= threshold:
             return Verdict("accept")
@@ -267,7 +273,7 @@ def decision_list_tester(f: FunctionOracle, d: FiniteDistribution, eps: float,
 
 def budget_dl(n: int, eps: float, constants: DlConstants = DEFAULT_DL) -> tuple[int, int]:
     """Closed-form ceilings on function queries and on samples for one tester run."""
-    outer, inner = _rounds(n, eps, constants)
+    outer, inner, _ = round_profile(n, eps, constants)
     t = _amplify_count(n, constants)
     dist_rounds = _dist_rounds(n, eps)
     mdl_q, mdl_s = budget_mdl(n, eps, constants.mdl)

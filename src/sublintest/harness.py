@@ -20,7 +20,7 @@ from .instances import (InstanceBundle, gen_dl_yes, gen_groups4, gen_mdl_yes, ge
                         gen_total_yes, groups4_from_pi, list_bundle, ordering_bundle,
                         pentagon_from_order, table_bundle)
 from .mdl import MdlConstants, budget_mdl, monotone_dl_tester
-from .dl import DlConstants, budget_dl, decision_list_tester
+from .dl import DlConstants, budget_dl, decision_list_tester, round_profile
 from .oracles import BudgetExhausted, QueryLedger
 from .total_order import TotalConstants, budget_total, test_total_ordering
 
@@ -62,7 +62,10 @@ class RunConfig:
     support_size: int | None = None
     jobs: int = 1
 
-    def validate(self):
+    def validate(self, width: int | None = None):
+        """Refuse a config that no trial could run.  The DL round profile is
+        checked at width: self.n for a generated family, and an instance
+        file's own width once the file is read (until then it is skipped)."""
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0,1)")
         if self.trials < 1:
@@ -75,6 +78,10 @@ class RunConfig:
             raise ValueError("jobs must be at least 1")
         _tester(self)
         self.constants  # resolving it checks every --const
+        if width is None and self.instance_path is None:
+            width = self.n
+        if self.tester == "dl" and width is not None:
+            round_profile(width, self.eps, self.constants)
 
     @cached_property
     def constants(self):
@@ -240,6 +247,8 @@ def _checked_instance(cfg: RunConfig) -> InstanceBundle:
     cfg.validate()
     bundle = build_instance(cfg)
     _tester(cfg)[1](bundle)  # raises ValueError when the tester cannot query this kind
+    if cfg.instance_path:
+        cfg.validate(bundle.n)
     return bundle
 
 

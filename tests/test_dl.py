@@ -3,8 +3,10 @@ import pytest
 from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_xor, unit
 from sublintest.dlmodel import (GeneralDLRep, eval_dl, eval_mdl, min_index, monotonize,
                                 random_dl)
+from sublintest import dl
 from sublintest.dl import (DlConstants, HybridFunction, _RecordingOracle, budget_dl, check_dl,
-                           decision_list_tester, index_search, monotone_dl_amplified)
+                           decision_list_tester, index_search, monotone_dl_amplified,
+                           round_profile)
 from sublintest.instances import gen_dl_yes, gen_groups4
 from sublintest.mdl import MdlConstants, MdlRun
 from sublintest.oracles import (BudgetExhausted, DistSampler, FunctionOracle,
@@ -390,3 +392,151 @@ def test_flip_semantics_match_definition():
     r = rng.bit_string(32)
     for i in range(1, 33):
         assert t(r.v ^ (1 << (i - 1))) == t(bit_xor(r, unit(i, 32)).v)
+
+
+def test_round_profile_refuses_a_threshold_above_the_attempts():
+    assert round_profile(256, 0.25, DlConstants(outer_rounds=2, inner_rounds=10)) == (2, 10, 10.0)
+    assert round_profile(64, 0.2, DESK) == (4, 5, 2)
+    for constants in (DlConstants(outer_rounds=2, inner_rounds=9),  # log2(256/0.25) = 10
+                      DlConstants(inner_rounds=5, accept_threshold=5.5)):
+        with pytest.raises(ValueError, match="no round could accept"):
+            round_profile(256, 0.25, constants)
+        bundle = gen_dl_yes(256, 16, SeededRng(15))
+        ledger = QueryLedger()
+        with pytest.raises(ValueError, match="no round could accept"):
+            decision_list_tester(bundle.function_oracle(ledger), bundle.dist, 0.25,
+                                 SeededRng(16), constants)
+        assert ledger.snapshot() == (0, 0)
+
+
+def _full_round_tester(f, d, eps, rng, constants, rounds):
+    """decision_list_tester as it was before rounds stopped early: a round
+    that does not accept runs every attempt.  Appends each round's accepted
+    flags, one per attempt run, to rounds."""
+    outer, inner, threshold = round_profile(f.n, eps, constants)
+    sampler = DistSampler(d, rng, f.ledger)
+    for rd in range(outer):
+        r = sampler.draw()
+        count = 0
+        flags = []
+        rounds.append(flags)
+        for j in range(inner):
+            flags.append(dl.check_dl(f, d, eps, r, rng.derive((rd << 20) | j),
+                                     constants).accepted)
+            count += flags[-1]
+            if count >= threshold:
+                break
+        if count >= threshold:
+            return Verdict("accept")
+    return Verdict("reject", witness=("no_accepting_round",))
+
+
+FRACTIONAL = DlConstants(t_amplify=1, outer_rounds=4, inner_rounds=5, accept_threshold=2.5,
+                         sketch_source="light")
+
+
+@pytest.mark.parametrize("family", ["dl-yes", "groups4-no"])
+@pytest.mark.parametrize("constants", [DESK, FRACTIONAL], ids=["desk", "fractional"])
+def test_full_round_reference_on_seeded_trials(family, constants):
+    """Same verdict and witness as the reference on every trial; the ledger
+    no larger, equal when no round fails, and smaller when a failing round of
+    the reference ran a last attempt that could not reach the threshold."""
+    threshold = constants.accept_threshold
+    rng = SeededRng(17)
+    failing = shorter = 0
+    for trial in range(6):
+        bundle = (gen_dl_yes(64, 24, rng.derive(trial)) if family == "dl-yes" else
+                  gen_groups4(64, rng.derive(trial), "no"))
+        ledger, ref_ledger, rounds = QueryLedger(), QueryLedger(), []
+        v = decision_list_tester(bundle.function_oracle(ledger), bundle.dist, 0.25,
+                                 rng.derive(100 + trial), constants)
+        ref = _full_round_tester(bundle.function_oracle(ref_ledger), bundle.dist, 0.25,
+                                 rng.derive(100 + trial), constants, rounds)
+        assert (v.decision, v.witness) == (ref.decision, ref.witness), trial
+        got, want = ledger.snapshot(), ref_ledger.snapshot()
+        assert got[0] <= want[0] and got[1] <= want[1], trial
+        failed = rounds if ref.rejected else rounds[:-1]
+        if not failed:
+            assert got == want, trial
+        if any(sum(flags[:-1]) + 1 < threshold for flags in failed):
+            assert got[0] < want[0], trial
+            shorter += 1
+        failing += bool(failed)
+    # the trials reach failing rounds, and rounds the early stop shortens
+    assert failing and shorter
+
+
+def _scripted(tester, script, threshold, monkeypatch):
+    """Run tester with each attempt replaced by script[rd][j] (1 accepts);
+    returns the verdict and the (rd, j) of the attempts run, in order."""
+    outer, inner = len(script), len(script[0])
+    rng = SeededRng(18)
+    slots = {rng.derive((rd << 20) | j).stream_id: (rd, j)
+             for rd in range(outer) for j in range(inner)}
+    ran = []
+
+    def attempt(f, d, eps, r, attempt_rng, constants):
+        rd, j = slots[attempt_rng.stream_id]
+        ran.append((rd, j))
+        return Verdict("accept" if script[rd][j] else "reject")
+
+    monkeypatch.setattr(dl, "check_dl", attempt)
+    bundle = gen_dl_yes(8, 4, SeededRng(19))
+    constants = DlConstants(outer_rounds=outer, inner_rounds=inner, accept_threshold=threshold)
+    return tester(bundle.function_oracle(), bundle.dist, 0.25, rng, constants), ran
+
+
+def _reference(*args):
+    return _full_round_tester(*args, [])
+
+
+# (threshold, one round's attempts, attempts the program runs, decision)
+SCRIPTED_ROUNDS = [
+    (2, [0, 1, 0, 1], 4, "accept"),    # reaches the threshold on its last attempt
+    (2, [0, 0, 0, 1], 3, "reject"),    # after three rejections one attempt cannot make 2
+    (2, [1, 0, 0, 0], 4, "reject"),
+    (1.5, [0, 0, 0, 1], 3, "reject"),  # a fractional threshold needs 2
+    (1.5, [0, 0, 1, 1], 4, "accept"),
+    (2.5, [1, 0, 1, 1], 4, "accept"),  # needs 3, the last on the last attempt
+    (2.5, [0, 1, 0, 1], 3, "reject"),
+    (2.5, [0, 0, 1, 1], 2, "reject"),
+    (4, [0, 1, 1, 1], 1, "reject"),    # the threshold equals the attempts
+    (4, [1, 1, 1, 1], 4, "accept"),
+    (1, [0, 0, 0, 0], 4, "reject"),    # a round of threshold 1 can stop only at its end
+]
+
+
+@pytest.mark.parametrize("threshold, script, runs, decision", SCRIPTED_ROUNDS)
+def test_full_round_reference_on_scripted_rounds(threshold, script, runs, decision,
+                                                 monkeypatch):
+    v, ran = _scripted(decision_list_tester, [script], threshold, monkeypatch)
+    ref, ref_ran = _scripted(_reference, [script], threshold, monkeypatch)
+    assert (v.decision, ref.decision) == (decision, decision)
+    assert ran == ref_ran[:runs] == [(0, j) for j in range(runs)]
+    assert len(ref_ran) == (len(script) if decision == "reject" else runs)
+
+
+@pytest.mark.parametrize("threshold", [1, 1.5, 2, 2.5, 3, 4])
+def test_full_round_reference_on_seeded_scripts(threshold, monkeypatch):
+    """Over 200 seeded scripts of three rounds, each round one of the 16
+    accept/reject patterns of four attempts: the same verdict and witness as
+    the reference; in each round the program runs a prefix of the reference's
+    attempts, skips only attempts that could not take the round to its
+    threshold, and runs none after the round is decided."""
+    patterns = [[(bits >> j) & 1 for j in range(4)] for bits in range(16)]
+    rng = SeededRng(20)
+    for case in range(200):
+        script = [patterns[int(rng.integer(0, 16))] for _ in range(3)]
+        v, ran = _scripted(decision_list_tester, script, threshold, monkeypatch)
+        ref, ref_ran = _scripted(_reference, script, threshold, monkeypatch)
+        assert (v.decision, v.witness) == (ref.decision, ref.witness), script
+        for rd in range(3):
+            got = [j for r, j in ran if r == rd]
+            want = [j for r, j in ref_ran if r == rd]
+            assert got == want[:len(got)], script
+            count = sum(script[rd][j] for j in got)
+            if len(got) < len(want):  # skipped: even all accepts would fall short
+                assert count + len(want) - len(got) < threshold, script
+            if got:  # the last attempt run could still decide the round
+                before = count - script[rd][got[-1]]
+                assert before < threshold <= before + 4 - got[-1], script

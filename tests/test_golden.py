@@ -3,13 +3,13 @@ fixed-seed corpus, plus fixed-seed collision rates, compared byte for byte
 against tests/data/golden_verdicts.json; trials whose big-block growth runs
 several rounds are compared against tests/data/golden_growth.json.
 
-The first file was written once with
+The first file is written with
 
     json.dumps(golden_corpus(), indent=1) + "\\n"
 
-and is never regenerated.  A change that is meant to keep behaviour must
-keep this text identical; a change that alters a verdict, a witness or a
-query or sample count shows up here."""
+A change that is meant to keep behaviour must keep this text identical; a
+change that alters a verdict, a witness or a query or sample count shows up
+here, and rewrites the file only when it declares each entry that moves."""
 
 import json
 import pathlib
@@ -166,7 +166,7 @@ def growth_corpus() -> dict:
 
 
 def test_golden_growth_byte_identical():
-    """Written once, like golden_verdicts.json, with
+    """Written like golden_verdicts.json, with
     json.dumps(growth_corpus(), indent=1) + "\\n"."""
     expected = GROWTH.read_text(encoding="utf-8")
     assert json.dumps(growth_corpus(), indent=1) + "\n" == expected

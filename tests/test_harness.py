@@ -458,6 +458,36 @@ def test_cli_dl_desk_profile_runs(tmp_path):
     assert out.read_text().splitlines()[1].split(",")[6] in ("accept", "reject")
 
 
+# the desk profile without its threshold: at n=256 and eps 0.25 the default
+# threshold log2(n/eps) = 10 is above the 8 attempts of a round
+NO_THRESHOLD = ["--eps", "0.25", "--const", "t_amplify=3", "--const", "outer_rounds=2",
+                "--const", "inner_rounds=8", "--const", "sketch_source=light"]
+
+
+def _dl_instance_file(tmp_path, n) -> str:
+    path = tmp_path / f"dl{n}.json"
+    path.write_text(json.dumps(save_bundle(gen_dl_yes(n, 8, SeededRng(n)))))
+    return str(path)
+
+
+def test_cli_refuses_a_round_profile_that_cannot_accept(tmp_path, capsys, no_trials):
+    """Exit 2 with one error line before any trial: at the width of --n, at
+    any width of --n-list, and at the width of an --instance file whatever
+    --n says."""
+    for argv in (["test-dl", "--family", "dl-yes", "--n", "256"],
+                 ["scaling", "--family", "dl-yes", "--n-list", "16,256"],
+                 ["test-dl", "--instance", _dl_instance_file(tmp_path, 256), "--n", "16"]):
+        assert cli_main(argv + NO_THRESHOLD) == 2
+        assert "no round could accept" in _one_error_line(capsys)
+
+
+def test_cli_refuses_the_round_profile_only_at_the_instance_files_width(tmp_path, capsys):
+    """A 16-wide file runs under --n 256: its threshold log2(16/0.25) = 6 fits."""
+    argv = ["test-dl", "--instance", _dl_instance_file(tmp_path, 16), "--n", "256"]
+    assert cli_main(argv + NO_THRESHOLD) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "16"
+
+
 def test_const_of_another_tester_is_still_checked(capsys):
     assert cli_main(["test-total", "--n", "64", "--const", "sketch_source=lite"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
