@@ -7,8 +7,8 @@ from .core import (BitString, FiniteDistribution, PairDistribution, SeededRng,
 from .oracles import (BudgetExhausted, ComparisonOracle, DistSampler, FunctionOracle,
                       MarginalSampler, PairSampler, PreconditionViolated, QueryLedger,
                       ShiftedSampler, Verdict)
-from .dlmodel import (GeneralDLRep, MonotoneDLRep, dominates, eval_dl, eval_mdl,
-                      min_index, monotonize, random_dl, random_mdl, table_target)
+from .dlmodel import (GeneralDLRep, MonotoneDLRep, dominates, eval_mdl, min_index,
+                      monotonize, random_dl, random_mdl, table_target)
 from .total_order import (TotalConstants, TotalSketch, budget_total, find_block_total,
                           sketch_total, test_local_cycles, test_long_cycles,
                           test_total_ordering)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import BitString, FiniteDistribution, SeededRng, ceil_pos, clamped_log2, const
-from .oracles import DistSampler, FunctionOracle, PreconditionViolated, Verdict, accounted
+from .oracles import DistSampler, FunctionOracle, Memo, PreconditionViolated, Verdict, accounted
 from .mdl import DEFAULT_MDL, MdlConstants, MdlRun, _extract, _runs, budget_mdl
 
 
@@ -35,16 +35,25 @@ def _amplify_count(n: int, constants: DlConstants) -> int:
     return ceil_pos(6.0 * clamped_log2(n))
 
 
+# attempt j of round rd draws from rng.derive((rd << _ATTEMPT_BITS) | j)
+_ATTEMPT_BITS = 20
+
+
 def round_profile(n: int, eps: float, constants: DlConstants) -> tuple[int, int, float]:
     """(outer rounds, check_dl attempts per round, acceptance threshold) of
     decision_list_tester.  A round accepts once its accepted attempts reach the
     threshold, so a threshold above the attempts would reject every input:
-    ValueError."""
+    ValueError.  So do more attempts than _ATTEMPT_BITS can number, whose
+    streams would repeat those of the next round."""
     outer, inner, threshold = (constants.outer_rounds, constants.inner_rounds,
                                constants.accept_threshold)
     outer = ceil_pos(100.0 / eps) if outer is None else outer
     inner = ceil_pos(100.0 * clamped_log2(n / eps)) if inner is None else inner
     threshold = clamped_log2(n / eps) if threshold is None else threshold
+    if inner > 1 << _ATTEMPT_BITS:
+        raise ValueError(f"the {inner} attempts of a round (inner_rounds) exceed "
+                         f"2**{_ATTEMPT_BITS}, so their rng streams would repeat those "
+                         f"of the next round")
     if threshold > inner:
         raise ValueError(f"the acceptance threshold {threshold:g} (c_accept_threshold, by "
                          f"default log2(n/eps)) exceeds the {inner} attempts of a round "
@@ -76,28 +85,24 @@ def monotone_dl_amplified(f: FunctionOracle, sampler, eps: float, rng: SeededRng
             last_reject = v
         if accepts >= need or rejects >= need:
             break
-    decision = "accept" if accepts >= rejects else "reject"
-    return Verdict(decision, witness=None if decision == "accept" else
-                   (last_reject.witness if last_reject else None))
+    if accepts >= rejects:
+        return Verdict("accept")
+    return Verdict("reject", witness=last_reject.witness)
 
 
 class _RecordingOracle(FunctionOracle):
     """Shifted view g(x) = f(x xor r) that records every distinct queried
-    string in first-query order, together with its value."""
+    string in first-query order, together with its value; a repeat is
+    answered from the record."""
 
     __slots__ = ("shift_v", "seen")
 
     def __init__(self, base: FunctionOracle, r: BitString):
         target = base.target
         shift_v = self.shift_v = r.v
-        seen = self.seen = {}  # insertion-ordered: first-query order
-
-        def record(v: int) -> int:
-            out = target(v ^ shift_v)
-            seen.setdefault(v, out)
-            return out
-
-        super().__init__(base.n, record, base.ledger)
+        # insertion-ordered: first-query order
+        self.seen = Memo(lambda v: target(v ^ shift_v))
+        super().__init__(base.n, self.seen.__getitem__, base.ledger)
 
 
 class HybridFunction(FunctionOracle):
@@ -188,20 +193,13 @@ def test_dl(f: FunctionOracle, sampler: DistSampler, eps: float,
     return monotone_dl_amplified(h, shifted, eps / 2.0, rng.derive(0x7D1), constants)
 
 
-def _sketch_inputs(rec: _RecordingOracle, constants: DlConstants) -> list[int]:
-    if constants.sketch_source == "light":
-        return [v for v in rec.seen if v and v.bit_count() <= 6]
-    return [v for v in rec.seen if v]
-
-
-def _extraction_replay(g: _RecordingOracle, vs: list[int]):
+def _extraction_replay(g: _RecordingOracle, vs: list[int]) -> list[tuple[list[int], int]]:
     """Rerun the sketch extraction on the recorded strings, stopping after the
-    interval grouping (no consistency verification).  Returns the extraction
-    sequence with values and the interval runs.  The strings' values come from
-    the record, and their queries are charged at one base query each."""
+    interval grouping (no consistency verification), and return its runs.
+    The strings' values come from the record, and their queries are charged
+    at one base query each."""
     g.ledger.charge_queries(len(vs))
-    extracted = _extract(g, vs, [g.seen[v] for v in vs])
-    return extracted, _runs(extracted)
+    return _runs(_extract(g, vs, [g.seen[v] for v in vs]))
 
 
 @accounted
@@ -218,30 +216,27 @@ def check_dl(f: FunctionOracle, d: FiniteDistribution, eps: float, r: BitString,
         return Verdict("accept")
 
     b = f.query(r)
-    source = _sketch_inputs(rec, constants)
-    if not source or all(rec.seen[v] == rec.seen[source[0]] for v in source):
+    weight = 6 if constants.sketch_source == "light" else n
+    source = [v for v in rec.seen if v and v.bit_count() <= weight]
+    if len({rec.seen[v] for v in source}) < 2:
         return Verdict("reject", witness=("no_mixed_values",))
     # source holds both values and the extraction emits each string once, so
-    # extracted and runs hold both values too, whichever value b is
-    extracted, runs = _extraction_replay(rec, source)
+    # the runs hold both values too, whichever value b is
+    runs = _extraction_replay(rec, source)
+    last_opp = next(members for members, val in reversed(runs) if val != b)
+    last_same = next(members for members, val in reversed(runs) if val == b)
 
-    x_star = next(v for v, val in reversed(extracted) if val != b)
-    v2 = test_dl(f, base_sampler, eps, r, BitString(n, x_star ^ r.v), rng.derive(0xA2),
-                 constants)
+    # the last opposite-value string extracted ends the last opposite-value run
+    x_star = BitString(n, last_opp[-1] ^ r.v)
+    v2 = test_dl(f, base_sampler, eps, r, x_star, rng.derive(0xA2), constants)
     if v2.accepted:
         return Verdict("accept")
 
-    last_opp = next(members for members, val in reversed(runs) if val != b)
-    last_same = next(members for members, val in reversed(runs) if val == b)
-    results = []
-    for xv in last_opp:
-        idx = index_search(f, r, BitString(n, xv ^ r.v))
-        results.append((xv, idx))
-    nil_entries = [xv for xv, idx in results if idx is None]
-    if nil_entries:
-        z = BitString(n, nil_entries[0] ^ r.v)
+    idxs = [index_search(f, r, BitString(n, xv ^ r.v)) for xv in last_opp]
+    if None in idxs:
+        z = BitString(n, last_opp[idxs.index(None)] ^ r.v)
         return test_dl(f, base_sampler, eps, r, z, rng.derive(0xA3), constants)
-    for xv, idx in results:
+    for idx in idxs:
         if any((yv >> (idx - 1)) & 1 for yv in last_same):
             flipped = BitString(n, r.v ^ (1 << (idx - 1)))
             return test_dl(f, base_sampler, eps, r, flipped, rng.derive(0xA4), constants)
@@ -260,7 +255,8 @@ def decision_list_tester(f: FunctionOracle, d: FiniteDistribution, eps: float,
         r = sampler.draw()
         count = 0
         for j in range(inner):
-            count += check_dl(f, d, eps, r, rng.derive((rd << 20) | j), constants).accepted
+            attempt_rng = rng.derive((rd << _ATTEMPT_BITS) | j)
+            count += check_dl(f, d, eps, r, attempt_rng, constants).accepted
             # the round is decided once count reaches the threshold or the
             # attempts left cannot take it there; each attempt draws from its
             # own derived stream, so skipping the rest moves no later draw

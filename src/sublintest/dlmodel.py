@@ -117,9 +117,6 @@ def eval_mdl(rep, x: BitString) -> int:
     return rep.nu[min_index(rep, x) - 1]
 
 
-eval_dl = eval_mdl
-
-
 def monotonize(rep: GeneralDLRep) -> tuple[MonotoneDLRep, BitString]:
     """(g, r) with g a monotone list such that rep(x) = g(x xor r) for all x;
     r is the unique string matching no rule (the complement of mu)."""

@@ -10,34 +10,17 @@ from .core import (BitString, FiniteDistribution, PairDistribution, SeededRng, c
                    clamped_log2)
 from .dlmodel import GeneralDLRep, MonotoneDLRep, random_mdl, table_target
 from .exact import MAX_DL_N, dist_mdl
-from .oracles import ComparisonOracle, FunctionOracle, QueryLedger
+from .oracles import ComparisonOracle, FunctionOracle, Memo, QueryLedger
 
 
 class PlantInfeasible(ValueError):
     """The requested violation cannot be placed in this base instance."""
 
 
-class _Memo(dict):
-    """Target values by backing int; a miss evaluates the target and keeps
-    the value while fewer than cap are stored."""
-
-    __slots__ = ("target", "cap")
-
-    def __init__(self, target, cap: int):
-        self.target = target
-        self.cap = cap
-
-    def __missing__(self, v: int) -> int:
-        out = self.target(v)
-        if len(self) < self.cap:
-            self[v] = out
-        return out
-
-
 def _cached(target, cap: int = 1 << 18):
     """Value-memoized view of a raw target; purely a speed device, the query
     ledger still charges per oracle call.  A hit runs no Python frame."""
-    return _Memo(target, cap).__getitem__
+    return Memo(target, cap).__getitem__
 
 
 @dataclass
@@ -62,10 +45,6 @@ class InstanceBundle:
         if self.kind != "comparison":
             raise ValueError(f"{self.family} is a {self.kind} instance, not a comparison relation")
         return ComparisonOracle(self.n, self.less, ledger)
-
-    @property
-    def is_yes(self) -> bool:
-        return self.ground_truth[0] == "yes"
 
 
 # -- total orderings ---------------------------------------------------------

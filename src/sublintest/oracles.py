@@ -8,6 +8,7 @@ report is just the ledger's two counters.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,23 @@ class Verdict:
     @property
     def rejected(self) -> bool:
         return self.decision == "reject"
+
+
+class Memo(dict):
+    """Answers by key; a miss computes the answer and keeps it while fewer
+    than cap are stored.  A hit through __getitem__ runs no Python frame."""
+
+    __slots__ = ("compute", "cap")
+
+    def __init__(self, compute, cap: float = math.inf):
+        self.compute = compute
+        self.cap = cap
+
+    def __missing__(self, key):
+        out = self.compute(key)
+        if len(self) < self.cap:
+            self[key] = out
+        return out
 
 
 def accounted(tester):
@@ -217,19 +235,15 @@ class ShiftedSampler(DistSampler):
     def __init__(self, base: DistSampler, r: BitString):
         super().__init__(base.dist, base.rng, base.ledger)
         self.r = r
-        self._atoms = [None] * len(base.dist.atoms)
+        atoms = base.dist.atoms
+        self._atoms = Memo(lambda i: BitString(atoms[i].n, atoms[i].v ^ r.v))
 
     def shifted(self, r: BitString) -> "ShiftedSampler":
         return ShiftedSampler(self, bit_xor(self.r, r))
 
     def _outcomes(self, keys) -> list[BitString]:
         atoms = self._atoms
-        return [atoms[i] or self._shift(i) for i in keys]
-
-    def _shift(self, i: int) -> BitString:
-        x = self.dist.atoms[i]
-        y = self._atoms[i] = BitString(x.n, x.v ^ self.r.v)
-        return y
+        return [atoms[i] for i in keys]
 
 
 class PairSampler(SupportSampler):

@@ -1,8 +1,7 @@
 import pytest
 
 from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_xor, unit
-from sublintest.dlmodel import (GeneralDLRep, eval_dl, eval_mdl, min_index, monotonize,
-                                random_dl)
+from sublintest.dlmodel import GeneralDLRep, eval_mdl, min_index, monotonize, random_dl
 from sublintest import dl
 from sublintest.dl import (DlConstants, HybridFunction, _RecordingOracle, budget_dl, check_dl,
                            decision_list_tester, index_search, monotone_dl_amplified,
@@ -197,7 +196,13 @@ def test_hybrid_function_cases():
 def test_recording_oracle_keeps_first_queries_in_order():
     rep = random_dl(6, SeededRng(11))
     t = rep.target()
-    base = oracle_for(rep)
+    evaluated = []
+
+    def logged(v):
+        evaluated.append(v)
+        return t(v)
+
+    base = FunctionOracle(6, logged)
     r = BitString(6, 0b100101)
     rec = _RecordingOracle(base, r)
     queries = [5, 0, 9, 5, 63, 0, 9, 17]
@@ -205,6 +210,8 @@ def test_recording_oracle_keeps_first_queries_in_order():
         assert rec.query_raw(v) == t(v ^ r.v)
         assert base.ledger.function_queries == i + 1
     assert list(rec.seen.items()) == [(v, t(v ^ r.v)) for v in (5, 0, 9, 63, 17)]
+    # a repeat is answered from the record: the base target runs once per string
+    assert evaluated == [v ^ r.v for v in (5, 0, 9, 63, 17)]
 
 
 def _calls_until_exhausted(wrap, budget, strings):
@@ -407,6 +414,14 @@ def test_round_profile_refuses_a_threshold_above_the_attempts():
             decision_list_tester(bundle.function_oracle(ledger), bundle.dist, 0.25,
                                  SeededRng(16), constants)
         assert ledger.snapshot() == (0, 0)
+
+
+def test_round_profile_refuses_more_attempts_than_the_streams_number():
+    """Attempt j of round rd draws from rng.derive((rd << 20) | j), so attempt
+    2**20 of round 0 would draw the stream of attempt 0 of round 1."""
+    assert round_profile(64, 0.2, DlConstants(inner_rounds=1 << 20))[1] == 1 << 20
+    with pytest.raises(ValueError, match="streams would repeat"):
+        round_profile(64, 0.2, DlConstants(inner_rounds=(1 << 20) + 1))
 
 
 def _full_round_tester(f, d, eps, rng, constants, rounds):

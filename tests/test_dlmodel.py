@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sublintest.core import BitString, SeededRng, bit_or, bit_xor
 from sublintest.dlmodel import (_INT_SCAN_CUTOFF, GeneralDLRep, MonotoneDLRep, dominates,
-                                eval_dl, eval_mdl, min_index, monotonize, random_dl,
-                                random_mdl)
+                                eval_mdl, min_index, monotonize, random_dl, random_mdl)
 from sublintest.oracles import FunctionOracle, PreconditionViolated
 
 
@@ -111,7 +110,7 @@ def test_eval_dl_reduces_to_mdl_when_all_positive():
         dl = GeneralDLRep(n, mono.pi, [1] * n, mono.nu)
         for v in range(1 << n):
             x = BitString(n, v)
-            assert eval_dl(dl, x) == eval_mdl(mono, x)
+            assert eval_mdl(dl, x) == eval_mdl(mono, x)
 
 
 def test_dl_monotonizes_by_the_unmatched_string():
@@ -123,7 +122,7 @@ def test_dl_monotonizes_by_the_unmatched_string():
         assert min_index(rep, r) == n + 1
         for v in range(1 << n):
             x = BitString(n, v)
-            assert eval_dl(rep, x) == eval_mdl(mono, bit_xor(x, r))
+            assert eval_mdl(rep, x) == eval_mdl(mono, bit_xor(x, r))
 
 
 def test_first_rule_fires_regardless_of_rest():
@@ -132,7 +131,7 @@ def test_first_rule_fires_regardless_of_rest():
     for v in range(16):
         x = BitString(4, v)
         if x.bit(3) == 0:
-            assert eval_dl(rep, x) == 1
+            assert eval_mdl(rep, x) == 1
 
 
 def test_dominates_direct_example():

@@ -473,12 +473,15 @@ def _dl_instance_file(tmp_path, n) -> str:
 def test_cli_refuses_a_round_profile_that_cannot_accept(tmp_path, capsys, no_trials):
     """Exit 2 with one error line before any trial: at the width of --n, at
     any width of --n-list, and at the width of an --instance file whatever
-    --n says."""
+    --n says; and for more attempts per round than the streams can number."""
     for argv in (["test-dl", "--family", "dl-yes", "--n", "256"],
                  ["scaling", "--family", "dl-yes", "--n-list", "16,256"],
                  ["test-dl", "--instance", _dl_instance_file(tmp_path, 256), "--n", "16"]):
         assert cli_main(argv + NO_THRESHOLD) == 2
         assert "no round could accept" in _one_error_line(capsys)
+    # attempt 2**20 of a round would draw the stream of the next round's attempt 0
+    assert cli_main(["test-dl", "--n", "64", "--const", "inner_rounds=1048577"]) == 2
+    assert "streams would repeat" in _one_error_line(capsys)
 
 
 def test_cli_refuses_the_round_profile_only_at_the_instance_files_width(tmp_path, capsys):
