@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .core import BitString, FiniteDistribution, SeededRng, ceil_pos, clamped_log2, const
 from .oracles import DistSampler, FunctionOracle, Memo, PreconditionViolated, Verdict, accounted
-from .mdl import DEFAULT_MDL, MdlConstants, MdlRun, _extract, _runs, budget_mdl
+from .mdl import DEFAULT_MDL, MdlConstants, MdlRun, _extract, _replayed, _runs, budget_mdl
 
 
 @dataclass(frozen=True)
@@ -204,9 +204,13 @@ def _extraction_replay(g: _RecordingOracle, vs: list[int]) -> list[tuple[list[in
 
 @accounted
 def check_dl(f: FunctionOracle, d: FiniteDistribution, eps: float, r: BitString,
-             rng: SeededRng, constants: DlConstants = DEFAULT_DL) -> Verdict:
+             rng: SeededRng, constants: DlConstants = DEFAULT_DL,
+             searches: dict | None = None) -> Verdict:
     """One acceptance attempt for the pivot candidate r: test the shifted view
-    directly, then search the replayed sketch for a better shift."""
+    directly, then search the replayed sketch for a better shift.  searches
+    holds the index searches for r already run, {string: (index, queries
+    charged)}; each is replayed at its recorded cost, and a new one is added.
+    The attempts of a round share one; by default an attempt gets a fresh one."""
     n = f.n
     rec = _RecordingOracle(f, r)
     base_sampler = DistSampler(d, rng, f.ledger)
@@ -232,7 +236,9 @@ def check_dl(f: FunctionOracle, d: FiniteDistribution, eps: float, r: BitString,
     if v2.accepted:
         return Verdict("accept")
 
-    idxs = [index_search(f, r, BitString(n, xv ^ r.v)) for xv in last_opp]
+    searches = {} if searches is None else searches
+    idxs = [_replayed(f.ledger, searches, xv, index_search, f, r, BitString(n, xv ^ r.v))
+            for xv in last_opp]
     if None in idxs:
         z = BitString(n, last_opp[idxs.index(None)] ^ r.v)
         return test_dl(f, base_sampler, eps, r, z, rng.derive(0xA3), constants)
@@ -254,9 +260,10 @@ def decision_list_tester(f: FunctionOracle, d: FiniteDistribution, eps: float,
     for rd in range(outer):
         r = sampler.draw()
         count = 0
+        searches = {}  # index_search is deterministic, and the round's attempts share r
         for j in range(inner):
             attempt_rng = rng.derive((rd << _ATTEMPT_BITS) | j)
-            count += check_dl(f, d, eps, r, attempt_rng, constants).accepted
+            count += check_dl(f, d, eps, r, attempt_rng, constants, searches).accepted
             # the round is decided once count reaches the threshold or the
             # attempts left cannot take it there; each attempt draws from its
             # own derived stream, so skipping the rest moves no later draw

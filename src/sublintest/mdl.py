@@ -218,14 +218,25 @@ def _or_all(vs) -> int:
     return out
 
 
-def _halving(query, or_range, c: int, y_v: int, b: int) -> int:
+def _halving(g: FunctionOracle, or_range, c: int, y_v: int, b: int) -> int:
     """Rank that a halving search over ranks 0..c-1 keeps: a window keeps its left
-    half when query(or_range(left half) | y_v) answers b, else its right half."""
+    half when g answers b on or_range(left half) | y_v, else its right half.
+
+    Once a kept half adds nothing to y_v, every later window lies inside it,
+    so each later query asks y_v again, answers b and keeps the left half.
+    The search returns there and charges those repeats in one sum, each at
+    the cost the query of y_v just had."""
+    query, ledger = g.query_raw, g.ledger
     a = 0
     while c > 1:
         half = c // 2
-        if query(or_range(a, a + half) | y_v) == b:
+        w = or_range(a, a + half) | y_v
+        before = ledger.function_queries
+        if query(w) == b:
             c = half
+            if w == y_v:
+                ledger.charge_queries((ledger.function_queries - before) * (c.bit_length() - 1))
+                return a
         else:
             a += half
             c -= half
@@ -236,7 +247,7 @@ def _rep_search(f: FunctionOracle, vs: list[int], y_v: int) -> int:
     """Halving search returning some v in vs; when the target is a monotone
     list, v's rule outranks every other rule fired in vs or in the union y_v."""
     b = f.query_raw(_or_all(vs) | y_v)
-    return vs[_halving(f.query_raw, lambda lo, hi: _or_all(vs[lo:hi]), len(vs), y_v, b)]
+    return vs[_halving(f, lambda lo, hi: _or_all(vs[lo:hi]), len(vs), y_v, b)]
 
 
 def _recharge(ledger: QueryLedger, before: int):
@@ -282,7 +293,7 @@ def _extract(g: FunctionOracle, vs: list[int], vals: list[int]) -> list[tuple[in
             c = tree.alive
             ledger.charge_queries(cost * (_log2_floor_sum(c) + 2 * (c - 1)))
             break
-        pos = tree.kth_alive(_halving(query, tree.or_range, tree.alive, y_v, b))
+        pos = tree.kth_alive(_halving(g, tree.or_range, tree.alive, y_v, b))
         extracted.append((lists[b][pos], b))
         tree.remove(pos)
     for t in (b, 1 - b):  # a covered run's strings first; otherwise one tree is empty
@@ -351,6 +362,21 @@ def _find_block_ex(f: FunctionOracle, sk: MdlSketch, x: BitString) -> tuple[int,
     return p + 2 * hi, fx
 
 
+def _replayed(ledger: QueryLedger, cache: dict, key, compute, *args):
+    """compute(*args), a deterministic procedure, through cache under key: a
+    miss keeps the result with the queries it charged, and a hit charges that
+    cost again in one sum, so the ledger is the one repeated calls would leave."""
+    hit = cache.get(key)
+    if hit is not None:
+        res, cost = hit
+        ledger.charge_queries(cost)
+        return res
+    before = ledger.function_queries
+    res = compute(*args)
+    cache[key] = (res, ledger.function_queries - before)
+    return res
+
+
 def _first_per_index(recs, cap: int) -> list[tuple[int, BitString]]:
     """(max index, string) for the first string of recs with each max index,
     the first cap of them."""
@@ -387,25 +413,13 @@ class MdlRun:
         run.NL = L.neighbors() if L is not None else frozenset()
         return run
 
-    def _replayed(self, cache: dict, x: BitString, compute):
-        """compute(x) through cache: a hit recharges the recorded query cost."""
-        hit = cache.get(x.v)
-        if hit is not None:
-            res, cost = hit
-            self.f.ledger.charge_queries(cost)
-            return res
-        before = self.f.ledger.function_queries
-        res = compute(x)
-        cache[x.v] = (res, self.f.ledger.function_queries - before)
-        return res
-
     def find_block_ex(self, x: BitString) -> tuple[int, int]:
-        return self._replayed(self._fb_cache, x, lambda x: _find_block_ex(self.f, self.sk, x))
+        return _replayed(self.f.ledger, self._fb_cache, x.v, _find_block_ex, self.f, self.sk, x)
 
     def max_index(self, x: BitString) -> int | None:
         """Highest-priority same-value index of x's support, or None when the
         consistency checks fail.  Deterministic."""
-        return self._replayed(self._mi_cache, x, self._max_index)
+        return _replayed(self.f.ledger, self._mi_cache, x.v, self._max_index, x)
 
     def _max_index(self, x: BitString) -> int | None:
         f, sk, L = self.f, self.sk, self.L

@@ -1,15 +1,21 @@
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_xor, unit
 from sublintest.dlmodel import GeneralDLRep, eval_mdl, min_index, monotonize, random_dl
-from sublintest import dl
+from sublintest import dl, mdl
 from sublintest.dl import (DlConstants, HybridFunction, _RecordingOracle, budget_dl, check_dl,
                            decision_list_tester, index_search, monotone_dl_amplified,
                            round_profile)
+from sublintest.harness import RunConfig, build_instance, run_one_trial
 from sublintest.instances import gen_dl_yes, gen_groups4
 from sublintest.mdl import MdlConstants, MdlRun
 from sublintest.oracles import (BudgetExhausted, DistSampler, FunctionOracle,
                                 PreconditionViolated, QueryLedger, Verdict)
+
+from helpers import halving_per_level
 
 DESK = DlConstants(t_amplify=1, outer_rounds=4, inner_rounds=5, accept_threshold=2,
                    sketch_source="light")
@@ -490,7 +496,7 @@ def _scripted(tester, script, threshold, monkeypatch):
              for rd in range(outer) for j in range(inner)}
     ran = []
 
-    def attempt(f, d, eps, r, attempt_rng, constants):
+    def attempt(f, d, eps, r, attempt_rng, constants, searches=None):
         rd, j = slots[attempt_rng.stream_id]
         ran.append((rd, j))
         return Verdict("accept" if script[rd][j] else "reject")
@@ -555,3 +561,120 @@ def test_full_round_reference_on_seeded_scripts(threshold, monkeypatch):
             if got:  # the last attempt run could still decide the round
                 before = count - script[rd][got[-1]]
                 assert before < threshold <= before + 4 - got[-1], script
+
+
+# -- the round's index-search table ------------------------------------------
+
+def _fresh_tables(monkeypatch):
+    """Give every check_dl attempt its own index-search table, as if each
+    attempt searched for itself."""
+    check = dl.check_dl
+    monkeypatch.setattr(dl, "check_dl", lambda *args: check(*args[:6]))
+
+
+def _logged_searches(monkeypatch, rng, n, eps, constants):
+    """Log each index search a run on rng makes as (round, string, ledger
+    before, ledger after); the round is read from the attempt's rng stream."""
+    outer, inner, _ = round_profile(n, eps, constants)
+    rounds = {rng.derive((rd << 20) | j).stream_id: rd
+              for rd in range(outer) for j in range(inner)}
+    log, current = [], [None]
+    check, search = dl.check_dl, dl.index_search
+
+    def attempt(*args):
+        current[0] = rounds[args[4].stream_id]
+        return check(*args)
+
+    def logged(f, r, y):
+        before = f.ledger.function_queries
+        out = search(f, r, y)
+        log.append((current[0], y.v, before, f.ledger.function_queries))
+        return out
+
+    monkeypatch.setattr(dl, "check_dl", attempt)
+    monkeypatch.setattr(dl, "index_search", logged)
+    return log
+
+
+def test_round_replays_its_index_searches(monkeypatch):
+    """A round runs each index search once per string; with a table per
+    attempt the same searches repeat, and the verdict, witness and ledger are
+    the same."""
+    repeated = 0
+    for seed in range(4):
+        bundle = gen_groups4(64, SeededRng(21, seed), "no")
+        runs = []
+        for fresh in (False, True):
+            with monkeypatch.context() as m:
+                if fresh:
+                    _fresh_tables(m)
+                log = _logged_searches(m, SeededRng(22, seed), 64, 0.25, DESK)
+                v = decision_list_tester(bundle.function_oracle(), bundle.dist, 0.25,
+                                         SeededRng(22, seed), DESK)
+            runs.append(((v.decision, v.witness, v.queries, v.samples),
+                         Counter((rd, y) for rd, y, _, _ in log)))
+        (got, once), (want, each) = runs
+        assert got == want, seed
+        assert set(once.values()) <= {1} and once.keys() == each.keys(), seed
+        repeated += sum(each.values()) - len(each)
+    assert repeated
+
+
+def test_round_replay_exhausts_a_budget_like_per_attempt_searches(monkeypatch):
+    """Budgets inside the charge of a repeated search: the run that replays it
+    ends overbudget with the ledger of the run that searches again."""
+    consts = {"t_amplify": "1", "outer_rounds": "4", "inner_rounds": "5",
+              "c_accept_threshold": "2", "sketch_source": "light"}
+    cfg = RunConfig(tester="dl", family="groups4-no", n=64, eps=0.25, seed=23, consts=consts)
+    bundle = build_instance(cfg)
+    with monkeypatch.context() as m:
+        _fresh_tables(m)
+        # trial 0's rng, as run_one_trial derives it
+        log = _logged_searches(m, SeededRng(cfg.seed, 0).derive(1), 64, 0.25, cfg.constants)
+        run_one_trial(cfg, bundle, 0)
+    searched, repeats = set(), []
+    for rd, y, before, after in log:
+        if (rd, y) in searched:
+            repeats.append((before, after))
+        searched.add((rd, y))
+    assert repeats
+    for before, after in repeats[::max(1, len(repeats) // 4)]:
+        for budget in (before, (before + after) // 2, after - 1):
+            capped = dataclasses.replace(cfg, budget=budget)
+            row = run_one_trial(capped, bundle, 0)
+            with monkeypatch.context() as m:
+                _fresh_tables(m)
+                ref = run_one_trial(capped, bundle, 0)
+            assert row["verdict"] == ref["verdict"] == "overbudget"
+            assert (row["queries"], row["samples"]) == (ref["queries"], ref["samples"])
+            assert row["queries"] == budget
+
+
+# the acceptance suite's desk profile (criterion 4)
+ACCEPTANCE_DESK = DlConstants(t_amplify=3, outer_rounds=6, inner_rounds=8, accept_threshold=3,
+                              sketch_source="light")
+
+
+@pytest.mark.acceptance
+def test_shortcuts_match_their_references_at_acceptance_scale(monkeypatch):
+    """Criterion 4's first 10 groups4-no and first 10 dl-yes trials (n=1024,
+    desk profile), run by the program and again with the halving search
+    asking one query per level and a fresh index-search table per attempt:
+    the verdict, witness, queries and samples are equal."""
+    def trials():
+        rng = SeededRng(0xC4)
+        out = []
+        for t in range(10):
+            for bundle, trial_rng in ((gen_groups4(1024, rng.derive(2000 + t), "no"),
+                                       rng.derive(3000 + t)),
+                                      (gen_dl_yes(1024, 256, rng.derive(t)),
+                                       rng.derive(1000 + t))):
+                v = decision_list_tester(bundle.function_oracle(), bundle.dist, 0.2,
+                                         trial_rng, ACCEPTANCE_DESK)
+                out.append((v.decision, v.witness, v.queries, v.samples))
+        return out
+
+    got = trials()
+    monkeypatch.setattr(mdl, "_halving", halving_per_level)
+    _fresh_tables(monkeypatch)
+    assert got == trials()

@@ -7,11 +7,11 @@ from sublintest.harness import RunConfig, build_instance
 from sublintest.instances import (gen_groups4, gen_mdl_yes, gen_planted_violation,
                                   groups4_from_pi, list_bundle, table_bundle)
 from sublintest.mdl import (DEFAULT_MDL, BigBlockSet, MdlConstants, MdlRun, MdlSketch,
-                            _extract, _find_block_ex, _log2_floor_sum, _or_all, _OrTree, _runs,
-                            budget_mdl, monotone_dl_tester, sketch_mdl)
+                            _extract, _find_block_ex, _halving, _log2_floor_sum, _or_all,
+                            _OrTree, _runs, budget_mdl, monotone_dl_tester, sketch_mdl)
 from sublintest.oracles import BudgetExhausted, DistSampler, FunctionOracle, QueryLedger, Verdict
 
-from helpers import find_rep, mdl_run
+from helpers import find_rep, halving_per_level, mdl_run
 
 
 def oracle_for(rep, ledger=None):
@@ -690,13 +690,14 @@ def test_find_big_blocks_exhausts_a_budget_mid_round_like_per_draw_growth():
     assert seen == ref_seen[:len(seen)]
 
 
-def _extract_per_step(g, vs, vals, repeats=None):
+def _extract_per_step(g, vs, vals, repeats=None, sums=None):
     """The extraction one step per string: a step with both values alive
     queries the union twice (the halving search recomputes its own reference
-    value), and once one value is left each step emits its next string with
-    kth_alive(0).  The reference for _extract's order, ledger and queries;
-    repeats, when given, gets the ledger before and after each repeated union
-    query."""
+    value) and then halving-searches one query per level, and once one value
+    is left each step emits its next string with kth_alive(0).  The reference
+    for _extract's order, ledger and queries; repeats, when given, gets the
+    ledger before and after each repeated union query, and sums the spans of
+    the searches that keep a half inside the other value's union."""
     lists = ([v for v, b in zip(vs, vals) if b == 0], [v for v, b in zip(vs, vals) if b == 1])
     trees = (_OrTree(lists[0]), _OrTree(lists[1]))
     query = g.query_raw
@@ -706,20 +707,11 @@ def _extract_per_step(g, vs, vals, repeats=None):
             union_v = trees[0].or_all() | trees[1].or_all()
             b = query(union_v)
             tree = trees[b]
-            or_range = tree.or_range
-            other_v = trees[1 - b].or_all()
             before = g.ledger.function_queries
             query(union_v)
             if repeats is not None:
                 repeats.append((before, g.ledger.function_queries))
-            a, c = 0, tree.alive
-            while c > 1:
-                half = c // 2
-                if query(or_range(a, a + half) | other_v) == b:
-                    c = half
-                else:
-                    a += half
-                    c -= half
+            a = halving_per_level(g, tree.or_range, tree.alive, trees[1 - b].or_all(), b, sums)
         else:
             b = 0 if trees[0].alive else 1
             tree, a = trees[b], 0
@@ -869,6 +861,164 @@ def test_extract_exhausts_a_budget_on_a_recharged_query_like_per_step(wrap):
                     _extract_per_step(ref.g, vs, vals)
                 assert new.ledger.function_queries == budget
                 assert new.state() == ref.state(), (seed, budget)
+
+
+def _counted_query_raw(monkeypatch):
+    """Count FunctionOracle.query_raw calls, through every view, in calls[0]."""
+    calls = [0]
+    query_raw = FunctionOracle.query_raw
+
+    def counted(self, v):
+        calls[0] += 1
+        return query_raw(self, v)
+
+    monkeypatch.setattr(FunctionOracle, "query_raw", counted)
+    return calls
+
+
+def _halving_input(seed, wrap):
+    """Sparse nonzero strings vs, a union y_v and the answer b on vs | y_v
+    under the view, as _rep_search asks it.  y_v holds a random prefix of vs
+    (none, part or all of it), so that some searches keep a half inside y_v at
+    their first level, some deeper and some never."""
+    probe = _list_view(wrap, seed)
+    rng, n = probe.rng, probe.g.n
+    vs = [_sparse(n, rng).v for _ in range(1 + rng.integer(0, 40))]
+    y_v = _or_all(vs[:rng.integer(0, len(vs) + 1)]) | _sparse(n, rng).v
+    return vs, y_v, probe.g.query_raw(_or_all(vs) | y_v)
+
+
+@pytest.mark.parametrize("wrap", WRAPS)
+def test_halving_matches_per_level_search(wrap, monkeypatch):
+    calls = _counted_query_raw(monkeypatch)
+    fewer = 0
+    for seed in range(80):
+        vs, y_v, b = _halving_input(seed, wrap)
+        new, ref = _list_view(wrap, seed), _list_view(wrap, seed)
+        start = calls[0]
+        got = _halving(new.g, _OrTree(vs).or_range, len(vs), y_v, b)
+        mid, sums = calls[0], []
+        assert got == halving_per_level(ref.g, _OrTree(vs).or_range, len(vs), y_v, b, sums)
+        assert new.state() == ref.state(), seed
+        # only the queries after a kept half inside y_v are charged unasked
+        assert mid - start == calls[0] - mid or sums, seed
+        fewer += mid - start < calls[0] - mid
+    assert fewer
+
+
+@pytest.mark.parametrize("wrap", WRAPS)
+def test_halving_exhausts_a_budget_inside_its_summed_charge_like_per_level(wrap):
+    inside = 0
+    for seed in range(80):
+        vs, y_v, b = _halving_input(seed, wrap)
+        sums = []
+        halving_per_level(_list_view(wrap, seed).g, _OrTree(vs).or_range, len(vs), y_v, b, sums)
+        for mark, end in sums:
+            for budget in range(mark, end):  # inside the summed charge
+                new, ref = _list_view(wrap, seed, budget), _list_view(wrap, seed, budget)
+                with pytest.raises(BudgetExhausted):
+                    _halving(new.g, _OrTree(vs).or_range, len(vs), y_v, b)
+                with pytest.raises(BudgetExhausted):
+                    halving_per_level(ref.g, _OrTree(vs).or_range, len(vs), y_v, b)
+                assert new.ledger.function_queries == budget
+                assert new.state() == ref.state(), (seed, budget)
+                inside += 1
+    assert inside
+
+
+def _pivoted_groups4_view(seed, budget=None) -> _Viewed:
+    """A groups4-no instance at n=32 through the hybrid view as test_dl builds
+    it: the pivot r is an atom, and so is the shift z (the last opposite-value
+    string of a replay, shifted back by r).  `atoms` holds the support xor z,
+    as test_dl's shifted sampler hands it over.  Unlike _covered_inputs, many
+    of these extractions end without a covered run."""
+    rng = SeededRng(seed, 0x62)
+    n = 32
+    bundle = groups4_from_pi(n, rng.permutation(n), "no")
+    atoms = [x.v for x in bundle.dist.atoms]
+    r, z = (atoms[rng.integer(0, len(atoms))] for _ in range(2))
+    view = _Viewed("function", n, bundle.target, rng, budget)
+    view.g = HybridFunction(view.g, BitString(n, r), BitString(n, z))
+    view.atoms = list(dict.fromkeys(v ^ z for v in atoms if v != z))
+    return view
+
+
+def _pivoted_input(seed):
+    probe = _pivoted_groups4_view(seed)
+    return probe.atoms, [probe.g.query_raw(v) for v in probe.atoms]
+
+
+def _extraction_inputs(seed, wrap):
+    """(view builder, strings, values): a random list's input, the groups4-no
+    inputs of _covered_inputs and, through the hybrid view, the one of
+    _pivoted_groups4_view."""
+    yield (lambda budget=None: _list_view(wrap, seed, budget)), *_extraction_input(seed, wrap)
+    for vs, vals in _covered_inputs(seed, wrap):
+        yield (lambda budget=None: _groups4_view(wrap, seed, budget)), vs, vals
+    if wrap == "hybrid":
+        yield (lambda budget=None: _pivoted_groups4_view(seed, budget)), *_pivoted_input(seed)
+
+
+@pytest.mark.parametrize("wrap", WRAPS)
+def test_extract_exhausts_a_budget_inside_a_halving_sum_like_per_step(wrap):
+    inside = 0
+    for seed in range(12):
+        for view, vs, vals in _extraction_inputs(seed, wrap):
+            if len(set(vals)) < 2:
+                continue
+            sums = []
+            _extract_per_step(view().g, vs, vals, sums=sums)
+            for mark, end in sums[::4]:
+                for budget in range(mark, end):
+                    new, ref = view(budget), view(budget)
+                    with pytest.raises(BudgetExhausted):
+                        _extract(new.g, vs, vals)
+                    with pytest.raises(BudgetExhausted):
+                        _extract_per_step(ref.g, vs, vals)
+                    assert new.ledger.function_queries == budget
+                    assert new.state() == ref.state(), (seed, budget)
+                    inside += 1
+    assert inside
+
+
+def _ends_in_covered_run(extracted) -> bool:
+    """Whether an extraction reaches a step whose searched value's alive
+    strings the other value's alive strings cover (the covered run that
+    _extract settles in one sum)."""
+    for i, (_, b) in enumerate(extracted):
+        rest = extracted[i:]
+        other = _or_all(v for v, c in rest if c != b)
+        if not other:
+            return False
+        if _or_all(v for v, c in rest if c == b) | other == other:
+            return True
+    return False
+
+
+def test_extract_asks_fewer_queries_than_per_step_without_a_covered_run(monkeypatch):
+    """On groups4-no extractions through test_dl's hybrid view that end without
+    a covered run, _extract asks fewer queries than the per-step reference asks
+    besides its repeated union queries: a search whose kept half lies inside
+    the other value's union stops there."""
+    calls = _counted_query_raw(monkeypatch)
+    open_runs = fewer = 0
+    for seed in range(20):
+        vs, vals = _pivoted_input(seed)
+        if len(set(vals)) < 2:
+            continue
+        new, ref = _pivoted_groups4_view(seed), _pivoted_groups4_view(seed)
+        start = calls[0]
+        got = _extract(new.g, vs, vals)
+        mid, repeats = calls[0], []
+        assert got == _extract_per_step(ref.g, vs, vals, repeats), seed
+        assert new.state() == ref.state(), seed
+        if _ends_in_covered_run(got):
+            continue
+        asked, ref_asked = mid - start, calls[0] - mid - len(repeats)
+        assert asked <= ref_asked, seed
+        open_runs += 1
+        fewer += asked < ref_asked
+    assert fewer >= open_runs // 2 > 0
 
 
 def test_log2_floor_sum_matches_the_loop():
