@@ -175,7 +175,8 @@ def test_dl(f: FunctionOracle, sampler: DistSampler, eps: float,
             constants: DlConstants = DEFAULT_DL) -> Verdict:
     """Estimate how far the shifted view is from its pivot truncation, then
     run the amplified monotone tester on the truncation at eps/2; both draw
-    from sampler shifted by z."""
+    from sampler shifted by z.  f is used as given: a target memo, if any, is
+    the caller's."""
     n = f.n
     h = HybridFunction(f, r, z)
     shifted = sampler.shifted(z)
@@ -210,7 +211,8 @@ def check_dl(f: FunctionOracle, d: FiniteDistribution, eps: float, r: BitString,
     directly, then search the replayed sketch for a better shift.  searches
     holds the index searches for r already run, {string: (index, queries
     charged)}; each is replayed at its recorded cost, and a new one is added.
-    The attempts of a round share one; by default an attempt gets a fresh one."""
+    The attempts of a round share one; by default an attempt gets a fresh one.
+    f is used as given: a target memo, if any, is the caller's."""
     n = f.n
     rec = _RecordingOracle(f, r)
     base_sampler = DistSampler(d, rng, f.ledger)
@@ -252,10 +254,13 @@ def check_dl(f: FunctionOracle, d: FiniteDistribution, eps: float, r: BitString,
 @accounted
 def decision_list_tester(f: FunctionOracle, d: FiniteDistribution, eps: float,
                          rng: SeededRng, constants: DlConstants = DEFAULT_DL) -> Verdict:
-    """Accept iff some sampled pivot wins enough acceptance attempts."""
+    """Accept iff some sampled pivot wins enough acceptance attempts.  The
+    trial's views ask the same base strings again, so the base target is
+    memoised once here and every view of the trial shares the memo."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     outer, inner, threshold = round_profile(f.n, eps, constants)
+    f = FunctionOracle(f.n, Memo(f.target, 1 << 18).__getitem__, f.ledger)
     sampler = DistSampler(d, rng, f.ledger)
     for rd in range(outer):
         r = sampler.draw()

@@ -19,7 +19,10 @@ class PlantInfeasible(ValueError):
 
 def _cached(target, cap: int = 1 << 18):
     """Value-memoized view of a raw target; purely a speed device, the query
-    ledger still charges per oracle call.  A hit runs no Python frame."""
+    ledger still charges per oracle call.  A hit runs no Python frame.
+    Nothing under src/ calls it: function_oracle queries the target bare, and
+    decision_list_tester keeps its own memo.  It stays because bench/tracer.py
+    patches it by name."""
     return Memo(target, cap).__getitem__
 
 
@@ -37,9 +40,10 @@ class InstanceBundle:
     less: object = None       # (u, v) with u < v -> bool (comparison instances)
 
     def function_oracle(self, ledger: QueryLedger | None = None) -> FunctionOracle:
+        """An oracle over the bare target: every query evaluates it."""
         if self.kind != "boolean":
             raise ValueError(f"{self.family} is a {self.kind} instance, not a boolean function")
-        return FunctionOracle(self.n, _cached(self.target), ledger)
+        return FunctionOracle(self.n, self.target, ledger)
 
     def comparison_oracle(self, ledger: QueryLedger | None = None) -> ComparisonOracle:
         if self.kind != "comparison":

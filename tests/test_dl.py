@@ -12,7 +12,7 @@ from sublintest.dl import (DlConstants, HybridFunction, _RecordingOracle, budget
 from sublintest.harness import RunConfig, build_instance, run_one_trial
 from sublintest.instances import gen_dl_yes, gen_groups4
 from sublintest.mdl import MdlConstants, MdlRun
-from sublintest.oracles import (BudgetExhausted, DistSampler, FunctionOracle,
+from sublintest.oracles import (BudgetExhausted, DistSampler, FunctionOracle, Memo,
                                 PreconditionViolated, QueryLedger, Verdict)
 
 from helpers import halving_per_level
@@ -387,6 +387,33 @@ def test_decision_list_tester_default_constants_smoke():
         v = decision_list_tester(f, bundle.dist, 0.3, rng.derive(400 + trial))
         accepts += v.accepted
     assert accepts >= 2
+
+
+@pytest.mark.parametrize("family", ["dl-yes", "groups4-no"])
+def test_decision_list_tester_memo_evaluates_each_string_once(family):
+    """Given a bare oracle, a trial evaluates each distinct base string once,
+    and decides, charges and evaluates as on an oracle that the caller
+    memoises."""
+    rng = SeededRng(24)
+    for trial in range(3):
+        bundle = (gen_dl_yes(64, 24, rng.derive(trial)) if family == "dl-yes" else
+                  gen_groups4(64, rng.derive(trial), "no"))
+        bare_calls, memo_calls = Counter(), Counter()
+
+        def counting(calls, _target=bundle.target):
+            def target(v):
+                calls[v] += 1
+                return _target(v)
+            return target
+
+        runs = [decision_list_tester(FunctionOracle(64, target), bundle.dist, 0.25,
+                                     rng.derive(100 + trial), DESK)
+                for target in (counting(bare_calls),
+                               Memo(counting(memo_calls)).__getitem__)]
+        bare, memoised = [(v.decision, v.witness, v.queries, v.samples) for v in runs]
+        assert bare == memoised, trial
+        assert bare_calls == memo_calls, trial
+        assert set(bare_calls.values()) == {1}, trial
 
 
 def test_dl_ledger_within_budget():

@@ -58,6 +58,25 @@ def test_mdl_yes_atoms_weight_two_and_consistent():
         assert bundle.target(x.v) == eval_mdl(rep, x)
 
 
+def test_function_oracle_keeps_no_memo():
+    """The bundle's oracle queries the bundle's own target: every query
+    evaluates it, repeats included, and charges one query."""
+    bundle = gen_groups4(16, SeededRng(10), "no")
+    target, calls = bundle.target, []
+
+    def counting(v):
+        calls.append(v)
+        return target(v)
+
+    bundle.target = counting
+    f = bundle.function_oracle()
+    assert f.target is counting
+    queries = [0, 5, 3, 5, 0, 5]
+    assert [f.query_raw(v) for v in queries] == [target(v) for v in queries]
+    assert calls == queries
+    assert f.ledger.function_queries == len(queries)
+
+
 def test_dl_yes_consistent_with_rep():
     bundle = gen_dl_yes(64, 40, SeededRng(8))
     rep = bundle.params["rep"]
