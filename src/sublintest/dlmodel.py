@@ -6,10 +6,11 @@ from __future__ import annotations
 from .core import BitString, SeededRng, bit_or, check_permutation
 from .oracles import FunctionOracle, PreconditionViolated
 
-# a string with at most this many set bits is scanned bit by bit, which up to
-# here costs less than the prefix-table search; a wider one first narrows to
-# one block of the table
-_INT_SCAN_CUTOFF = 4
+# a string with at most this many set bits is scanned bit by bit from its
+# highest (two big-int allocations a bit), which up to here costs less than the
+# prefix-table search (8, 12 and 16 time alike on the MDL tester's queries); a
+# wider one first narrows to one block of the table
+_INT_SCAN_CUTOFF = 8
 _BLOCK = 16  # ranks per block of MonotoneDLRep's prefix table
 
 
@@ -53,7 +54,9 @@ class MonotoneDLRep:
         return table
 
     def min_rank_raw(self, v: int) -> int:
-        """0-based rank of the firing rule; n when nothing fires."""
+        """0-based rank of the firing rule; n when nothing fires: the least rank
+        among v's set bits, scanned from the highest bit down once a string
+        wider than _INT_SCAN_CUTOFF bits is narrowed to one prefix-table block."""
         if v.bit_count() > _INT_SCAN_CUTOFF:
             # binary search for the first block whose prefix meets v, then keep
             # only v's bits in that block: O(log(n / _BLOCK)) big-int ANDs
@@ -69,11 +72,11 @@ class MonotoneDLRep:
         best = self.n
         rank = self._rank_list
         while v:
-            lsb = v & -v
-            r = rank[lsb.bit_length() - 1]
+            top = v.bit_length() - 1
+            r = rank[top]
             if r < best:
                 best = r
-            v ^= lsb
+            v ^= 1 << top
         return best
 
     def target(self):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sublintest.core import BitString, SeededRng, bit_or, bit_xor
-from sublintest.dlmodel import (_INT_SCAN_CUTOFF, GeneralDLRep, MonotoneDLRep, dominates,
-                                eval_mdl, min_index, monotonize, random_dl, random_mdl)
+from sublintest.dlmodel import (_BLOCK, _INT_SCAN_CUTOFF, GeneralDLRep, MonotoneDLRep,
+                                dominates, eval_mdl, min_index, monotonize, random_dl,
+                                random_mdl)
 from sublintest.oracles import FunctionOracle, PreconditionViolated
 
 
@@ -73,8 +74,8 @@ def test_min_rank_matches_positional_scan(n):
     rng = SeededRng(29, n)
     rep = random_mdl(n, rng)
     probes = _rank_probes(n, rep.pi, rng)
-    assert {v.bit_count() > _INT_SCAN_CUTOFF for v in probes} == ({False, True} if n > 4
-                                                                  else {False})
+    assert {v.bit_count() > _INT_SCAN_CUTOFF for v in probes} == (
+        {False, True} if n > _INT_SCAN_CUTOFF else {False})
     for v in probes:
         assert rep.min_rank_raw(v) + 1 == brute_min_index(rep.pi, BitString(n, v))
 
@@ -100,6 +101,48 @@ def test_general_min_rank_matches_positional_scan(n):
         x = BitString(n, u)
         first = next((j for j, var in enumerate(rep.pi) if x.bit(var) == rep.mu[var - 1]), n)
         assert rep.min_rank_raw(u) == first
+
+
+def _cutoff_probes(n, pi, rng):
+    """Strings of _INT_SCAN_CUTOFF - 1, _INT_SCAN_CUTOFF and _INT_SCAN_CUTOFF + 1
+    set bits, each holding bit 0 and bit n - 1: the rest drawn at random, taken
+    from the deepest ranks (so bit 0 or bit n - 1 fires), from the shallowest,
+    and from the ranks around a block edge of the prefix table."""
+    edges = {0, n - 1}
+    order = [var - 1 for var in pi if var - 1 not in edges]  # bits by rank
+    block_edge = _BLOCK * (n // _BLOCK // 2)
+    probes = []
+    for w in (_INT_SCAN_CUTOFF - 1, _INT_SCAN_CUTOFF, _INT_SCAN_CUTOFF + 1):
+        drawn = [order[int(i)] for i in np.argsort(rng.random_block(len(order)))[:w - 2]]
+        across = order[block_edge - (w - 2) // 2:][:w - 2]
+        for rest in (drawn, order[len(order) - w + 2:], order[:w - 2], across):
+            probes.append(sum(1 << b for b in edges.union(rest)))
+    assert {v.bit_count() for v in probes} == {_INT_SCAN_CUTOFF - 1, _INT_SCAN_CUTOFF,
+                                               _INT_SCAN_CUTOFF + 1}
+    return probes
+
+
+def _edge_lists(n, rng):
+    """Priority orders at width n: a random one, two that put bit 0 and bit
+    n - 1 at the first and last ranks, and one that puts both in the last block
+    of the prefix table."""
+    return [rng.permutation(n), tuple(range(1, n + 1)), tuple(range(n, 0, -1)),
+            tuple(range(2, n)) + (1, n)]
+
+
+@pytest.mark.parametrize("n", [64, 4096, 16384])
+def test_min_rank_on_both_sides_of_the_scan_cutoff(n):
+    rng = SeededRng(41, n)
+    for pi in _edge_lists(n, rng):
+        mono = MonotoneDLRep(n, pi, [0] * (n + 1))
+        general = GeneralDLRep(n, pi, [rng.coin() for _ in range(n)], [0] * (n + 1))
+        r = monotonize(general)[1].v
+        for v in _cutoff_probes(n, pi, rng):
+            assert mono.min_rank_raw(v) + 1 == brute_min_index(pi, BitString(n, v))
+            # v as the general list's firing pattern: v xor r fires where v is set
+            x = BitString(n, v ^ r)
+            first = next(j for j, var in enumerate(pi) if x.bit(var) == general.mu[var - 1])
+            assert general.min_rank_raw(v ^ r) == first
 
 
 def test_eval_dl_reduces_to_mdl_when_all_positive():
