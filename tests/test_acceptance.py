@@ -8,29 +8,26 @@ import time
 
 import pytest
 
-from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_or, unit
+from sublintest.core import BitString, SeededRng, unit
 from sublintest.dlmodel import eval_mdl, min_index, random_dl, random_mdl
-from sublintest.dl import DlConstants, decision_list_tester, index_search
+from sublintest.dl import index_search
 from sublintest.exact import min_vertex_cover_weight
 from sublintest.birthday import (CollisionExperiment, run_bipartite_birthday,
                                  run_hypergraph_birthday)
 from sublintest.harness import RunConfig, budget_for, oracle_check, run_trials
-from sublintest.instances import (gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pentagon,
-                                  gen_random_table, gen_total_yes)
+from sublintest.instances import gen_mdl_yes, gen_pentagon, gen_random_table, gen_total_yes
 from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, _find_block_ex, budget_mdl,
-                            monotone_dl_tester, sketch_mdl)
+                            sketch_mdl)
 from sublintest.oracles import (FunctionOracle, MarginalSampler, PairSampler, QueryLedger,
                                Verdict)
 from sublintest.total_order import TotalSketch, sketch_total
 from sublintest.total_order import test_long_cycles as long_stage
 from sublintest.total_order import test_total_ordering as run_total_tester
 
-from helpers import find_rep, mdl_run
+from helpers import (CRITERIA, expected_blocks, find_rep, goal_equation_holds, mdl_run,
+                     run_tester, weight2_set)
 
 pytestmark = pytest.mark.acceptance
-
-DL_DESK = DlConstants(t_amplify=3, outer_rounds=6, inner_rounds=8, accept_threshold=3,
-                      sketch_source="light")
 
 
 def report(criterion, ok, detail):
@@ -103,22 +100,14 @@ def test_criterion_2_one_sided_stages():
 def test_criterion_3_mdl_contract_desk_scale():
     start = time.time()
     n, eps = 4096, 0.1
-    rng = SeededRng(0xC3)
     accepts = 0
     for t in range(200):
-        bundle = gen_mdl_yes(n, 1024, rng.derive(t))
         ledger = QueryLedger()
-        v = monotone_dl_tester(bundle.function_oracle(ledger), bundle.dist, eps,
-                               rng.derive(1000 + t))
+        v = run_tester(*CRITERIA["c3-yes"](t), ledger)
         accepts += v.accepted
         assert ledger.function_queries <= budget_mdl(n, eps)[0]
         assert ledger.samples_drawn <= budget_mdl(n, eps)[1]
-    rejects = 0
-    for t in range(200):
-        bundle = gen_groups4(n, rng.derive(2000 + t), "no")
-        v = monotone_dl_tester(bundle.function_oracle(), bundle.dist, eps,
-                               rng.derive(3000 + t))
-        rejects += v.rejected
+    rejects = sum(run_tester(*CRITERIA["c3-no"](t)).rejected for t in range(200))
     elapsed = time.time() - start
     ok = accepts >= 150 and rejects >= 150 and elapsed < 1800
     report(3, ok, f"yes accept {accepts}/200, groups4-no reject {rejects}/200, "
@@ -129,12 +118,7 @@ def _criterion_4_trial(task) -> bool:
     """Whether criterion 4's trial t on side ("yes" or "no") decides as that side
     should; a pure function of (side, t), so a worker process can run it."""
     side, t = task
-    rng = SeededRng(0xC4)
-    if side == "yes":
-        bundle, trial_rng = gen_dl_yes(1024, 256, rng.derive(t)), rng.derive(1000 + t)
-    else:
-        bundle, trial_rng = gen_groups4(1024, rng.derive(2000 + t), "no"), rng.derive(3000 + t)
-    v = decision_list_tester(bundle.function_oracle(), bundle.dist, 0.2, trial_rng, DL_DESK)
+    v = run_tester(*CRITERIA["c4-" + side](t))
     return v.accepted if side == "yes" else v.rejected
 
 
@@ -194,38 +178,6 @@ def test_criterion_6_birthday_regimes():
            ", ".join(f"{k}={v:.3f}" for k, v in rates.items()) + " (all >= 0.97)")
 
 
-def _weight2_set(n, count, rng):
-    out, seen = [], set()
-    while len(out) < count:
-        a, b = int(rng.integer(1, n + 1)), int(rng.integer(1, n + 1))
-        if a != b:
-            v = (1 << (a - 1)) | (1 << (b - 1))
-            if v not in seen:
-                seen.add(v)
-                out.append(BitString(n, v))
-    return out
-
-
-def _expected_blocks(rep, sk, x):
-    b = eval_mdl(rep, x)
-    rx = min_index(rep, x)
-    k = sk.k
-    ranks = [min_index(rep, s) for s in sk.strings]
-    vals = sk.values
-    out = []
-    for ell in range(0, k + 2):
-        if 2 <= ell <= k - 1:
-            if vals[ell - 2] != b and vals[ell] != b and ranks[ell - 2] < rx < ranks[ell]:
-                out.append(ell)
-        elif ell in (0, 1):
-            if vals[ell] != b and rx < ranks[ell]:
-                out.append(ell)
-        else:
-            if vals[ell - 2] != b and ranks[ell - 2] < rx:
-                out.append(ell)
-    return out
-
-
 def test_criterion_7_deterministic_postconditions():
     rng = SeededRng(0xC7)
     failures = []
@@ -238,14 +190,7 @@ def test_criterion_7_deterministic_postconditions():
         xs = [rng.bit_string(n) for _ in range(1 + int(rng.integer(0, 6)))]
         xs = [x if x.v else unit(1, n) for x in xs]
         ys = [rng.bit_string(n) for _ in range(int(rng.integer(0, 4)))]
-        xstar = find_rep(f, xs, ys)
-        acc = 0
-        for y in ys:
-            acc |= y.v
-        lhs = rep.target()(xstar.v | acc)
-        for z in xs:
-            acc |= z.v
-        if lhs != rep.target()(acc):
+        if not goal_equation_holds(rep, find_rep(f, xs, ys), xs, ys):
             failures.append(("find_rep", i))
 
     # block-location three-case contract
@@ -255,14 +200,14 @@ def test_criterion_7_deterministic_postconditions():
         i += 1
         n = 6 + int(rng.integer(0, 58))
         rep = random_mdl(n, rng.derive(10_000 + i))
-        T = _weight2_set(n, min(12, n - 1), rng.derive(20_000 + i))
+        T = weight2_set(n, min(12, n - 1), rng.derive(20_000 + i))
         if len({eval_mdl(rep, x) for x in T}) < 2:
             continue
         f = FunctionOracle(n, rep.target())
         sk = sketch_mdl(f, T)
         x = rng.bit_string(n)
         x = x if x.v else unit(1, n)
-        want = _expected_blocks(rep, sk, x)
+        want = expected_blocks(rep, sk, x)
         got = _find_block_ex(f, sk, x)[0]
         if len(want) != 1 or got != want[0]:
             failures.append(("find_block", i))
@@ -275,7 +220,7 @@ def test_criterion_7_deterministic_postconditions():
         i += 1
         n = 6 + int(rng.integer(0, 58))
         rep = random_mdl(n, rng.derive(30_000 + i))
-        T = _weight2_set(n, min(12, n - 1), rng.derive(40_000 + i))
+        T = weight2_set(n, min(12, n - 1), rng.derive(40_000 + i))
         if len({eval_mdl(rep, x) for x in T}) < 2:
             continue
         f = FunctionOracle(n, rep.target())

@@ -4,18 +4,18 @@ ceiling that holds when a constant scales a stage's sample count."""
 import pytest
 
 from sublintest.core import SeededRng
-from sublintest.dl import DlConstants, budget_dl
+from sublintest.dl import budget_dl
 from sublintest.harness import RunConfig, budget_for
 from sublintest.instances import gen_mdl_yes
 from sublintest.mdl import MdlConstants, budget_mdl, monotone_dl_tester
 from sublintest.oracles import QueryLedger
 from sublintest.total_order import budget_total
 
+from helpers import DL_DESK
+
 # the DL tester's desk profile of the acceptance suite, as --const values
 DESK_CONSTS = {"t_amplify": "3", "outer_rounds": "6", "inner_rounds": "8",
                "c_accept_threshold": "3", "sketch_source": "light"}
-DESK = DlConstants(t_amplify=3, outer_rounds=6, inner_rounds=8, accept_threshold=3,
-                   sketch_source="light")
 
 # (queries, samples), as computed before stages and budgets shared their counts
 PINNED = [
@@ -27,9 +27,9 @@ PINNED = [
     (budget_mdl, None, 4096, 0.1, (10083721888000, 66135921)),
     (budget_dl, None, 16, 0.3, (15892139120946088, 88702120929910)),
     (budget_dl, None, 1024, 0.2, (1085468300186106996000, 3933624721770500)),
-    (budget_dl, DESK, 16, 0.3, (480626621616, 2776064406)),
-    (budget_dl, DESK, 256, 0.15, (555436772681952, 19971214422)),
-    (budget_dl, DESK, 4096, 0.1, (194061622095176160, 96597596742)),
+    (budget_dl, DL_DESK, 16, 0.3, (480626621616, 2776064406)),
+    (budget_dl, DL_DESK, 256, 0.15, (555436772681952, 19971214422)),
+    (budget_dl, DL_DESK, 4096, 0.1, (194061622095176160, 96597596742)),
 ]
 
 
@@ -44,7 +44,7 @@ def test_budget_values_are_pinned(budget, constants, n, eps, want):
 def test_budget_for_is_the_testers_budget(tester, budget):
     assert budget_for(RunConfig(tester=tester, family="x", n=256, eps=0.15)) == budget(256, 0.15)
     desk = RunConfig(tester=tester, family="x", n=256, eps=0.15, consts=dict(DESK_CONSTS))
-    want = budget(256, 0.15, DESK) if tester == "dl" else budget(256, 0.15)
+    want = budget(256, 0.15, DL_DESK) if tester == "dl" else budget(256, 0.15)
     assert budget_for(desk) == want
 
 

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 from collections import Counter
 
 import pytest
 
 from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_xor, unit
 from sublintest.dlmodel import GeneralDLRep, eval_mdl, min_index, monotonize, random_dl
-from sublintest import dl, mdl
+from sublintest import dl
 from sublintest.dl import (DlConstants, HybridFunction, _RecordingOracle, budget_dl, check_dl,
                            decision_list_tester, index_search, monotone_dl_amplified,
                            round_profile)
@@ -15,14 +16,11 @@ from sublintest.mdl import MdlConstants, MdlRun
 from sublintest.oracles import (BudgetExhausted, DistSampler, FunctionOracle, Memo,
                                 PreconditionViolated, QueryLedger, Verdict)
 
-from helpers import halving_per_level
+from helpers import oracle_for
+from reference import own_index_table
 
 DESK = DlConstants(t_amplify=1, outer_rounds=4, inner_rounds=5, accept_threshold=2,
                    sketch_source="light")
-
-
-def oracle_for(rep, ledger=None):
-    return FunctionOracle(rep.n, rep.target(), ledger)
 
 
 def test_index_search_singleton_flip():
@@ -64,7 +62,6 @@ def test_index_search_contract_randomized():
         before = f.ledger.function_queries
         out = index_search(f, r, y)
         cost = f.ledger.function_queries - before
-        import math
         assert cost <= 4 * math.ceil(math.log2(n)) + 6
         if mr > my and deep < 250:
             deep += 1
@@ -592,13 +589,6 @@ def test_full_round_reference_on_seeded_scripts(threshold, monkeypatch):
 
 # -- the round's index-search table ------------------------------------------
 
-def _fresh_tables(monkeypatch):
-    """Give every check_dl attempt its own index-search table, as if each
-    attempt searched for itself."""
-    check = dl.check_dl
-    monkeypatch.setattr(dl, "check_dl", lambda *args: check(*args[:6]))
-
-
 def _logged_searches(monkeypatch, rng, n, eps, constants):
     """Log each index search a run on rng makes as (round, string, ledger
     before, ledger after); the round is read from the attempt's rng stream."""
@@ -634,7 +624,7 @@ def test_round_replays_its_index_searches(monkeypatch):
         for fresh in (False, True):
             with monkeypatch.context() as m:
                 if fresh:
-                    _fresh_tables(m)
+                    m.setattr(dl, "check_dl", own_index_table(dl.check_dl))
                 log = _logged_searches(m, SeededRng(22, seed), 64, 0.25, DESK)
                 v = decision_list_tester(bundle.function_oracle(), bundle.dist, 0.25,
                                          SeededRng(22, seed), DESK)
@@ -655,7 +645,7 @@ def test_round_replay_exhausts_a_budget_like_per_attempt_searches(monkeypatch):
     cfg = RunConfig(tester="dl", family="groups4-no", n=64, eps=0.25, seed=23, consts=consts)
     bundle = build_instance(cfg)
     with monkeypatch.context() as m:
-        _fresh_tables(m)
+        m.setattr(dl, "check_dl", own_index_table(dl.check_dl))
         # trial 0's rng, as run_one_trial derives it
         log = _logged_searches(m, SeededRng(cfg.seed, 0).derive(1), 64, 0.25, cfg.constants)
         run_one_trial(cfg, bundle, 0)
@@ -670,38 +660,8 @@ def test_round_replay_exhausts_a_budget_like_per_attempt_searches(monkeypatch):
             capped = dataclasses.replace(cfg, budget=budget)
             row = run_one_trial(capped, bundle, 0)
             with monkeypatch.context() as m:
-                _fresh_tables(m)
+                m.setattr(dl, "check_dl", own_index_table(dl.check_dl))
                 ref = run_one_trial(capped, bundle, 0)
             assert row["verdict"] == ref["verdict"] == "overbudget"
             assert (row["queries"], row["samples"]) == (ref["queries"], ref["samples"])
             assert row["queries"] == budget
-
-
-# the acceptance suite's desk profile (criterion 4)
-ACCEPTANCE_DESK = DlConstants(t_amplify=3, outer_rounds=6, inner_rounds=8, accept_threshold=3,
-                              sketch_source="light")
-
-
-@pytest.mark.acceptance
-def test_shortcuts_match_their_references_at_acceptance_scale(monkeypatch):
-    """Criterion 4's first 10 groups4-no and first 10 dl-yes trials (n=1024,
-    desk profile), run by the program and again with the halving search
-    asking one query per level and a fresh index-search table per attempt:
-    the verdict, witness, queries and samples are equal."""
-    def trials():
-        rng = SeededRng(0xC4)
-        out = []
-        for t in range(10):
-            for bundle, trial_rng in ((gen_groups4(1024, rng.derive(2000 + t), "no"),
-                                       rng.derive(3000 + t)),
-                                      (gen_dl_yes(1024, 256, rng.derive(t)),
-                                       rng.derive(1000 + t))):
-                v = decision_list_tester(bundle.function_oracle(), bundle.dist, 0.2,
-                                         trial_rng, ACCEPTANCE_DESK)
-                out.append((v.decision, v.witness, v.queries, v.samples))
-        return out
-
-    got = trials()
-    monkeypatch.setattr(mdl, "_halving", halving_per_level)
-    _fresh_tables(monkeypatch)
-    assert got == trials()

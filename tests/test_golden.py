@@ -17,20 +17,15 @@ import pathlib
 from sublintest.birthday import (CollisionExperiment, run_bipartite_birthday,
                                  run_classical_birthday, run_hypergraph_birthday)
 from sublintest.core import SeededRng
-from sublintest.dl import DlConstants, decision_list_tester
 from sublintest.harness import RunConfig, build_instance
 from sublintest.instances import gen_mdl_yes, gen_planted_violation
 from sublintest.mdl import MdlConstants, monotone_dl_tester
 from sublintest.oracles import QueryLedger
-from sublintest.total_order import test_total_ordering as total_tester
 
-from helpers import mdl_run
+from helpers import mdl_run, run_tester
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_verdicts.json"
 GROWTH = pathlib.Path(__file__).parent / "data" / "golden_growth.json"
-
-DL_DESK = DlConstants(t_amplify=3, outer_rounds=6, inner_rounds=8, accept_threshold=3,
-                      sketch_source="light")
 
 # (family, n, eps, trials): tester trials through the harness's instances
 TESTER_CORPUS = {
@@ -59,16 +54,9 @@ def _record(verdict, ledger) -> dict:
 
 
 def _trial(tester: str, bundle, eps: float, rng) -> dict:
-    """One trial of tester on bundle with a fresh ledger; the DL tester runs
-    with the desk profile."""
+    """One trial of tester on bundle with a fresh ledger."""
     ledger = QueryLedger()
-    if tester == "total":
-        v = total_tester(bundle.comparison_oracle(ledger), bundle.dist, eps, rng)
-    elif tester == "mdl":
-        v = monotone_dl_tester(bundle.function_oracle(ledger), bundle.dist, eps, rng)
-    else:
-        v = decision_list_tester(bundle.function_oracle(ledger), bundle.dist, eps, rng, DL_DESK)
-    return _record(v, ledger)
+    return _record(run_tester(tester, bundle, eps, rng, ledger), ledger)
 
 
 def _tester_trials() -> dict:

@@ -1,32 +1,22 @@
+from functools import partial
+
 import pytest
 
-from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_or, clamped_log2, unit
+from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_or, unit
 from sublintest.dl import HybridFunction, _extraction_replay, _RecordingOracle
 from sublintest.dlmodel import MonotoneDLRep, eval_mdl, min_index, monotonize, random_mdl
 from sublintest.harness import RunConfig, build_instance
 from sublintest.instances import (gen_groups4, gen_mdl_yes, gen_planted_violation,
                                   groups4_from_pi, list_bundle, table_bundle)
-from sublintest.mdl import (DEFAULT_MDL, BigBlockSet, MdlConstants, MdlRun, MdlSketch,
-                            _extract, _find_block_ex, _halving, _log2_floor_sum, _or_all,
-                            _OrTree, _runs, budget_mdl, monotone_dl_tester, sketch_mdl)
+from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, MdlSketch, _extract,
+                            _find_block_ex, _halving, _log2_floor_sum, _or_all, _OrTree,
+                            budget_mdl, monotone_dl_tester, sketch_mdl)
 from sublintest.oracles import BudgetExhausted, DistSampler, FunctionOracle, QueryLedger, Verdict
 
-from helpers import find_rep, halving_per_level, mdl_run
-
-
-def oracle_for(rep, ledger=None):
-    return FunctionOracle(rep.n, rep.target(), ledger)
-
-
-def goal_equation_holds(rep, xstar, xs, ys):
-    f = rep.target()
-    acc = 0
-    for y in ys:
-        acc |= y.v
-    lhs = f(xstar.v | acc)
-    for z in xs:
-        acc |= z.v
-    return lhs == f(acc)
+from helpers import (GROWTH_TWINS, expected_blocks, find_rep, goal_equation_holds, mdl_run,
+                     oracle_for, weight2_set)
+from reference import (STAGE_REFS, extract_per_step, extraction_replay, grow_per_draw,
+                       halving_per_level, preprocess_querying_twice)
 
 
 def test_find_rep_singleton():
@@ -108,20 +98,6 @@ def sketch_for(rep, T):
     return sketch_mdl(f, T)
 
 
-def weight2_set(n, count, rng):
-    out = []
-    seen = set()
-    while len(out) < count:
-        a, b = rng.integer(1, n + 1), rng.integer(1, n + 1)
-        if a == b:
-            continue
-        v = (1 << (a - 1)) | (1 << (b - 1))
-        if v not in seen:
-            seen.add(v)
-            out.append(BitString(n, v))
-    return out
-
-
 def test_sketch_consistent_for_true_lists():
     rng = SeededRng(3)
     for trial in range(40):
@@ -168,28 +144,6 @@ def test_sketch_nil_on_a_failed_join():
     assert sketch_mdl(f, [unit(i, 3) for i in (1, 2, 3)]) is None
     assert queried == [1, 2, 4, 7, 3, 3, 4, 1, 2, 5]
     assert f.ledger.function_queries == 12
-
-
-def expected_blocks(rep, sk, x):
-    """All block indices satisfying the three-case contract, by rank scan."""
-    b = eval_mdl(rep, x)
-    rx = min_index(rep, x)
-    k = sk.k
-    ranks = [min_index(rep, s) for s in sk.strings]
-    vals = sk.values
-    out = []
-    for ell in range(0, k + 2):
-        if 2 <= ell <= k - 1:
-            if (vals[ell - 2] != b and vals[ell] != b
-                    and ranks[ell - 2] < rx < ranks[ell]):
-                out.append(ell)
-        elif ell in (0, 1):
-            if vals[ell] != b and rx < ranks[ell]:
-                out.append(ell)
-        elif ell in (k, k + 1):
-            if vals[ell - 2] != b and ranks[ell - 2] < rx:
-                out.append(ell)
-    return out
 
 
 def test_find_block_matches_contract_exhaustively():
@@ -612,115 +566,6 @@ def test_find_block_query_log_is_pinned():
         assert got == expected, (k, fx)
 
 
-def _grow_per_draw(run: MdlRun):
-    """Big-block discovery with one find-block search per drawn string, the
-    reference for MdlRun._find_big_blocks.  Returns the big-block set and the
-    ledger's query count at the start of each growth round."""
-    n, eps, sz = run.f.n, run.eps, run.sz
-    k = run.sk.k
-    counters = {}
-    for _ in range(sz.probes):
-        ell, _ = run.find_block_ex(unit(run.rng.integer(1, n + 1), n))
-        counters[ell] = counters.get(ell, 0) + 1
-    thresh = 4.0 * clamped_log2(n) / eps
-    big = BigBlockSet({ell for ell, cnt in counters.items() if cnt >= thresh}, k)
-    exit_thresh = 5.0 * clamped_log2(n / eps)
-    starts = []
-    for _ in range(sz.rounds):
-        starts.append(run.f.ledger.function_queries)
-        nl = big.neighbors()
-        hits = sum(run.find_block_ex(x)[0] in nl for x in run.sampler.draw_list(sz.inner))
-        if hits < exit_thresh:
-            break
-        big = BigBlockSet(big.members | nl, k)
-    return big, starts
-
-
-# (family, n, eps, seed, support): small instances whose big blocks grow, in
-# the DL tester's shifted and recording view for dl-yes; the last grows four
-# times
-GROWTH_TWINS = [("mdl-yes", 1024, 0.3, 1, 8), ("dl-yes", 256, 0.6, 3, 8),
-                ("dl-yes", 1024, 0.3, 4, 16)]
-
-
-def _growth_run(family, n, eps, seed, support, query_budget=None) -> MdlRun:
-    """A run on a fresh ledger, ready to find its big blocks.  It sees the
-    target through the recording view, shifted for dl-yes by the string that
-    makes the list monotone (as check_dl sees it with the right pivot) and by
-    zero for mdl-yes."""
-    bundle = build_instance(RunConfig(tester="mdl", family=family, n=n, eps=eps, seed=seed,
-                                      support_size=support))
-    r = monotonize(bundle.params["rep"])[1] if family == "dl-yes" else BitString.zeros(n)
-
-    def handles(budget):
-        ledger = QueryLedger(query_budget=budget)
-        rng = SeededRng(1)
-        return (_RecordingOracle(bundle.function_oracle(ledger), r),
-                DistSampler(bundle.dist, rng, ledger).shifted(r), eps, rng)
-
-    first = MdlRun(*handles(None))
-    assert first.preprocess() is None
-    return MdlRun.from_parts(*handles(query_budget), DEFAULT_MDL, first.sk, None)
-
-
-@pytest.mark.parametrize("case", GROWTH_TWINS, ids=lambda c: f"{c[0]}-n{c[1]}-seed{c[3]}")
-def test_find_big_blocks_matches_per_draw_growth(case):
-    run, ref = _growth_run(*case), _growth_run(*case)
-    big = run._find_big_blocks()
-    ref_big, starts = _grow_per_draw(ref)
-    assert len(starts) >= 2
-    assert big.members == ref_big.members and big.k == ref_big.k
-    assert run.f.ledger.snapshot() == ref.f.ledger.snapshot()
-    assert list(run.f.seen.items()) == list(ref.f.seen.items())
-
-
-def test_find_big_blocks_exhausts_a_budget_mid_round_like_per_draw_growth():
-    case = GROWTH_TWINS[-1]
-    _, starts = _grow_per_draw(_growth_run(*case))
-    assert len(starts) >= 4
-    budget = (starts[2] + starts[3]) // 2
-    run, ref = _growth_run(*case, query_budget=budget), _growth_run(*case, query_budget=budget)
-    with pytest.raises(BudgetExhausted):
-        run._find_big_blocks()
-    with pytest.raises(BudgetExhausted):
-        _grow_per_draw(ref)
-    assert run.f.ledger.function_queries == ref.f.ledger.function_queries == budget
-    # repeats are charged at their first draw, so no later search is reached
-    seen, ref_seen = list(run.f.seen), list(ref.f.seen)
-    assert seen == ref_seen[:len(seen)]
-
-
-def _extract_per_step(g, vs, vals, repeats=None, sums=None):
-    """The extraction one step per string: a step with both values alive
-    queries the union twice (the halving search recomputes its own reference
-    value) and then halving-searches one query per level, and once one value
-    is left each step emits its next string with kth_alive(0).  The reference
-    for _extract's order, ledger and queries; repeats, when given, gets the
-    ledger before and after each repeated union query, and sums the spans of
-    the searches that keep a half inside the other value's union."""
-    lists = ([v for v, b in zip(vs, vals) if b == 0], [v for v, b in zip(vs, vals) if b == 1])
-    trees = (_OrTree(lists[0]), _OrTree(lists[1]))
-    query = g.query_raw
-    extracted = []
-    for _ in range(len(vs)):
-        if trees[0].alive and trees[1].alive:
-            union_v = trees[0].or_all() | trees[1].or_all()
-            b = query(union_v)
-            tree = trees[b]
-            before = g.ledger.function_queries
-            query(union_v)
-            if repeats is not None:
-                repeats.append((before, g.ledger.function_queries))
-            a = halving_per_level(g, tree.or_range, tree.alive, trees[1 - b].or_all(), b, sums)
-        else:
-            b = 0 if trees[0].alive else 1
-            tree, a = trees[b], 0
-        pos = tree.kth_alive(a)
-        extracted.append((lists[b][pos], b))
-        tree.remove(pos)
-    return extracted
-
-
 def _sparse(n, rng):
     """A random string of one or two set bits."""
     return BitString(n, (1 << rng.integer(0, n)) | (1 << rng.integer(0, n)))
@@ -766,8 +611,78 @@ class _Viewed:
         self.rng = rng
 
     def state(self):
-        return (self.ledger.function_queries, list(self.evaluated),
+        return (self.ledger.snapshot(), list(self.evaluated),
                 list(getattr(self.g, "seen", {}).items()))
+
+
+def _outcome(run, handle):
+    try:
+        return run(handle)
+    except BudgetExhausted:
+        return BudgetExhausted
+
+
+def _twins(build, program, reference, budget=None, label=None):
+    """Run a shortcut on the view build(budget) makes and its reference on a
+    twin: both return the same, or both run out of budget with the ledger at
+    it, and the views end in the same state.  Returns the program's result
+    and the two views."""
+    new, ref = build(budget), build(budget)
+    got = _outcome(program, new)
+    assert got == _outcome(reference, ref), label
+    if budget is not None:
+        assert got is BudgetExhausted and new.ledger.function_queries == budget, label
+    assert new.state() == ref.state(), label
+    return got, new, ref
+
+
+def _growth_view(case, budget=None) -> _Viewed:
+    """A view whose `run` is ready to find its big blocks.  It sees the target
+    through the recording view, shifted for dl-yes by the string that makes
+    the list monotone (as check_dl sees it with the right pivot) and by zero
+    for mdl-yes; its sketch comes from a twin run on a ledger of its own."""
+    family, n, eps, seed, support = case
+    bundle = build_instance(RunConfig(tester="mdl", family=family, n=n, eps=eps, seed=seed,
+                                      support_size=support))
+    r = monotonize(bundle.params["rep"])[1] if family == "dl-yes" else BitString.zeros(n)
+
+    def view(budget):
+        out = _Viewed("function", n, bundle.target, SeededRng(1), budget)
+        out.g = _RecordingOracle(out.g, r)
+        out.run = MdlRun(out.g, DistSampler(bundle.dist, out.rng, out.ledger).shifted(r), eps,
+                         out.rng)
+        return out
+
+    first, out = view(None), view(budget)
+    assert first.run.preprocess() is None
+    out.run.sk = first.run.sk
+    return out
+
+
+@pytest.mark.parametrize("case", GROWTH_TWINS, ids=lambda c: f"{c[0]}-n{c[1]}-seed{c[3]}")
+def test_find_big_blocks_matches_per_draw_growth(case):
+    starts = []
+    blocks = lambda big: (big.members, big.k)  # noqa: E731
+    _twins(partial(_growth_view, case), lambda v: blocks(v.run._find_big_blocks()),
+           lambda v: blocks(grow_per_draw(v.run, starts)))
+    assert len(starts) >= 2
+
+
+def test_find_big_blocks_exhausts_a_budget_mid_round_like_per_draw_growth():
+    case = GROWTH_TWINS[-1]
+    starts = []
+    grow_per_draw(_growth_view(case).run, starts)
+    assert len(starts) >= 4
+    budget = (starts[2] + starts[3]) // 2
+    run, ref = _growth_view(case, budget).run, _growth_view(case, budget).run
+    with pytest.raises(BudgetExhausted):
+        run._find_big_blocks()
+    with pytest.raises(BudgetExhausted):
+        grow_per_draw(ref)
+    assert run.f.ledger.function_queries == ref.f.ledger.function_queries == budget
+    # repeats are charged at their first draw, so no later search is reached
+    seen, ref_seen = list(run.f.seen), list(ref.f.seen)
+    assert seen == ref_seen[:len(seen)]
 
 
 def _list_view(wrap, seed, budget=None) -> _Viewed:
@@ -812,19 +727,21 @@ def _covered_inputs(seed, wrap):
         yield vs, [probe.g.query_raw(v) for v in vs]
 
 
+def _extractions(vs, vals):
+    """_extract of vs on a view, and its per-step reference."""
+    return (lambda v: _extract(v.g, vs, vals)), (lambda v: extract_per_step(v.g, vs, vals))
+
+
 @pytest.mark.parametrize("wrap", WRAPS)
 def test_extract_matches_per_step_extraction(wrap):
     for seed in range(40):
         vs, vals = _extraction_input(seed, wrap)
-        new, ref = _list_view(wrap, seed), _list_view(wrap, seed)
-        assert _extract(new.g, vs, vals) == _extract_per_step(ref.g, vs, vals), seed
-        assert new.state() == ref.state(), seed
+        _twins(partial(_list_view, wrap, seed), *_extractions(vs, vals), label=seed)
     covered = 0
     for seed in range(12):
         for vs, vals in _covered_inputs(seed, wrap):
-            new, ref = _groups4_view(wrap, seed), _groups4_view(wrap, seed)
-            assert _extract(new.g, vs, vals) == _extract_per_step(ref.g, vs, vals), seed
-            assert new.state() == ref.state(), seed
+            _, new, ref = _twins(partial(_groups4_view, wrap, seed),
+                                 *_extractions(vs, vals), label=seed)
             assert new.ledger.charge_calls <= ref.ledger.charge_calls
             covered += new.ledger.charge_calls < ref.ledger.charge_calls
     assert covered  # a covered run skipped its searches
@@ -837,30 +754,20 @@ def test_extract_exhausts_a_budget_on_a_recharged_query_like_per_step(wrap):
         if len(set(vals)) < 2:
             continue
         repeats = []
-        _extract_per_step(_list_view(wrap, seed).g, vs, vals, repeats)
+        extract_per_step(_list_view(wrap, seed).g, vs, vals, repeats)
         for before, after in repeats[::3]:
             for budget in range(before, after):  # inside the repeat's charge
-                new, ref = _list_view(wrap, seed, budget), _list_view(wrap, seed, budget)
-                with pytest.raises(BudgetExhausted):
-                    _extract(new.g, vs, vals)
-                with pytest.raises(BudgetExhausted):
-                    _extract_per_step(ref.g, vs, vals)
-                assert new.ledger.function_queries == budget
-                assert new.state() == ref.state(), (seed, budget)
+                _twins(partial(_list_view, wrap, seed), *_extractions(vs, vals), budget,
+                       (seed, budget))
     for seed in range(12):
         for vs, vals in _covered_inputs(seed, wrap):
             ref = _groups4_view(wrap, seed)
             start = ref.ledger.function_queries
-            _extract_per_step(ref.g, vs, vals)
+            extract_per_step(ref.g, vs, vals)
             # a covered run is charged in one sum, so most of these fall inside it
             for budget in range(start, ref.ledger.function_queries):
-                new, ref = _groups4_view(wrap, seed, budget), _groups4_view(wrap, seed, budget)
-                with pytest.raises(BudgetExhausted):
-                    _extract(new.g, vs, vals)
-                with pytest.raises(BudgetExhausted):
-                    _extract_per_step(ref.g, vs, vals)
-                assert new.ledger.function_queries == budget
-                assert new.state() == ref.state(), (seed, budget)
+                _twins(partial(_groups4_view, wrap, seed), *_extractions(vs, vals), budget,
+                       (seed, budget))
 
 
 def _counted_query_raw(monkeypatch):
@@ -915,13 +822,10 @@ def test_halving_exhausts_a_budget_inside_its_summed_charge_like_per_level(wrap)
         halving_per_level(_list_view(wrap, seed).g, _OrTree(vs).or_range, len(vs), y_v, b, sums)
         for mark, end in sums:
             for budget in range(mark, end):  # inside the summed charge
-                new, ref = _list_view(wrap, seed, budget), _list_view(wrap, seed, budget)
-                with pytest.raises(BudgetExhausted):
-                    _halving(new.g, _OrTree(vs).or_range, len(vs), y_v, b)
-                with pytest.raises(BudgetExhausted):
-                    halving_per_level(ref.g, _OrTree(vs).or_range, len(vs), y_v, b)
-                assert new.ledger.function_queries == budget
-                assert new.state() == ref.state(), (seed, budget)
+                _twins(partial(_list_view, wrap, seed),
+                       lambda v: _halving(v.g, _OrTree(vs).or_range, len(vs), y_v, b),
+                       lambda v: halving_per_level(v.g, _OrTree(vs).or_range, len(vs), y_v, b),
+                       budget, (seed, budget))
                 inside += 1
     assert inside
 
@@ -967,16 +871,10 @@ def test_extract_exhausts_a_budget_inside_a_halving_sum_like_per_step(wrap):
             if len(set(vals)) < 2:
                 continue
             sums = []
-            _extract_per_step(view().g, vs, vals, sums=sums)
+            extract_per_step(view().g, vs, vals, sums=sums)
             for mark, end in sums[::4]:
                 for budget in range(mark, end):
-                    new, ref = view(budget), view(budget)
-                    with pytest.raises(BudgetExhausted):
-                        _extract(new.g, vs, vals)
-                    with pytest.raises(BudgetExhausted):
-                        _extract_per_step(ref.g, vs, vals)
-                    assert new.ledger.function_queries == budget
-                    assert new.state() == ref.state(), (seed, budget)
+                    _twins(view, *_extractions(vs, vals), budget, (seed, budget))
                     inside += 1
     assert inside
 
@@ -1010,7 +908,7 @@ def test_extract_asks_fewer_queries_than_per_step_without_a_covered_run(monkeypa
         start = calls[0]
         got = _extract(new.g, vs, vals)
         mid, repeats = calls[0], []
-        assert got == _extract_per_step(ref.g, vs, vals, repeats), seed
+        assert got == extract_per_step(ref.g, vs, vals, repeats), seed
         assert new.state() == ref.state(), seed
         if _ends_in_covered_run(got):
             continue
@@ -1028,30 +926,14 @@ def test_log2_floor_sum_matches_the_loop():
         assert _log2_floor_sum(c) == total, c
 
 
-def _preprocess_querying_twice(run: MdlRun):
-    """MdlRun.preprocess with every query evaluated: T is queried once for the
-    mixed-value test and once more inside sketch_mdl.  The reference for
-    preprocess's ledger; returns the verdict and the ledger before and after
-    the first pass."""
-    T = [x for x in run.sampler.draw_set(run.sz.pre) if x.v != 0]
-    start = run.f.ledger.function_queries
-    vals = [run.f.query(x) for x in T]
-    first_pass = (start, run.f.ledger.function_queries)
-    if len(set(vals)) < 2:
-        return Verdict("accept"), first_pass
-    run.sk = sketch_mdl(run.f, T)
-    if run.sk is None:
-        return Verdict("reject", witness=("sketch_nil",)), first_pass
-    run.L = run._find_big_blocks()
-    return None, first_pass
-
-
-def _preprocess_run(wrap, family, seed, budget=None):
+def _preprocess_view(wrap, family, seed, budget=None) -> _Viewed:
+    """A view whose `run` is ready to preprocess."""
     bundle = build_instance(RunConfig(tester="mdl", family=family, n=64, eps=0.3, seed=seed,
                                       support_size=24))
     view = _Viewed(wrap, bundle.n, bundle.target, SeededRng(seed, 0x5F), budget)
     rng = SeededRng(seed, 0x60)
-    return view, MdlRun(view.g, DistSampler(bundle.dist, rng, view.ledger), 0.3, rng)
+    view.run = MdlRun(view.g, DistSampler(bundle.dist, rng, view.ledger), 0.3, rng)
+    return view
 
 
 # every view of these instances has both values on T, so the sketch is built
@@ -1061,206 +943,41 @@ PREPROCESS_CASES = [("mdl-yes", 1), ("mdl-yes", 3), ("groups4-no", 4)]
 @pytest.mark.parametrize("wrap", WRAPS)
 def test_preprocess_charges_its_second_pass_like_querying_twice(wrap):
     for family, seed in PREPROCESS_CASES:
-        new, run = _preprocess_run(wrap, family, seed)
-        ref, ref_run = _preprocess_run(wrap, family, seed)
-        got = run.preprocess()
-        want, (start, mark) = _preprocess_querying_twice(ref_run)
-        assert got == want and want != Verdict("accept")
-        if want is None:
+        view, first_pass = partial(_preprocess_view, wrap, family, seed), []
+        runs = (lambda v: v.run.preprocess()), (lambda v: preprocess_querying_twice(v.run, first_pass))
+        got, new, ref = _twins(view, *runs)
+        assert got != Verdict("accept")
+        if got is None:
+            run, ref_run = new.run, ref.run
             assert (run.sk.strings, run.sk.values) == (ref_run.sk.strings, ref_run.sk.values)
-            assert run.L.members == ref_run.L.members
-        assert new.state() == ref.state()
+            assert (run.L.members, run.NL) == (ref_run.L.members, ref_run.NL)
+        [(start, mark)] = first_pass
         pass_cost = mark - start
         for budget in (mark, mark + pass_cost // 2, mark + pass_cost - 1):
-            new, run = _preprocess_run(wrap, family, seed, budget)
-            ref, ref_run = _preprocess_run(wrap, family, seed, budget)
-            with pytest.raises(BudgetExhausted):
-                run.preprocess()
-            with pytest.raises(BudgetExhausted):
-                _preprocess_querying_twice(ref_run)
-            assert new.ledger.function_queries == budget
-            assert new.state() == ref.state(), (family, seed, budget)
+            _twins(view, *runs, budget, (family, seed, budget))
 
 
-def _replay_input(seed, budget=None):
-    """A recording view that has seen some strings, and its sketch inputs."""
+def _replay_view(seed, budget=None) -> _Viewed:
+    """A recording view that has seen some strings; `vs` holds its sketch
+    inputs."""
     view = _list_view("recording", seed, budget)
     n = view.g.n
     for _ in range(2 + view.rng.integer(0, 40)):
         view.g.query_raw(view.rng.bit_string(n).v)
-    return view, [v for v in view.g.seen if v]
+    view.vs = [v for v in view.g.seen if v]
+    return view
 
 
 def test_extraction_replay_charges_like_querying_every_string():
+    runs = (lambda v: _extraction_replay(v.g, v.vs)), (lambda v: extraction_replay(v.g, v.vs))
     for seed in range(30):
-        new, vs = _replay_input(seed)
-        ref, ref_vs = _replay_input(seed)
-        runs = _extraction_replay(new.g, vs)
-        want = _extract_per_step(ref.g, ref_vs, [ref.g.query_raw(v) for v in ref_vs])
-        assert runs == _runs(want)
-        assert new.state() == ref.state()
-        start = _replay_input(seed)[0].ledger.function_queries
+        vs = _twins(partial(_replay_view, seed), *runs)[1].vs
+        start = _replay_view(seed).ledger.function_queries
         for budget in (start, start + len(vs) // 2, start + len(vs) - 1):
-            new, vs = _replay_input(seed, budget)
-            ref, _ = _replay_input(seed, budget)
-            with pytest.raises(BudgetExhausted):
-                _extraction_replay(new.g, vs)
-            with pytest.raises(BudgetExhausted):
-                _extract_per_step(ref.g, vs, [ref.g.query_raw(v) for v in vs])
-            assert new.ledger.function_queries == budget
-            assert new.state() == ref.state()
+            _twins(partial(_replay_view, seed), *runs, budget)
 
 
-# -- the five cycle-pattern stages one by one --------------------------------
-# Each stage written out on its own, with its own draws, record table and
-# small-block test: the reference for MdlRun.test_type's verdicts, witnesses,
-# ledgers and queried strings.
-
-def _info_ref(run, xs, mi_only_big=False):
-    out = {}
-    for x in xs:
-        if x.v in out:
-            continue
-        ell, fx = run.find_block_ex(x)
-        mi = None
-        if not mi_only_big or ell in run.L:
-            mi = run.max_index(x)
-        out[x.v] = (x, ell, fx, mi)
-    return out
-
-
-def _by_bit_ref(info, keys):
-    buckets = {}
-    for v in keys:
-        rec = info[v]
-        for j in rec[0].support():
-            buckets.setdefault(j, []).append(rec)
-    return buckets
-
-
-def _draw_ref(run, m):
-    return [x for x in run.sampler.draw_set(m) if x.v != 0]
-
-
-def _type1_ref(run):
-    P = _draw_ref(run, run.sz.m1)
-    Q = _draw_ref(run, run.sz.m1)
-    info = _info_ref(run, P + Q)
-    p_by_bit = _by_bit_ref(info, [x.v for x in P])
-    for y in Q:
-        _, ly, fy, mi = info[y.v]
-        if mi is None:
-            continue
-        for x, lx, fx, _ in p_by_bit.get(mi, ()):
-            if fx != fy and ly <= lx - 2:
-                return Verdict("reject", witness=("type1", x.v, y.v, lx, ly, mi))
-    return Verdict("accept")
-
-
-def _type2_ref(run):
-    P = _draw_ref(run, run.sz.p2)
-    Q = _draw_ref(run, run.sz.q2)
-    info = _info_ref(run, P + Q, mi_only_big=True)
-    p_by_bit = _by_bit_ref(info, [x.v for x in P])
-    for y in Q:
-        _, ly, _, mi = info[y.v]
-        if mi is None or ly not in run.L:
-            continue
-        for x, lx, _, _ in p_by_bit.get(mi, ()):
-            if lx in run.L and ly == lx - 1:
-                return Verdict("reject", witness=("type2", x.v, y.v, lx, ly, mi))
-    return Verdict("accept")
-
-
-def _small_ref(run, ell):
-    return ell not in run.L and ell not in run.NL
-
-
-def _type3_ref(run):
-    P = _draw_ref(run, run.sz.m1)
-    Q = _draw_ref(run, run.sz.m1)
-    info = _info_ref(run, P + Q)
-    p_by_bit = _by_bit_ref(info, [x.v for x in P])
-    cap = run.sz.pair_cap
-    partners = {}
-    for y in Q:
-        _, ly, fy, v = info[y.v]
-        if v is None or not _small_ref(run, ly):
-            continue
-        for x, lx, fx, u in p_by_bit.get(v, ()):
-            if u is None or abs(lx - ly) != 1 or not _small_ref(run, lx):
-                continue
-            if partners.get(x.v, 0) >= cap:
-                continue
-            partners[x.v] = partners.get(x.v, 0) + 1
-            if run.f.query_raw((1 << (u - 1)) | (1 << (v - 1))) != fx:
-                return Verdict("reject", witness=("type3", x.v, y.v, u, v))
-    return Verdict("accept")
-
-
-def _type4_ref(run):
-    info = _info_ref(run, _draw_ref(run, run.sz.m4))
-    buckets = {}
-    for rec in info.values():
-        if rec[3] is not None and _small_ref(run, rec[1]):
-            buckets.setdefault(rec[1], []).append(rec)
-    cap = run.sz.pair_cap
-    for ell in sorted(buckets):
-        tops, mids, bots = buckets.get(ell), buckets.get(ell - 1), buckets.get(ell - 2)
-        if not (tops and mids and bots):
-            continue
-        for y, _, fy, v in mids:
-            up = None
-            for x, _, fx, u in tops[:cap]:
-                if run.f.query_raw((1 << (u - 1)) | (1 << (v - 1))) == fx:
-                    up = (x, u)
-                    break
-            if up is None:
-                continue
-            for z, _, fz, w in bots[:cap]:
-                if run.f.query_raw((1 << (v - 1)) | (1 << (w - 1))) == fy:
-                    return Verdict("reject", witness=("type4", up[0].v, y.v, z.v, up[1], v, w))
-    return Verdict("accept")
-
-
-def _type5_ref(run):
-    info = _info_ref(run, _draw_ref(run, run.sz.m5))
-    buckets = {}
-    for rec in info.values():
-        if rec[3] is not None and _small_ref(run, rec[1]):
-            buckets.setdefault(rec[1], {}).setdefault(rec[3], rec[0])
-    cap = run.sz.pair_cap
-    for ell in sorted(buckets):
-        top, bot = buckets.get(ell), buckets.get(ell - 1)
-        if not top or not bot:
-            continue
-        a_items = list(top.items())[:cap]
-        b_items = list(bot.items())[:cap]
-        zeros, ones = [], []
-        for u, _ in a_items:
-            z_mask = o_mask = 0
-            for idx, (w, _) in enumerate(b_items):
-                if run.f.query_raw((1 << (u - 1)) | (1 << (w - 1))) == 0:
-                    z_mask |= 1 << idx
-                else:
-                    o_mask |= 1 << idx
-            zeros.append(z_mask)
-            ones.append(o_mask)
-        for i1 in range(len(a_items)):
-            for i3 in range(i1 + 1, len(a_items)):
-                m24 = zeros[i1] & ones[i3]
-                m42 = zeros[i3] & ones[i1]
-                if m24 and m42:
-                    i2 = (m24 & -m24).bit_length() - 1
-                    i4 = (m42 & -m42).bit_length() - 1
-                    return Verdict("reject", witness=(
-                        "type5",
-                        (a_items[i1][1].v, b_items[i2][1].v, a_items[i3][1].v, b_items[i4][1].v),
-                        (a_items[i1][0], b_items[i2][0], a_items[i3][0], b_items[i4][0])))
-    return Verdict("accept")
-
-
-STAGE_REFS = {1: _type1_ref, 2: _type2_ref, 3: _type3_ref, 4: _type4_ref, 5: _type5_ref}
+# -- the five cycle-pattern stages against reference.STAGE_REFS --------------
 
 # pair_cap 1, so that the caps bind, and a type-2 first sample set of about 17
 # strings at n = 256 and eps = 0.15, so that type 2 finds pairs
