@@ -1,16 +1,22 @@
 """Helpers shared by the test modules."""
 
+import sys
+from typing import NamedTuple
+
 from sublintest.core import BitString, SeededRng
 from sublintest.dl import DlConstants, decision_list_tester
 from sublintest.dlmodel import eval_mdl, min_index
 from sublintest.instances import gen_dl_yes, gen_groups4, gen_mdl_yes
 from sublintest.mdl import DEFAULT_MDL, MdlRun, _or_all, _rep_search, monotone_dl_tester
-from sublintest.oracles import DistSampler, FunctionOracle, Verdict
+from sublintest.oracles import DistSampler, FunctionOracle, QueryLedger, Verdict
 from sublintest.total_order import test_total_ordering
 
 # the DL tester's desk profile of the acceptance suite (criterion 4)
 DL_DESK = DlConstants(t_amplify=3, outer_rounds=6, inner_rounds=8, accept_threshold=3,
                       sketch_source="light")
+# the same, as --const values
+DESK_CONSTS = {"t_amplify": "3", "outer_rounds": "6", "inner_rounds": "8",
+               "c_accept_threshold": "3", "sketch_source": "light"}
 
 C3, C4 = SeededRng(0xC3), SeededRng(0xC4)
 
@@ -43,6 +49,47 @@ def run_tester(tester: str, bundle, eps: float, rng, ledger=None) -> Verdict:
     return decision_list_tester(f, bundle.dist, eps, rng, DL_DESK)
 
 
+class Recharge(NamedTuple):
+    function: str  # the function that charged
+    caller: str    # the function that called it
+    view: str      # the class of the oracle it charged for
+    before: int    # the ledger's query count before the charge
+    amount: int
+
+
+def _view(*frames) -> str | None:
+    """The class of the first oracle among the arguments and locals of the
+    frames, or of their MdlRun."""
+    for frame in frames:
+        for value in frame.f_locals.values():
+            value = value.f if isinstance(value, MdlRun) else value
+            if isinstance(value, FunctionOracle):
+                return type(value).__name__
+    return None
+
+
+class ChargeLog(QueryLedger):
+    """A ledger that counts its charges and logs each recharge, a charge that
+    no query made: one whose caller is neither FunctionOracle.query_raw nor
+    the hybrid view's target."""
+
+    def __init__(self, query_budget=None):
+        super().__init__(query_budget)
+        self.charge_calls = 0
+        self.recharges: list[Recharge] = []
+
+    def charge_queries(self, c=1):
+        self.charge_calls += 1
+        frame = sys._getframe(1)
+        if frame.f_code.co_name not in ("query_raw", "truncate"):
+            caller = frame.f_back
+            while caller.f_code.co_name.startswith("<"):  # a comprehension or a lambda
+                caller = caller.f_back
+            self.recharges.append(Recharge(frame.f_code.co_name, caller.f_code.co_name,
+                                           _view(frame, caller), self.function_queries, c))
+        super().charge_queries(c)
+
+
 def oracle_for(rep, ledger=None) -> FunctionOracle:
     return FunctionOracle(rep.n, rep.target(), ledger)
 
@@ -67,18 +114,6 @@ def goal_equation_holds(rep, xstar, xs, ys) -> bool:
     f = rep.target()
     acc = _or_all(y.v for y in ys)
     return f(xstar.v | acc) == f(acc | _or_all(x.v for x in xs))
-
-
-def weight2_set(n, count, rng) -> list[BitString]:
-    """count distinct strings of two set bits, in draw order."""
-    out, seen = [], set()
-    while len(out) < count:
-        a, b = rng.integer(1, n + 1), rng.integer(1, n + 1)
-        v = (1 << (a - 1)) | (1 << (b - 1))
-        if a != b and v not in seen:
-            seen.add(v)
-            out.append(BitString(n, v))
-    return out
 
 
 def expected_blocks(rep, sk, x) -> list[int]:

@@ -3,7 +3,7 @@ testers, and reference_mode(), which runs both testers on them.
 
 A shortcut skips a query or a search that the written algorithm repeats and
 charges what repeating it would.  Each reference here asks every such query
-and charges it on its own, one query at a time, and otherwise has the
+and charges it on its own, one query at a time, and otherwise has the exact
 signature and the side effects of the program function it stands for.  So
 this module, and nothing else, defines what a repeated query costs."""
 
@@ -16,35 +16,25 @@ from sublintest.mdl import BigBlockSet, MdlRun, _find_block_ex, _OrTree, _runs, 
 from sublintest.oracles import Verdict
 
 
-def halving_per_level(g, or_range, c: int, y_v: int, b: int, sums=None) -> int:
+def halving_per_level(g, or_range, c: int, y_v: int, b: int) -> int:
     """mdl._halving with one query per level, the kept half inside y_v
-    included.  sums, when given, gets (ledger after the first query whose kept
-    half adds nothing to y_v, ledger at the end), the span that _halving
-    charges in one sum."""
-    a, mark = 0, None
+    included."""
+    a = 0
     while c > 1:
         half = c // 2
-        w = or_range(a, a + half) | y_v
-        if g.query_raw(w) == b:
+        if g.query_raw(or_range(a, a + half) | y_v) == b:
             c = half
-            if w == y_v and mark is None:
-                mark = g.ledger.function_queries
         else:
             a += half
             c -= half
-    if sums is not None and mark is not None:
-        sums.append((mark, g.ledger.function_queries))
     return a
 
 
-def extract_per_step(g, vs, vals, repeats=None, sums=None):
+def extract_per_step(g, vs, vals):
     """mdl._extract one step per string: a step with both values alive
     queries the union twice (the halving search recomputes its own reference
     value) and then halving-searches one query per level, and once one value
-    is left each step emits its next string with kth_alive(0).  repeats, when
-    given, gets the ledger before and after each repeated union query, and
-    sums the spans of the searches that keep a half inside the other value's
-    union."""
+    is left each step emits its next string with kth_alive(0)."""
     lists = ([v for v, b in zip(vs, vals) if b == 0], [v for v, b in zip(vs, vals) if b == 1])
     trees = (_OrTree(lists[0]), _OrTree(lists[1]))
     query = g.query_raw
@@ -54,11 +44,8 @@ def extract_per_step(g, vs, vals, repeats=None, sums=None):
             union_v = trees[0].or_all() | trees[1].or_all()
             b = query(union_v)
             tree = trees[b]
-            before = g.ledger.function_queries
             query(union_v)
-            if repeats is not None:
-                repeats.append((before, g.ledger.function_queries))
-            a = halving_per_level(g, tree.or_range, tree.alive, trees[1 - b].or_all(), b, sums)
+            a = halving_per_level(g, tree.or_range, tree.alive, trees[1 - b].or_all(), b)
         else:
             b = 0 if trees[0].alive else 1
             tree, a = trees[b], 0
@@ -75,15 +62,11 @@ def extraction_replay(g, vs):
     return _runs(extract_per_step(g, vs, [g.query_raw(v) for v in vs]))
 
 
-def preprocess_querying_twice(run: MdlRun, first_pass=None) -> Verdict | None:
+def preprocess_querying_twice(run: MdlRun) -> Verdict | None:
     """MdlRun.preprocess with every query asked: T is queried once for the
-    mixed-value test and once more inside sketch_mdl.  first_pass, when
-    given, gets (ledger before, ledger after) the first pass."""
+    mixed-value test and once more inside sketch_mdl."""
     T = [x for x in run.sampler.draw_set(run.sz.pre) if x.v != 0]
-    start = run.f.ledger.function_queries
     vals = [run.f.query(x) for x in T]
-    if first_pass is not None:
-        first_pass.append((start, run.f.ledger.function_queries))
     if len(set(vals)) < 2:
         return Verdict("accept")
     run.sk = sketch_mdl(run.f, T)
@@ -94,10 +77,8 @@ def preprocess_querying_twice(run: MdlRun, first_pass=None) -> Verdict | None:
     return None
 
 
-def grow_per_draw(run: MdlRun, starts=None) -> BigBlockSet:
-    """MdlRun._find_big_blocks with one find-block search per drawn string.
-    starts, when given, gets the ledger's query count at the start of each
-    growth round."""
+def grow_per_draw(run: MdlRun) -> BigBlockSet:
+    """MdlRun._find_big_blocks with one find-block search per drawn string."""
     n, eps, sz = run.f.n, run.eps, run.sz
     k = run.sk.k
     counters = {}
@@ -108,8 +89,6 @@ def grow_per_draw(run: MdlRun, starts=None) -> BigBlockSet:
     big = BigBlockSet({ell for ell, cnt in counters.items() if cnt >= thresh}, k)
     exit_thresh = 5.0 * clamped_log2(n / eps)
     for _ in range(sz.rounds):
-        if starts is not None:
-            starts.append(run.f.ledger.function_queries)
         nl = big.neighbors()
         hits = sum(run.find_block_ex(x)[0] in nl for x in run.sampler.draw_list(sz.inner))
         if hits < exit_thresh:
@@ -277,13 +256,28 @@ def type5_ref(run) -> Verdict:
 STAGE_REFS = {1: type1_ref, 2: type2_ref, 3: type3_ref, 4: type4_ref, 5: type5_ref}
 
 
-@contextmanager
-def reference_mode():
-    """Swap every ledger-preserving shortcut of mdl and dl for its reference:
+def swaps() -> list:
+    """(owner, attribute, reference) for each shortcut reference_mode() swaps:
     the halving search, the extraction (both modules' bindings), the
     extraction replay, preprocessing, big-block growth, block location and max
     index without their replay caches, and an index-search table of its own
-    for each check_dl attempt.  Plain attribute writes, undone on exit, so a
+    for each check_dl attempt."""
+    return [
+        (mdl, "_halving", halving_per_level),
+        (mdl, "_extract", extract_per_step),
+        (dl, "_extract", extract_per_step),
+        (dl, "_extraction_replay", extraction_replay),
+        (MdlRun, "preprocess", preprocess_querying_twice),
+        (MdlRun, "_find_big_blocks", grow_per_draw),
+        (MdlRun, "find_block_ex", lambda run, x: _find_block_ex(run.f, run.sk, x)),
+        (MdlRun, "max_index", lambda run, x: run._max_index(x)),
+        (dl, "check_dl", own_index_table(dl.check_dl))]
+
+
+@contextmanager
+def reference_mode():
+    """Swap every ledger-preserving shortcut of mdl and dl for its reference,
+    as listed by swaps().  Plain attribute writes, undone on exit, so a
     spawned worker process can enter it too.
 
     Left in place, each being what the program defines a repeat to cost, and
@@ -296,19 +290,10 @@ def reference_mode():
     - draw_set's multinomial path (test_oracles.py::test_dist_sampler_draw_set_fixed_seed_outputs);
     - the early round stop, which moves the ledger
       (test_dl.py::test_full_round_reference_on_seeded_trials, against _full_round_tester)."""
-    swaps = [
-        (mdl, "_halving", halving_per_level),
-        (mdl, "_extract", extract_per_step),
-        (dl, "_extract", extract_per_step),
-        (dl, "_extraction_replay", extraction_replay),
-        (MdlRun, "preprocess", preprocess_querying_twice),
-        (MdlRun, "_find_big_blocks", grow_per_draw),
-        (MdlRun, "find_block_ex", lambda run, x: _find_block_ex(run.f, run.sk, x)),
-        (MdlRun, "max_index", lambda run, x: run._max_index(x)),
-        (dl, "check_dl", own_index_table(dl.check_dl))]
-    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in swaps]
+    swapped = swaps()
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in swapped]
     try:
-        for owner, name, ref in swaps:
+        for owner, name, ref in swapped:
             setattr(owner, name, ref)
         yield
     finally:

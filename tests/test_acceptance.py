@@ -15,7 +15,8 @@ from sublintest.exact import min_vertex_cover_weight
 from sublintest.birthday import (CollisionExperiment, run_bipartite_birthday,
                                  run_hypergraph_birthday)
 from sublintest.harness import RunConfig, budget_for, oracle_check, run_trials
-from sublintest.instances import gen_mdl_yes, gen_pentagon, gen_random_table, gen_total_yes
+from sublintest.instances import (_weight2_atoms, gen_mdl_yes, gen_pentagon, gen_random_table,
+                                  gen_total_yes)
 from sublintest.mdl import (BigBlockSet, MdlConstants, MdlRun, _find_block_ex, budget_mdl,
                             sketch_mdl)
 from sublintest.oracles import (FunctionOracle, MarginalSampler, PairSampler, QueryLedger,
@@ -25,7 +26,7 @@ from sublintest.total_order import test_long_cycles as long_stage
 from sublintest.total_order import test_total_ordering as run_total_tester
 
 from helpers import (CRITERIA, expected_blocks, find_rep, goal_equation_holds, mdl_run,
-                     run_tester, weight2_set)
+                     run_tester)
 
 pytestmark = pytest.mark.acceptance
 
@@ -200,7 +201,7 @@ def test_criterion_7_deterministic_postconditions():
         i += 1
         n = 6 + int(rng.integer(0, 58))
         rep = random_mdl(n, rng.derive(10_000 + i))
-        T = weight2_set(n, min(12, n - 1), rng.derive(20_000 + i))
+        T = _weight2_atoms(n, min(12, n - 1), rng.derive(20_000 + i))
         if len({eval_mdl(rep, x) for x in T}) < 2:
             continue
         f = FunctionOracle(n, rep.target())
@@ -220,7 +221,7 @@ def test_criterion_7_deterministic_postconditions():
         i += 1
         n = 6 + int(rng.integer(0, 58))
         rep = random_mdl(n, rng.derive(30_000 + i))
-        T = weight2_set(n, min(12, n - 1), rng.derive(40_000 + i))
+        T = _weight2_atoms(n, min(12, n - 1), rng.derive(40_000 + i))
         if len({eval_mdl(rep, x) for x in T}) < 2:
             continue
         f = FunctionOracle(n, rep.target())

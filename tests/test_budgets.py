@@ -11,11 +11,7 @@ from sublintest.mdl import MdlConstants, budget_mdl, monotone_dl_tester
 from sublintest.oracles import QueryLedger
 from sublintest.total_order import budget_total
 
-from helpers import DL_DESK
-
-# the DL tester's desk profile of the acceptance suite, as --const values
-DESK_CONSTS = {"t_amplify": "3", "outer_rounds": "6", "inner_rounds": "8",
-               "c_accept_threshold": "3", "sketch_source": "light"}
+from helpers import DESK_CONSTS, DL_DESK
 
 # (queries, samples), as computed before stages and budgets shared their counts
 PINNED = [

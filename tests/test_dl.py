@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import Counter
 
@@ -10,7 +9,6 @@ from sublintest import dl
 from sublintest.dl import (DlConstants, HybridFunction, _RecordingOracle, budget_dl, check_dl,
                            decision_list_tester, index_search, monotone_dl_amplified,
                            round_profile)
-from sublintest.harness import RunConfig, build_instance, run_one_trial
 from sublintest.instances import gen_dl_yes, gen_groups4
 from sublintest.mdl import MdlConstants, MdlRun
 from sublintest.oracles import (BudgetExhausted, DistSampler, FunctionOracle, Memo,
@@ -590,8 +588,8 @@ def test_full_round_reference_on_seeded_scripts(threshold, monkeypatch):
 # -- the round's index-search table ------------------------------------------
 
 def _logged_searches(monkeypatch, rng, n, eps, constants):
-    """Log each index search a run on rng makes as (round, string, ledger
-    before, ledger after); the round is read from the attempt's rng stream."""
+    """Log each index search a run on rng makes as (round, string); the round
+    is read from the attempt's rng stream."""
     outer, inner, _ = round_profile(n, eps, constants)
     rounds = {rng.derive((rd << 20) | j).stream_id: rd
               for rd in range(outer) for j in range(inner)}
@@ -603,10 +601,8 @@ def _logged_searches(monkeypatch, rng, n, eps, constants):
         return check(*args)
 
     def logged(f, r, y):
-        before = f.ledger.function_queries
-        out = search(f, r, y)
-        log.append((current[0], y.v, before, f.ledger.function_queries))
-        return out
+        log.append((current[0], y.v))
+        return search(f, r, y)
 
     monkeypatch.setattr(dl, "check_dl", attempt)
     monkeypatch.setattr(dl, "index_search", logged)
@@ -629,39 +625,9 @@ def test_round_replays_its_index_searches(monkeypatch):
                 v = decision_list_tester(bundle.function_oracle(), bundle.dist, 0.25,
                                          SeededRng(22, seed), DESK)
             runs.append(((v.decision, v.witness, v.queries, v.samples),
-                         Counter((rd, y) for rd, y, _, _ in log)))
+                         Counter(log)))
         (got, once), (want, each) = runs
         assert got == want, seed
         assert set(once.values()) <= {1} and once.keys() == each.keys(), seed
         repeated += sum(each.values()) - len(each)
     assert repeated
-
-
-def test_round_replay_exhausts_a_budget_like_per_attempt_searches(monkeypatch):
-    """Budgets inside the charge of a repeated search: the run that replays it
-    ends overbudget with the ledger of the run that searches again."""
-    consts = {"t_amplify": "1", "outer_rounds": "4", "inner_rounds": "5",
-              "c_accept_threshold": "2", "sketch_source": "light"}
-    cfg = RunConfig(tester="dl", family="groups4-no", n=64, eps=0.25, seed=23, consts=consts)
-    bundle = build_instance(cfg)
-    with monkeypatch.context() as m:
-        m.setattr(dl, "check_dl", own_index_table(dl.check_dl))
-        # trial 0's rng, as run_one_trial derives it
-        log = _logged_searches(m, SeededRng(cfg.seed, 0).derive(1), 64, 0.25, cfg.constants)
-        run_one_trial(cfg, bundle, 0)
-    searched, repeats = set(), []
-    for rd, y, before, after in log:
-        if (rd, y) in searched:
-            repeats.append((before, after))
-        searched.add((rd, y))
-    assert repeats
-    for before, after in repeats[::max(1, len(repeats) // 4)]:
-        for budget in (before, (before + after) // 2, after - 1):
-            capped = dataclasses.replace(cfg, budget=budget)
-            row = run_one_trial(capped, bundle, 0)
-            with monkeypatch.context() as m:
-                m.setattr(dl, "check_dl", own_index_table(dl.check_dl))
-                ref = run_one_trial(capped, bundle, 0)
-            assert row["verdict"] == ref["verdict"] == "overbudget"
-            assert (row["queries"], row["samples"]) == (ref["queries"], ref["samples"])
-            assert row["queries"] == budget

@@ -1,56 +1,118 @@
 """The program against reference_mode(), which asks and charges every query
-the written algorithms repeat: one charge per query, and at acceptance scale
-the same verdicts, witnesses and ledgers."""
+the written algorithms repeat: on small whole trials the same rows, also
+under budgets that end inside a recharge, and at acceptance scale the same
+verdicts, witnesses and ledgers."""
 
 import concurrent.futures
+import dataclasses
 import multiprocessing
-import sys
 import time
-from collections import Counter
 
 import pytest
 
+from sublintest import harness
 from sublintest.core import SeededRng
-from sublintest.harness import RunConfig, build_instance
-from sublintest.oracles import QueryLedger
+from sublintest.harness import RunConfig, build_instance, run_one_trial
 
-from helpers import CRITERIA, GROWTH_TWINS, mdl_run, run_tester
-from reference import reference_mode
+from helpers import CRITERIA, DESK_CONSTS, GROWTH_TWINS, ChargeLog, mdl_run, run_tester
+from reference import reference_mode, swaps
+
+
+def _growth_config(i) -> RunConfig:
+    """GROWTH_TWINS[i] as the harness runs it, by the tester of its family."""
+    family, n, eps, seed, support = GROWTH_TWINS[i]
+    dl = family == "dl-yes"
+    return RunConfig(tester="dl" if dl else "mdl", family=family, n=n, eps=eps, seed=seed,
+                     support_size=support, consts=DESK_CONSTS if dl else {})
 
 
 def _args(corpus, t):
     """(tester, bundle, eps, trial rng) of trial t of a corpus: one of
-    CRITERIA, or the harness's trial t on GROWTH_TWINS[corpus] by the tester
-    of its family."""
+    CRITERIA, or the harness's trial t on GROWTH_TWINS[corpus]."""
     if corpus in CRITERIA:
         return CRITERIA[corpus](t)
-    family, n, eps, seed, support = GROWTH_TWINS[corpus]
-    bundle = build_instance(RunConfig(tester="mdl", family=family, n=n, eps=eps, seed=seed,
-                                      support_size=support))
-    return "mdl" if family == "mdl-yes" else "dl", bundle, eps, SeededRng(seed, 0).derive(t + 1)
+    cfg = _growth_config(corpus)
+    return cfg.tester, build_instance(cfg), cfg.eps, SeededRng(cfg.seed, 0).derive(t + 1)
 
 
-def test_reference_mode_charges_every_query_on_its_own(monkeypatch):
-    """A small MDL trial whose big blocks grow and a desk-profile DL trial
-    whose rounds repeat index searches: under reference_mode() every charge
-    is of one query and comes from a query, through FunctionOracle.query_raw
-    or the hybrid view's target.  A shortcut added without a reference fails
-    here, named by the function that charged."""
-    calls, other = [0], Counter()
-    charge = QueryLedger.charge_queries
+# (config, trial): small trials that between them recharge through every
+# shortcut: GROWTH_TWINS[0] (trial 0 grows big blocks, trial 1 flags none,
+# so max index searches small blocks; both replay block location and max
+# index), MDL on groups4-no at n=256 (a covered run, and halving sums in the
+# plain view), a DL trial on groups4-no under a smaller desk profile (the
+# extraction through both DL views, the extraction replay, the round's index
+# searches) and GROWTH_TWINS[1], whose big blocks grow in the recording view
+G4_MDL = RunConfig(tester="mdl", family="groups4-no", n=256, eps=0.3, seed=1)
+G4_DL = RunConfig(tester="dl", family="groups4-no", n=64, eps=0.25, seed=23,
+                  consts={"t_amplify": 1, "outer_rounds": 4, "inner_rounds": 5,
+                          "c_accept_threshold": 2, "sketch_source": "light"})
+BUDGET_TRIALS = [(_growth_config(0), 0), (_growth_config(0), 1), (G4_MDL, 0), (G4_MDL, 1),
+                 (G4_DL, 0), (_growth_config(1), 1)]
 
-    def counted(self, c=1):
-        calls[0] += 1
-        caller = sys._getframe(1).f_code.co_name
-        if c != 1 or caller not in ("query_raw", "truncate"):
-            other[caller, c] += 1
-        charge(self, c)
+# (charging function, its caller, view) groups that BUDGET_TRIALS must reach
+REACHED = {
+    ("_halving", "_extract", "FunctionOracle"), ("_halving", "_extract", "_RecordingOracle"),
+    ("_halving", "_extract", "HybridFunction"), ("_extract", "_sketch", "FunctionOracle"),
+    ("_extract", "_sketch", "_RecordingOracle"), ("_extract", "_sketch", "HybridFunction"),
+    ("_extract", "_extraction_replay", "_RecordingOracle"),
+    ("_extraction_replay", "check_dl", "_RecordingOracle"),
+    ("_recharge", "preprocess", "FunctionOracle"),
+    ("_find_big_blocks", "preprocess", "FunctionOracle"),
+    ("_replayed", "find_block_ex", "FunctionOracle"), ("_replayed", "max_index", "FunctionOracle"),
+    ("_replayed", "check_dl", "FunctionOracle")}
 
-    monkeypatch.setattr(QueryLedger, "charge_queries", counted)
-    with reference_mode():
-        run_tester(*_args(0, 0))
-        run_tester(*_args("c4-no", 0))
-    assert calls[0] and not other
+
+def _spread(logged):
+    """The first, middle and last of the logged (config, bundle, trial,
+    recharge) whose recharge charges something, and the largest."""
+    some = [entry for entry in logged if entry[3].amount]
+    if not some:
+        return []
+    largest = max(range(len(some)), key=lambda i: some[i][3].amount)
+    return [some[i] for i in sorted({0, len(some) // 2, len(some) - 1, largest})]
+
+
+def test_every_recharge_exhausts_a_budget_like_reference_mode(monkeypatch):
+    """Small whole trials through run_one_trial, by the program and under
+    reference_mode(): equal rows; under reference_mode() every charge is of
+    one query and made by a query; every recharge is made or called by a
+    function that reference_mode() swaps; and budgets at the first, middle
+    and last query of a spread of each group's recharges leave both rows
+    overbudget at the budget with equal samples."""
+    ledgers = []
+
+    def logged(query_budget=None):
+        ledgers.append(ChargeLog(query_budget))
+        return ledgers[-1]
+
+    monkeypatch.setattr(harness, "QueryLedger", logged)
+
+    def rows(cfg, bundle, trial):
+        got = run_one_trial(cfg, bundle, trial)
+        with reference_mode():
+            want = run_one_trial(cfg, bundle, trial)
+        del got["runtime_ms"], want["runtime_ms"]
+        return got, want
+
+    swapped = {name for _, name, _ in swaps()}
+    groups = {}
+    for cfg, trial in BUDGET_TRIALS:
+        bundle = build_instance(cfg)
+        got, want = rows(cfg, bundle, trial)
+        program, ref = ledgers[-2:]
+        unlisted = {rec[:2] for rec in program.recharges if not swapped & set(rec[:2])}
+        assert not unlisted, f"(function, caller) recharging outside swaps(): {unlisted}"
+        assert got == want, (cfg, trial)
+        assert not ref.recharges and ref.charge_calls == want["queries"], ref.recharges[:3]
+        for rec in program.recharges:
+            groups.setdefault(rec[:3], []).append((cfg, bundle, trial, rec))
+    assert REACHED <= groups.keys(), REACHED - groups.keys()
+    for key, logged in groups.items():
+        for cfg, bundle, trial, rec in _spread(logged):
+            for budget in {rec.before, rec.before + rec.amount // 2, rec.before + rec.amount - 1}:
+                got, want = rows(dataclasses.replace(cfg, budget=budget), bundle, trial)
+                assert got == want and got["verdict"] == "overbudget", (key, trial, budget)
+                assert got["queries"] == budget, (key, trial, budget)
 
 
 # criterion 3's and 4's first 20 trials on each side, criterion 4's dl-yes
