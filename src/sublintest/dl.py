@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .core import BitString, FiniteDistribution, SeededRng, ceil_pos, clamped_log2, const
 from .oracles import DistSampler, FunctionOracle, Memo, PreconditionViolated, Verdict, accounted
-from .mdl import DEFAULT_MDL, MdlConstants, MdlRun, _extract, _replayed, _runs, budget_mdl
+from .mdl import DEFAULT_MDL, MdlConstants, MdlRun, _extract, _runs, budget_mdl
 
 
 @dataclass(frozen=True)
@@ -197,10 +197,8 @@ def test_dl(f: FunctionOracle, sampler: DistSampler, eps: float,
 def _extraction_replay(g: _RecordingOracle, vs: list[int]) -> list[tuple[list[int], int]]:
     """Rerun the sketch extraction on the recorded strings, stopping after the
     interval grouping (no consistency verification), and return its runs.
-    The strings' values come from the record, and their queries are charged
-    at one base query each."""
-    g.ledger.charge_queries(len(vs))
-    return _runs(_extract(g, vs, [g.seen[v] for v in vs]))
+    Each string is asked again; the record answers."""
+    return _runs(_extract(g, vs, [g.query_raw(v) for v in vs]))
 
 
 @accounted
@@ -239,7 +237,7 @@ def check_dl(f: FunctionOracle, d: FiniteDistribution, eps: float, r: BitString,
         return Verdict("accept")
 
     searches = {} if searches is None else searches
-    idxs = [_replayed(f.ledger, searches, xv, index_search, f, r, BitString(n, xv ^ r.v))
+    idxs = [f.ledger.replay(searches, xv, index_search, f, r, BitString(n, xv ^ r.v))
             for xv in last_opp]
     if None in idxs:
         z = BitString(n, last_opp[idxs.index(None)] ^ r.v)

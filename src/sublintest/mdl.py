@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .core import (BitString, FiniteDistribution, SeededRng, ceil_pos, clamped_log2, const,
                    unit)
-from .oracles import DistSampler, FunctionOracle, QueryLedger, Verdict, accounted
+from .oracles import DistSampler, FunctionOracle, Verdict, accounted
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,7 @@ def _halving(g: FunctionOracle, or_range, c: int, y_v: int, b: int) -> int:
         if query(w) == b:
             c = half
             if w == y_v:
-                ledger.charge_queries((ledger.function_queries - before) * (c.bit_length() - 1))
+                ledger.repeat(ledger.function_queries - before, c.bit_length() - 1)
                 return a
         else:
             a += half
@@ -248,13 +248,6 @@ def _rep_search(f: FunctionOracle, vs: list[int], y_v: int) -> int:
     list, v's rule outranks every other rule fired in vs or in the union y_v."""
     b = f.query_raw(_or_all(vs) | y_v)
     return vs[_halving(f, lambda lo, hi: _or_all(vs[lo:hi]), len(vs), y_v, b)]
-
-
-def _recharge(ledger: QueryLedger, before: int):
-    """Charge again what the ledger gained since it read `before`: the cost of
-    repeating queries whose answers are already known.  One charge leaves the
-    ledger where the repeats would, also when it runs out of budget."""
-    ledger.charge_queries(ledger.function_queries - before)
 
 
 def _log2_floor_sum(c: int) -> int:
@@ -286,12 +279,12 @@ def _extract(g: FunctionOracle, vs: list[int], vals: list[int]) -> list[tuple[in
         before = ledger.function_queries
         b = query(union_v)
         cost = ledger.function_queries - before
-        ledger.charge_queries(cost)  # the halving search's own reference query
+        ledger.repeat(cost)  # the halving search's own reference query
         tree = trees[b]
         y_v = trees[1 - b].or_all()
         if union_v == y_v:
             c = tree.alive
-            ledger.charge_queries(cost * (_log2_floor_sum(c) + 2 * (c - 1)))
+            ledger.repeat(cost, _log2_floor_sum(c) + 2 * (c - 1))
             break
         pos = tree.kth_alive(_halving(g, tree.or_range, tree.alive, y_v, b))
         extracted.append((lists[b][pos], b))
@@ -362,21 +355,6 @@ def _find_block_ex(f: FunctionOracle, sk: MdlSketch, x: BitString) -> tuple[int,
     return p + 2 * hi, fx
 
 
-def _replayed(ledger: QueryLedger, cache: dict, key, compute, *args):
-    """compute(*args), a deterministic procedure, through cache under key: a
-    miss keeps the result with the queries it charged, and a hit charges that
-    cost again in one sum, so the ledger is the one repeated calls would leave."""
-    hit = cache.get(key)
-    if hit is not None:
-        res, cost = hit
-        ledger.charge_queries(cost)
-        return res
-    before = ledger.function_queries
-    res = compute(*args)
-    cache[key] = (res, ledger.function_queries - before)
-    return res
-
-
 def _first_per_index(recs, cap: int) -> list[tuple[int, BitString]]:
     """(max index, string) for the first string of recs with each max index,
     the first cap of them."""
@@ -388,9 +366,9 @@ def _first_per_index(recs, cap: int) -> list[tuple[int, BitString]]:
 
 class MdlRun:
     """One tester run on the sampler it is handed: owns the sketch, the
-    big-block set and the replay caches.  The deterministic sub-procedures
-    are cached per input string; a cache hit recharges the recorded query
-    count, so ledgers match a cache-free execution exactly."""
+    big-block set and the replay caches.  Block location and max index are
+    cached per input string through QueryLedger.replay, whose hits repeat the
+    recorded query count, so ledgers match a cache-free execution exactly."""
 
     def __init__(self, f: FunctionOracle, sampler, eps: float, rng: SeededRng | None,
                  constants: MdlConstants = DEFAULT_MDL):
@@ -414,12 +392,12 @@ class MdlRun:
         return run
 
     def find_block_ex(self, x: BitString) -> tuple[int, int]:
-        return _replayed(self.f.ledger, self._fb_cache, x.v, _find_block_ex, self.f, self.sk, x)
+        return self.f.ledger.replay(self._fb_cache, x.v, _find_block_ex, self.f, self.sk, x)
 
     def max_index(self, x: BitString) -> int | None:
         """Highest-priority same-value index of x's support, or None when the
         consistency checks fail.  Deterministic."""
-        return _replayed(self.f.ledger, self._mi_cache, x.v, self._max_index, x)
+        return self.f.ledger.replay(self._mi_cache, x.v, self._max_index, x)
 
     def _max_index(self, x: BitString) -> int | None:
         f, sk, L = self.f, self.sk, self.L
@@ -451,11 +429,12 @@ class MdlRun:
         T = self._draw_strings(self.sz.pre)
         if not T:
             return Verdict("accept")
-        before = self.f.ledger.function_queries
+        ledger = self.f.ledger
+        before = ledger.function_queries
         vals = [self.f.query_raw(x.v) for x in T]
         if all(v == 0 for v in vals) or all(v == 1 for v in vals):
             return Verdict("accept")
-        _recharge(self.f.ledger, before)  # the sketch's own pass over T
+        ledger.repeat(ledger.function_queries - before)  # the sketch's own pass over T
         sk = _sketch(self.f, T, vals)
         if sk is None:
             return Verdict("reject", witness=("sketch_nil",))
@@ -465,7 +444,7 @@ class MdlRun:
         return None
 
     def _find_big_blocks(self) -> BigBlockSet:
-        n, eps, sz = self.f.n, self.eps, self.sz
+        n, eps, sz, ledger = self.f.n, self.eps, self.sz, self.f.ledger
         k = self.sk.k
         counters: dict[int, int] = {}
         for _ in range(sz.probes):
@@ -479,12 +458,12 @@ class MdlRun:
         for _ in range(sz.rounds):
             nl = big.neighbors()
             hits = 0
-            # one search per distinct draw; its repeats recharge the recorded
-            # cost in one go, so each round charges what per-draw searches would
+            # one search per distinct draw; its other draws repeat what the
+            # search just charged, so each round charges what per-draw searches would
             for x, mult in self.sampler.draw_counts(sz.inner):
+                before = ledger.function_queries
                 ell, _ = self.find_block_ex(x)
-                if mult > 1:
-                    self.f.ledger.charge_queries(self._fb_cache[x.v][1] * (mult - 1))
+                ledger.repeat(ledger.function_queries - before, mult - 1)
                 if ell in nl:
                     hits += mult
             if hits < exit_thresh:

@@ -40,6 +40,29 @@ class QueryLedger:
             raise BudgetExhausted("function query budget exhausted")
         self.function_queries += c
 
+    def repeat(self, cost: int, times: int = 1):
+        """Charge for asking again, times over, queries whose answers are
+        already known and which cost `cost` when they were asked.  One charge,
+        and none of 0, leaves the ledger where the repeats would, also when
+        it runs out of budget."""
+        c = cost * times
+        if c:
+            self.charge_queries(c)
+
+    def replay(self, cache: dict, key, compute, *args):
+        """compute(*args), a deterministic procedure, through cache under key: a
+        miss keeps the result with the queries it charged, and a hit repeats
+        that cost, so the ledger is the one repeated calls would leave."""
+        hit = cache.get(key)
+        if hit is not None:
+            res, cost = hit
+            self.repeat(cost)
+            return res
+        before = self.function_queries
+        res = compute(*args)
+        cache[key] = (res, self.function_queries - before)
+        return res
+
     def charge_samples(self, c: int = 1):
         self.samples_drawn += c
 

@@ -69,19 +69,24 @@ def _view(*frames) -> str | None:
 
 
 class ChargeLog(QueryLedger):
-    """A ledger that counts its charges and logs each recharge, a charge that
-    no query made: one whose caller is neither FunctionOracle.query_raw nor
-    the hybrid view's target."""
+    """A ledger that counts its charges and logs each recharge, a charge made
+    through QueryLedger.repeat, under the function that called repeat."""
 
     def __init__(self, query_budget=None):
         super().__init__(query_budget)
         self.charge_calls = 0
         self.recharges: list[Recharge] = []
+        self._repeating = None  # the frame that called the repeat under way
+
+    def repeat(self, cost, times=1):
+        self._repeating = sys._getframe(1)
+        super().repeat(cost, times)
+        self._repeating = None  # when it charged nothing
 
     def charge_queries(self, c=1):
         self.charge_calls += 1
-        frame = sys._getframe(1)
-        if frame.f_code.co_name not in ("query_raw", "truncate"):
+        frame, self._repeating = self._repeating, None
+        if frame:
             caller = frame.f_back
             while caller.f_code.co_name.startswith("<"):  # a comprehension or a lambda
                 caller = caller.f_back

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from sublintest import dl, mdl
 from sublintest.core import clamped_log2, unit
 from sublintest.dl import DEFAULT_DL
-from sublintest.mdl import BigBlockSet, MdlRun, _find_block_ex, _OrTree, _runs, sketch_mdl
+from sublintest.mdl import BigBlockSet, MdlRun, _find_block_ex, _OrTree, sketch_mdl
 from sublintest.oracles import Verdict
 
 
@@ -53,13 +53,6 @@ def extract_per_step(g, vs, vals):
         extracted.append((lists[b][pos], b))
         tree.remove(pos)
     return extracted
-
-
-def extraction_replay(g, vs):
-    """dl._extraction_replay asking the recording view for each recorded
-    string, one charge each, where the program charges them in one sum and
-    reads their values from the record."""
-    return _runs(extract_per_step(g, vs, [g.query_raw(v) for v in vs]))
 
 
 def preprocess_querying_twice(run: MdlRun) -> Verdict | None:
@@ -258,15 +251,13 @@ STAGE_REFS = {1: type1_ref, 2: type2_ref, 3: type3_ref, 4: type4_ref, 5: type5_r
 
 def swaps() -> list:
     """(owner, attribute, reference) for each shortcut reference_mode() swaps:
-    the halving search, the extraction (both modules' bindings), the
-    extraction replay, preprocessing, big-block growth, block location and max
-    index without their replay caches, and an index-search table of its own
-    for each check_dl attempt."""
+    the halving search, the extraction (both modules' bindings), preprocessing,
+    big-block growth, block location and max index without their replay
+    caches, and an index-search table of its own for each check_dl attempt."""
     return [
         (mdl, "_halving", halving_per_level),
         (mdl, "_extract", extract_per_step),
         (dl, "_extract", extract_per_step),
-        (dl, "_extraction_replay", extraction_replay),
         (MdlRun, "preprocess", preprocess_querying_twice),
         (MdlRun, "_find_big_blocks", grow_per_draw),
         (MdlRun, "find_block_ex", lambda run, x: _find_block_ex(run.f, run.sk, x)),

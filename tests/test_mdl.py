@@ -3,7 +3,7 @@ from functools import partial
 import pytest
 
 from sublintest.core import BitString, FiniteDistribution, SeededRng, bit_or, unit
-from sublintest.dl import HybridFunction, _extraction_replay, _RecordingOracle
+from sublintest.dl import HybridFunction, _RecordingOracle
 from sublintest.dlmodel import MonotoneDLRep, eval_mdl, min_index, monotonize, random_mdl
 from sublintest.harness import RunConfig, build_instance
 from sublintest.instances import (_weight2_atoms, gen_groups4, gen_mdl_yes,
@@ -16,8 +16,8 @@ from sublintest.oracles import BudgetExhausted, DistSampler, FunctionOracle, Que
 
 from helpers import (GROWTH_TWINS, ChargeLog, expected_blocks, find_rep, goal_equation_holds,
                      mdl_run, oracle_for)
-from reference import (STAGE_REFS, extract_per_step, extraction_replay, grow_per_draw,
-                       halving_per_level, preprocess_querying_twice)
+from reference import (STAGE_REFS, extract_per_step, grow_per_draw, halving_per_level,
+                       preprocess_querying_twice)
 
 
 def test_find_rep_singleton():
@@ -876,23 +876,6 @@ def test_preprocess_charges_its_second_pass_like_querying_twice(wrap):
             run, ref_run = new.run, ref.run
             assert (run.sk.strings, run.sk.values) == (ref_run.sk.strings, ref_run.sk.values)
             assert (run.L.members, run.NL) == (ref_run.L.members, ref_run.NL)
-
-
-def _replay_view(seed) -> _Viewed:
-    """A recording view that has seen some strings; `vs` holds its sketch
-    inputs."""
-    view = _list_view("recording", seed)
-    n = view.g.n
-    for _ in range(2 + view.rng.integer(0, 40)):
-        view.g.query_raw(view.rng.bit_string(n).v)
-    view.vs = [v for v in view.g.seen if v]
-    return view
-
-
-def test_extraction_replay_charges_like_querying_every_string():
-    runs = (lambda v: _extraction_replay(v.g, v.vs)), (lambda v: extraction_replay(v.g, v.vs))
-    for seed in range(30):
-        _twins(partial(_replay_view, seed), *runs)
 
 
 # -- the five cycle-pattern stages against reference.STAGE_REFS --------------

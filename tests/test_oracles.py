@@ -7,6 +7,8 @@ from sublintest.oracles import (BudgetExhausted, ComparisonOracle, DistSampler,
                                 FunctionOracle, MarginalSampler, PairSampler,
                                 PreconditionViolated, QueryLedger)
 
+from helpers import ChargeLog
+
 
 def test_constant_target_counts():
     f = FunctionOracle(4, lambda v: 1)
@@ -46,6 +48,27 @@ def test_budget_exhaustion_counter_stops_at_budget():
     with pytest.raises(BudgetExhausted):
         f.query(BitString.zeros(2))
     assert ledger.function_queries == 3
+
+
+def test_repeat_exhaustion_stops_at_budget():
+    ledger = ChargeLog(query_budget=3)
+    ledger.repeat(0, 4)
+    ledger.repeat(3, 0)
+    assert ledger.charge_calls == 0  # nothing to repeat, no charge
+    with pytest.raises(BudgetExhausted):
+        ledger.repeat(2, 2)
+    assert ledger.function_queries == 3
+
+
+def test_replay_hit_exhaustion_stops_at_budget_without_computing():
+    ledger, cache, asked = QueryLedger(query_budget=7), {}, []
+    f = FunctionOracle(2, asked.append, ledger)
+    search = lambda v: [f.query_raw(v) for _ in range(3)]  # noqa: E731
+    assert ledger.replay(cache, 3, search, 3) == ledger.replay(cache, 3, search, 3) == [None] * 3
+    assert ledger.function_queries == 6  # the hit repeats the miss's three queries
+    with pytest.raises(BudgetExhausted):
+        ledger.replay(cache, 3, search, 3)
+    assert asked == [3] * 3 and ledger.function_queries == 7
 
 
 @pytest.mark.parametrize("budgets", [{"query_budget": -1}])

@@ -55,30 +55,26 @@ REACHED = {
     ("_halving", "_extract", "HybridFunction"), ("_extract", "_sketch", "FunctionOracle"),
     ("_extract", "_sketch", "_RecordingOracle"), ("_extract", "_sketch", "HybridFunction"),
     ("_extract", "_extraction_replay", "_RecordingOracle"),
-    ("_extraction_replay", "check_dl", "_RecordingOracle"),
-    ("_recharge", "preprocess", "FunctionOracle"),
+    ("preprocess", "execute", "FunctionOracle"),
     ("_find_big_blocks", "preprocess", "FunctionOracle"),
-    ("_replayed", "find_block_ex", "FunctionOracle"), ("_replayed", "max_index", "FunctionOracle"),
-    ("_replayed", "check_dl", "FunctionOracle")}
+    ("replay", "find_block_ex", "FunctionOracle"), ("replay", "max_index", "FunctionOracle"),
+    ("replay", "check_dl", "FunctionOracle")}
 
 
 def _spread(logged):
     """The first, middle and last of the logged (config, bundle, trial,
-    recharge) whose recharge charges something, and the largest."""
-    some = [entry for entry in logged if entry[3].amount]
-    if not some:
-        return []
-    largest = max(range(len(some)), key=lambda i: some[i][3].amount)
-    return [some[i] for i in sorted({0, len(some) // 2, len(some) - 1, largest})]
+    recharge), and the one that charges the most."""
+    largest = max(range(len(logged)), key=lambda i: logged[i][3].amount)
+    return [logged[i] for i in sorted({0, len(logged) // 2, len(logged) - 1, largest})]
 
 
 def test_every_recharge_exhausts_a_budget_like_reference_mode(monkeypatch):
     """Small whole trials through run_one_trial, by the program and under
     reference_mode(): equal rows; under reference_mode() every charge is of
-    one query and made by a query; every recharge is made or called by a
-    function that reference_mode() swaps; and budgets at the first, middle
-    and last query of a spread of each group's recharges leave both rows
-    overbudget at the budget with equal samples."""
+    one query and made by a query; every recharge charges something and is
+    made or called by a function that reference_mode() swaps; and budgets at
+    the first, middle and last query of a spread of each group's recharges
+    leave both rows overbudget at the budget with equal samples."""
     ledgers = []
 
     def logged(query_budget=None):
@@ -102,6 +98,7 @@ def test_every_recharge_exhausts_a_budget_like_reference_mode(monkeypatch):
         program, ref = ledgers[-2:]
         unlisted = {rec[:2] for rec in program.recharges if not swapped & set(rec[:2])}
         assert not unlisted, f"(function, caller) recharging outside swaps(): {unlisted}"
+        assert all(rec.amount > 0 for rec in program.recharges)
         assert got == want, (cfg, trial)
         assert not ref.recharges and ref.charge_calls == want["queries"], ref.recharges[:3]
         for rec in program.recharges:
