@@ -51,6 +51,25 @@ class InstanceBundle:
         return ComparisonOracle(self.n, self.less, ledger)
 
 
+def _distinct_pairs(pool, count: int, rng: SeededRng, forbid=()) -> list[tuple[int, int]]:
+    """count distinct unordered pairs (p, q), p < q, of members of pool, in the
+    order first drawn.  Each try draws p, then q, uniformly from pool; a try
+    with p == q, or whose pair was drawn before or is in forbid, is skipped."""
+    pairs = {}
+    while len(pairs) < count:
+        p = pool[rng.integer(0, len(pool))]
+        q = pool[rng.integer(0, len(pool))]
+        pair = (p, q) if p < q else (q, p)
+        if p != q and pair not in forbid:
+            pairs[pair] = None
+    return list(pairs)
+
+
+def _pair_string(p: int, q: int) -> int:
+    """The backing int of the weight-2 string that sets bits p and q."""
+    return (1 << (p - 1)) | (1 << (q - 1))
+
+
 # -- total orderings ---------------------------------------------------------
 
 def _positions(order) -> list[int]:
@@ -95,13 +114,7 @@ def gen_total_yes(n: int, support_size: int, rng: SeededRng) -> InstanceBundle:
     if support_size > n * (n - 1) // 2:
         raise ValueError("support larger than the number of pairs")
     perm = rng.permutation(n)
-    pairs = set()
-    while len(pairs) < support_size:
-        u = rng.integer(1, n + 1)
-        v = rng.integer(1, n + 1)
-        if u != v:
-            pairs.add((min(u, v), max(u, v)))
-    pairs = sorted(pairs)
+    pairs = sorted(_distinct_pairs(range(1, n + 1), support_size, rng))
     raw = [0.5 + rng.random() for _ in pairs]
     total = sum(raw)
     dist = PairDistribution(n, [(p, w / total) for p, w in zip(pairs, raw)])
@@ -140,18 +153,8 @@ def pentagon_from_order(n: int, order, seed: int = 0) -> InstanceBundle:
 def _weight2_atoms(n: int, support_size: int, rng: SeededRng) -> list[BitString]:
     if support_size > n * (n - 1) // 2:
         raise ValueError("support larger than the number of weight-2 strings")
-    seen = set()
-    atoms = []
-    while len(atoms) < support_size:
-        a = rng.integer(1, n + 1)
-        b = rng.integer(1, n + 1)
-        if a == b:
-            continue
-        v = (1 << (a - 1)) | (1 << (b - 1))
-        if v not in seen:
-            seen.add(v)
-            atoms.append(BitString(n, v))
-    return atoms
+    return [BitString(n, _pair_string(a, b))
+            for a, b in _distinct_pairs(range(1, n + 1), support_size, rng)]
 
 
 def list_bundle(family: str, rep, dist: FiniteDistribution, seed: int = 0,
@@ -409,19 +412,12 @@ def _plant_type2(base: InstanceBundle, eps0: float, rng: SeededRng) -> InstanceB
     y = ev | ew
     target = _plant_target(planted_rep, {x: 1}, [])
 
-    def pair_fill(pool, count, forbid):
-        out = set()
-        while len(out) < count:
-            p = pool[rng.integer(0, len(pool))]
-            q = pool[rng.integer(0, len(pool))]
-            if p != q:
-                v = (1 << (p - 1)) | (1 << (q - 1))
-                if v not in forbid:
-                    out.add(v)
-        return sorted(out)
+    def pair_fill(pool, count, forbid=()):
+        return sorted(_pair_string(p, q) for p, q in _distinct_pairs(pool, count, rng, forbid))
 
-    early_fill = pair_fill(early, min(48, half - 2), {x, y})
-    deep_fill = pair_fill(deep, min(16, half - 2), {x, y})
+    # y joins two early members; x joins a deep and an early one, so no pool draws it
+    early_fill = pair_fill(early, min(48, half - 2), {(v_i, w_i)})
+    deep_fill = pair_fill(deep, min(16, half - 2))
     carrier_mass = eps0 * 5e-5
     y_mass = eps0 - carrier_mass
     rest = 1.0 - eps0

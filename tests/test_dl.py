@@ -464,8 +464,8 @@ def _full_round_tester(f, d, eps, rng, constants, rounds):
         flags = []
         rounds.append(flags)
         for j in range(inner):
-            flags.append(dl.check_dl(f, d, eps, r, rng.derive((rd << 20) | j),
-                                     constants).accepted)
+            attempt_rng = rng.derive((rd << dl._ATTEMPT_BITS) | j)
+            flags.append(dl.check_dl(f, d, eps, r, attempt_rng, constants).accepted)
             count += flags[-1]
             if count >= threshold:
                 break
@@ -514,7 +514,7 @@ def _scripted(tester, script, threshold, monkeypatch):
     returns the verdict and the (rd, j) of the attempts run, in order."""
     outer, inner = len(script), len(script[0])
     rng = SeededRng(18)
-    slots = {rng.derive((rd << 20) | j).stream_id: (rd, j)
+    slots = {rng.derive((rd << dl._ATTEMPT_BITS) | j).stream_id: (rd, j)
              for rd in range(outer) for j in range(inner)}
     ran = []
 
@@ -591,7 +591,7 @@ def _logged_searches(monkeypatch, rng, n, eps, constants):
     """Log each index search a run on rng makes as (round, string); the round
     is read from the attempt's rng stream."""
     outer, inner, _ = round_profile(n, eps, constants)
-    rounds = {rng.derive((rd << 20) | j).stream_id: rd
+    rounds = {rng.derive((rd << dl._ATTEMPT_BITS) | j).stream_id: rd
               for rd in range(outer) for j in range(inner)}
     log, current = [], [None]
     check, search = dl.check_dl, dl.index_search

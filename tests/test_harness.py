@@ -15,8 +15,7 @@ from sublintest.harness import (CONSTS, CSV_COLUMNS, EXIT_TRIAL_ERROR, RunConfig
                                 build_instance, generate, load_bundle, oracle_check, report_csv,
                                 run_one_trial, run_trials, save_bundle, scaling_experiment,
                                 wilson_interval)
-from sublintest.instances import (gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pentagon,
-                                  gen_random_table, gen_total_yes)
+from sublintest.instances import gen_dl_yes, gen_mdl_yes, gen_pentagon, gen_random_table
 from sublintest.mdl import monotone_dl_tester
 from sublintest.oracles import QueryLedger
 from sublintest.total_order import test_total_ordering as total_tester
@@ -45,12 +44,10 @@ def test_run_trials_single_deterministic():
 
 
 def test_csv_round_trip():
-    import csv as csvmod
-    import io
     cfg = RunConfig(tester="total", family="total-yes", n=64, eps=0.2, trials=4, seed=5)
     report = run_trials(cfg)
     text = report_csv(report)
-    rows = list(csvmod.DictReader(io.StringIO(text)))
+    rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 4
     assert list(rows[0]) == CSV_COLUMNS
     assert sum(int(r["queries"]) for r in rows) == report.total_queries()
@@ -115,52 +112,6 @@ def test_oracle_check_refuses_before_any_distance(eps, trials, says, monkeypatch
     assert calls == []
 
 
-def test_bundle_json_round_trip_boolean():
-    bundle = gen_mdl_yes(24, 10, SeededRng(15))
-    doc = save_bundle(bundle)
-    again = load_bundle(json.loads(json.dumps(doc)))
-    assert again.n == bundle.n
-    for x, w in zip(bundle.dist.atoms, bundle.dist.weights):
-        assert again.dist.mass(x) == pytest.approx(float(w))
-        assert again.target(x.v) == bundle.target(x.v)
-
-
-def test_bundle_json_round_trip_groups4():
-    bundle = gen_groups4(32, SeededRng(16), "no")
-    again = load_bundle(json.loads(json.dumps(save_bundle(bundle))))
-    for x in bundle.dist.atoms:
-        assert again.target(x.v) == bundle.target(x.v)
-
-
-def test_bundle_json_round_trip_dl_yes():
-    bundle = gen_dl_yes(10, 12, SeededRng(19))
-    again = load_bundle(json.loads(json.dumps(save_bundle(bundle))))
-    assert (again.family, again.n) == ("dl-yes", 10)
-    for x, w in zip(bundle.dist.atoms, bundle.dist.weights):
-        assert again.dist.mass(x) == pytest.approx(float(w))
-    assert [again.target(v) for v in range(1 << 10)] == [bundle.target(v) for v in range(1 << 10)]
-
-
-def test_bundle_json_round_trip_total_yes():
-    bundle = gen_total_yes(20, 30, SeededRng(20))
-    again = load_bundle(json.loads(json.dumps(save_bundle(bundle))))
-    assert again.family == "total-yes"
-    for (u, v), w in zip(bundle.dist.pairs, bundle.dist.weights):
-        assert again.dist.mass(u, v) == pytest.approx(float(w))
-    for u in range(1, 21):
-        for v in range(u + 1, 21):
-            assert again.less(u, v) == bundle.less(u, v)
-            assert again.less(v, u) == bundle.less(v, u)
-
-
-def test_bundle_json_round_trip_comparison():
-    bundle = gen_pentagon(20, SeededRng(17))
-    again = load_bundle(json.loads(json.dumps(save_bundle(bundle))))
-    for (u, v), w in zip(bundle.dist.pairs, bundle.dist.weights):
-        assert again.dist.mass(u, v) == pytest.approx(float(w))
-        assert again.less(u, v) == bundle.less(u, v)
-
-
 def test_hex_packing_little_endian_bit_one_first():
     bundle = gen_mdl_yes(16, 4, SeededRng(18))
     doc = save_bundle(bundle)
@@ -178,23 +129,11 @@ def test_cli_test_total_writes_csv(tmp_path, capsys):
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
-def test_cli_usage_error_unknown_family():
-    code = cli_main(["test-total", "--family", "nope", "--n", "64"])
-    assert code == 2
-
-
 def test_cli_budget_exit_code(tmp_path):
     out = tmp_path / "r.csv"
     code = cli_main(["test-total", "--n", "64", "--eps", "0.2", "--trials", "1",
                      "--seed", "4", "--budget", "5", "--out", str(out)])
     assert code == 3
-
-
-@pytest.mark.parametrize("flag, value", [("--budget", "-5"), ("--jobs", "0"), ("--jobs", "-2")])
-def test_cli_negative_budget_or_jobs_is_usage_error(flag, value, capsys):
-    assert cli_main(["test-mdl", "--n", "16", flag, value]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and flag[2:] in err
 
 
 def test_failing_trial_is_recorded_and_the_run_goes_on(monkeypatch, capsys):
@@ -267,16 +206,6 @@ def test_cli_scaling_picks_the_tester_from_the_family(family, tester, tmp_path, 
         [str(want[k]) for k in ("verdict", "queries", "samples")]
 
 
-def test_cli_scaling_unknown_family_is_usage_error(capsys):
-    assert cli_main(["scaling", "--family", "nope", "--n-list", "16"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_cli_oracle_check_refuses_widths_without_exact_distances(capsys):
-    assert cli_main(["oracle-check", "--n", "9", "--bundles", "1", "--trials", "2"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-
-
 def test_cli_gen_instance_round_trip(tmp_path):
     path = tmp_path / "inst.json"
     code = cli_main(["gen-instance", "--family", "mdl-yes", "--n", "32",
@@ -301,52 +230,6 @@ def _one_error_line(capsys) -> str:
     return lines[0]
 
 
-@pytest.fixture
-def no_trials(monkeypatch):
-    """Fails the test if any trial runs."""
-    def refuse(*args):
-        raise AssertionError("a trial ran")
-    monkeypatch.setattr(harness, "run_one_trial", refuse)
-
-
-MDL8 = save_bundle(gen_mdl_yes(8, 4, SeededRng(3)))
-PAIRS = {"pairs": [{"u": 1, "v": 2, "p": 1.0}]}
-FIVE = {"type": "pentagon", "order": [1, 2, 3, 4, 5]}
-MALFORMED_FILES = {
-    "missing_key": {"version": 1},
-    "mdl_over_pairs": {**MDL8, "distribution": PAIRS},
-    "pentagon_order_not_a_permutation": {"version": 1, "n": 8, "function": FIVE,
-                                         "distribution": PAIRS},
-    "pentagon_order_too_short": {"version": 1, "n": 10, "function": FIVE, "distribution": PAIRS},
-    "table_without_2_to_the_n_bits": {**MDL8, "function": {"type": "table", "bits": [0, 1]}},
-    "pentagon_with_another_distribution": {
-        **save_bundle(gen_pentagon(10, SeededRng(4))), "distribution": PAIRS},
-}
-
-
-@pytest.mark.parametrize("doc", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
-def test_cli_malformed_instance_file_is_usage_error(doc, tmp_path, capsys, no_trials):
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(doc))
-    assert cli_main(["test-mdl", "--instance", str(path), "--trials", "3"]) == 2
-    _one_error_line(capsys)
-    with pytest.raises(ValueError):
-        load_bundle(doc)
-
-
-@pytest.mark.parametrize("argv", [["test-mdl", "--instance", "PENTAGON"],
-                                  ["test-dl", "--family", "pentagon", "--n", "255"],
-                                  ["test-total", "--family", "mdl-yes"]],
-                         ids=lambda argv: argv[0])
-def test_cli_tester_that_cannot_query_the_instance_is_usage_error(argv, tmp_path, capsys,
-                                                                  no_trials):
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps(save_bundle(gen_pentagon(20, SeededRng(5)))))
-    argv = [str(path) if a == "PENTAGON" else a for a in argv]
-    assert cli_main(argv + ["--trials", "3"]) == 2
-    assert "instance, not a" in _one_error_line(capsys)
-
-
 def test_rows_carry_the_bundles_n(tmp_path, capsys):
     path = tmp_path / "m32.json"
     path.write_text(json.dumps(save_bundle(gen_mdl_yes(32, 8, SeededRng(6)))))
@@ -354,17 +237,6 @@ def test_rows_carry_the_bundles_n(tmp_path, capsys):
                      "--trials", "2"]) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert [row["n"] for row in rows] == ["32", "32"]
-
-
-@pytest.mark.parametrize("argv", [["scaling", "--instance", "x.json"], ["scaling", "--n", "64"],
-                                  ["gen-instance", "--eps", "0.2"],
-                                  ["gen-instance", "--const", "c_crowd=4"]],
-                         ids=lambda argv: " ".join(argv[:2]))
-def test_cli_refuses_flags_the_command_does_not_read(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli_main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # every command that writes --out; the check refuses the path before the
@@ -407,17 +279,6 @@ def test_cli_out_that_cannot_be_written_is_usage_error(argv, bad, tmp_path, monk
     assert kept.read_text() == "kept" and list(tmp_path.iterdir()) == [kept]
 
 
-@pytest.mark.parametrize("argv", [["birthday", "--m", "0"], ["birthday", "--size", "0"],
-                                  ["birthday", "--size", "-2"], ["oracle-check", "--bundles", "0"],
-                                  ["oracle-check", "--bundles", "-1"],
-                                  ["oracle-check", "--trials", "0"], ["test-mdl", "--trials", "0"],
-                                  ["scaling", "--trials", "-1"]], ids=" ".join)
-def test_cli_count_flag_below_one_is_usage_error(argv, capsys, command_calls):
-    assert cli_main(argv) == 2
-    assert _one_error_line(capsys).startswith(f"error: {argv[1][2:]} must be at least 1, got ")
-    assert command_calls == []
-
-
 @pytest.mark.parametrize("tester, family, n", [("total", "pentagon", 255),
                                                ("mdl", "groups4-no", 256)])
 def test_row_witness_is_the_verdicts_as_json(tester, family, n):
@@ -440,12 +301,24 @@ ROUND_TRIP = {"total-yes": 20, "pentagon": 20, "mdl-yes": 24, "dl-yes": 10, "gro
 
 @pytest.mark.parametrize("family", ROUND_TRIP)
 def test_load_keeps_what_the_generator_built(family):
+    """The file keeps the metadata, the mass of every atom or pair, and the
+    function: on every string up to width 10 and on the support above that,
+    and on every ordered pair of vertices."""
     n = ROUND_TRIP[family]
     bundle = (gen_random_table(n, SeededRng(7)) if family == "table"
               else generate(family, n, None, 7))
     again = load_bundle(json.loads(json.dumps(save_bundle(bundle))))
     keep = lambda b: (b.kind, b.family, b.n, b.ground_truth, b.certificate)
     assert keep(again) == keep(bundle)
+    if bundle.kind == "boolean":
+        masses = [(again.dist.mass(x), w) for x, w in zip(bundle.dist.atoms, bundle.dist.weights)]
+        strings = range(1 << n) if n <= 10 else [x.v for x in bundle.dist.atoms]
+        assert [again.target(v) for v in strings] == [bundle.target(v) for v in strings]
+    else:
+        masses = [(again.dist.mass(*p), w) for p, w in zip(bundle.dist.pairs, bundle.dist.weights)]
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+        assert [again.less(*p) for p in pairs] == [bundle.less(*p) for p in pairs]
+    assert [m for m, _ in masses] == pytest.approx([float(w) for _, w in masses])
 
 
 def test_cli_dl_desk_profile_runs(tmp_path):
@@ -464,36 +337,12 @@ NO_THRESHOLD = ["--eps", "0.25", "--const", "t_amplify=3", "--const", "outer_rou
                 "--const", "inner_rounds=8", "--const", "sketch_source=light"]
 
 
-def _dl_instance_file(tmp_path, n) -> str:
-    path = tmp_path / f"dl{n}.json"
-    path.write_text(json.dumps(save_bundle(gen_dl_yes(n, 8, SeededRng(n)))))
-    return str(path)
-
-
-def test_cli_refuses_a_round_profile_that_cannot_accept(tmp_path, capsys, no_trials):
-    """Exit 2 with one error line before any trial: at the width of --n, at
-    any width of --n-list, and at the width of an --instance file whatever
-    --n says; and for more attempts per round than the streams can number."""
-    for argv in (["test-dl", "--family", "dl-yes", "--n", "256"],
-                 ["scaling", "--family", "dl-yes", "--n-list", "16,256"],
-                 ["test-dl", "--instance", _dl_instance_file(tmp_path, 256), "--n", "16"]):
-        assert cli_main(argv + NO_THRESHOLD) == 2
-        assert "no round could accept" in _one_error_line(capsys)
-    # attempt 2**20 of a round would draw the stream of the next round's attempt 0
-    assert cli_main(["test-dl", "--n", "64", "--const", "inner_rounds=1048577"]) == 2
-    assert "streams would repeat" in _one_error_line(capsys)
-
-
 def test_cli_refuses_the_round_profile_only_at_the_instance_files_width(tmp_path, capsys):
     """A 16-wide file runs under --n 256: its threshold log2(16/0.25) = 6 fits."""
-    argv = ["test-dl", "--instance", _dl_instance_file(tmp_path, 16), "--n", "256"]
-    assert cli_main(argv + NO_THRESHOLD) == 0
+    path = tmp_path / "dl16.json"
+    path.write_text(json.dumps(save_bundle(gen_dl_yes(16, 8, SeededRng(16)))))
+    assert cli_main(["test-dl", "--instance", str(path), "--n", "256"] + NO_THRESHOLD) == 0
     assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "16"
-
-
-def test_const_of_another_tester_is_still_checked(capsys):
-    assert cli_main(["test-total", "--n", "64", "--const", "sketch_source=lite"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_tester_is_rejected():
@@ -529,19 +378,6 @@ def test_parallel_jobs_match_sequential():
     assert strip(run_trials(cfg1).rows) == strip(run_trials(cfg2).rows)
 
 
-SEED_COMMANDS = [["test-total", "--n", "64"], ["test-mdl", "--n", "32"], ["test-dl", "--n", "16"],
-                 ["scaling", "--n-list", "16"], ["gen-instance", "--n", "16"],
-                 ["birthday", "--size", "6", "--trials", "20"],
-                 ["oracle-check", "--n", "3", "--bundles", "2", "--trials", "4"]]
-
-
-@pytest.mark.parametrize("argv", SEED_COMMANDS, ids=lambda argv: argv[0])
-def test_bad_env_seed_is_usage_error(argv, monkeypatch, capsys):
-    monkeypatch.setenv("SUBLINTEST_SEED", "abc")
-    assert cli_main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: SUBLINTEST_SEED")
-
-
 @pytest.mark.parametrize("argv", [["birthday", "--size", "6", "--trials", "50"],
                                   ["oracle-check", "--n", "3", "--bundles", "2",
                                    "--trials", "8"]], ids=lambda argv: argv[0])
@@ -553,47 +389,6 @@ def test_empty_env_seed_means_the_default(argv, monkeypatch, capsys):
     assert capsys.readouterr().out == want
 
 
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_cli_birthday_rejects_nonpositive_trials(trials, capsys):
-    assert cli_main(["birthday", "--trials", trials]) == 2
-    assert "error: trials must be at least 1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("content", [None, '{"left": {"u": 1.0}}', "{not json"])
-def test_cli_birthday_bad_instance_is_usage_error(content, tmp_path, capsys):
-    path = tmp_path / "exp.json"
-    if content is not None:
-        path.write_text(content)
-    assert cli_main(["birthday", "--instance", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-
-
-EXPERIMENT = {"edges": [["u", "v"]], "left": {"u": 0.5}, "right": {"v": 0.5}, "m": 4,
-              "m_prime": 4, "trials": 20}
-BAD_EXPERIMENTS = {
-    "edge_vertex_without_weight": {**EXPERIMENT, "edges": [["u", "w"]]},
-    "right_vertex_only_on_the_left": {**EXPERIMENT, "left": {"u": 0.5, "v": 0.1},
-                                      "right": {"w": 0.5}},
-    "hyperedge_vertex_without_weight": {"edges": [["a", "b", "c"]], "left": {"a": 0.5, "b": 0.5}},
-    "negative_weight": {**EXPERIMENT, "left": {"u": -0.5}},
-    "nan_weight": {**EXPERIMENT, "left": {"u": float("nan")}},
-    "weight_not_a_number": {**EXPERIMENT, "left": {"u": "0.5"}},
-    "m_zero": {**EXPERIMENT, "m": 0},
-    "bipartite_m_prime_zero": {**EXPERIMENT, "m_prime": 0},
-    "m_null": {**EXPERIMENT, "m": None},
-    "edge_not_a_list": {**EXPERIMENT, "edges": [1]},
-    "vertex_not_a_name": {**EXPERIMENT, "edges": [["u", ["v"]]]},
-}
-
-
-@pytest.mark.parametrize("doc", BAD_EXPERIMENTS.values(), ids=BAD_EXPERIMENTS)
-def test_cli_birthday_refuses_an_experiment_it_cannot_run(doc, tmp_path, capsys):
-    path = tmp_path / "exp.json"
-    path.write_text(json.dumps(doc))
-    assert cli_main(["birthday", "--instance", str(path)]) == 2
-    _one_error_line(capsys)
-
-
 def test_cli_birthday_hypergraph_file_ignores_m_prime(tmp_path, capsys):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({"edges": [["a", "b"]], "left": {"a": 0.5, "b": 0.5}, "m": 6,
@@ -602,25 +397,20 @@ def test_cli_birthday_hypergraph_file_ignores_m_prime(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["variant"] == "file"
 
 
-@pytest.mark.parametrize("cmd", ["test-mdl", "test-dl", "gen-instance", "test-total"])
-def test_cli_negative_support_is_usage_error(cmd, capsys):
-    for support in ("-1", "0"):
-        assert cli_main([cmd, "--n", "16", "--support", support]) == 2
-        assert "error: a distribution needs at least one outcome" in capsys.readouterr().err
-
-
 # values outside each numeric flag's range, for every command that reads it,
-# and what their refusal says; --seed has no range
+# and what their refusal says, from the "error: " that opens the line (the
+# message of --n differs by command); --seed has no range
 OUT_OF_RANGE = {"n": (["1"], "n must"),
-                "eps": (["0", "1", "nan", "inf"], "eps must lie in (0,1)"),
-                "delta": (["0", "1", "nan"], "delta must lie in (0,1)"),
-                "trials": (["0", "-3"], "trials must be at least 1, got"), "seed": ([], None),
-                "budget": (["-5"], "budget must not be negative"),
-                "support": (["0"], "a distribution needs at least one outcome"),
-                "jobs": (["0", "-2"], "jobs must be at least 1"),
-                "size": (["0"], "size must be at least 1, got"),
-                "m": (["0"], "m must be at least 1, got"),
-                "bundles": (["0"], "bundles must be at least 1, got")}
+                "eps": (["0", "1", "nan", "inf"], "error: eps must lie in (0,1)"),
+                "delta": (["0", "1", "nan"], "error: delta must lie in (0,1)"),
+                "trials": (["0", "-1", "-3"], "error: trials must be at least 1, got "),
+                "seed": ([], None),
+                "budget": (["-5"], "error: budget must not be negative"),
+                "support": (["0", "-1"], "error: a distribution needs at least one outcome"),
+                "jobs": (["0", "-2"], "error: jobs must be at least 1"),
+                "size": (["0", "-2"], "error: size must be at least 1, got "),
+                "m": (["0"], "error: m must be at least 1, got "),
+                "bundles": (["0", "-1"], "error: bundles must be at least 1, got ")}
 NUMERIC_FLAGS = [name for name, spec in cli.FLAGS.items() if spec.get("type") in (int, float)]
 BAD_CONSTS = {"c_t2=nan": "finite and positive", "c_paircap=nan": "finite and positive",
               "c_t2=inf": "finite and positive", "c_t2=0": "finite and positive",
@@ -633,6 +423,10 @@ BAD_CONSTS = {"c_t2=nan": "finite and positive", "c_paircap=nan": "finite and po
               "c_type=-1": "unknown constant", "c_type=2": "unknown constant",
               "c_sk=8": "unknown constant", "c_lc=8": "unknown constant",
               "c_long=100": "unknown constant", "c_blockcap=16": "unknown constant"}
+# a --support of 121 at width 16 is more than each family draws from
+OVERFULL = {"total-yes": "support larger than the number of pairs",
+            "mdl-yes": "support larger than the number of weight-2 strings",
+            "dl-yes": "support larger than the number of weight-2 strings"}
 # scaling widths, each refused before the widths ahead of it run
 BAD_N_LISTS = [(["--n-list", "16,1"], "n must be at least 2"),
                (["--n-list", "16,x"], "--n-list expects comma-separated integers, got '16,x'"),
@@ -641,16 +435,109 @@ BAD_N_LISTS = [(["--n-list", "16,1"], "n must be at least 2"),
                 "support larger than the number of pairs")]
 # --instance paths, relative to the folder the sweep runs in
 BAD_INSTANCES = {"missing.json": "No such file or directory", "folder": "Is a directory",
-                 "text.json": "--instance text.json is not JSON: Expecting value"}
+                 "text.json": "--instance text.json is not JSON: Expecting value",
+                 "brace.json": "--instance brace.json is not JSON: Expecting property name"}
+
+MDL8 = save_bundle(gen_mdl_yes(8, 4, SeededRng(3)))
+PENTAGON10 = save_bundle(gen_pentagon(10, SeededRng(4)))
+PAIRS = {"pairs": [{"u": 1, "v": 2, "p": 1.0}]}
+FIVE = {"type": "pentagon", "order": [1, 2, 3, 4, 5]}
+# instance files the loader refuses, and what it says
+MALFORMED_FILES = {
+    "missing_key": ({"version": 1}, "malformed instance file (KeyError: 'n')"),
+    "n_below_2": ({**MDL8, "n": 1}, "n must be an integer of at least 2"),
+    "nu_of_the_wrong_length": ({**MDL8, "function": {**MDL8["function"], "nu": [0]}},
+                               "nu must hold 9 values in {0, 1}"),
+    "negative_mass": ({**MDL8, "distribution": [{**e, "p": -1.0} for e in MDL8["distribution"]]},
+                      "weights must lie in (0,1]"),
+    "mdl_over_pairs": ({**MDL8, "distribution": PAIRS},
+                       "function type 'mdl' needs a distribution over strings"),
+    "pentagon_of_width_8": ({"version": 1, "n": 8, "function": FIVE, "distribution": PAIRS},
+                            "n must be a positive multiple of 5"),
+    "pentagon_order_too_short": ({"version": 1, "n": 10, "function": FIVE, "distribution": PAIRS},
+                                 "order must be a permutation of [1..n]"),
+    "table_without_2_to_the_n_bits": ({**MDL8, "function": {"type": "table", "bits": [0, 1]}},
+                                      "a truth table over n bits lists 2^n values in {0, 1}"),
+    "pentagon_over_strings": ({**PENTAGON10, "distribution": MDL8["distribution"]},
+                              "function type 'pentagon' needs a distribution over pairs"),
+    "pentagon_with_another_distribution": ({**PENTAGON10, "distribution": PAIRS},
+                                           "the distribution of a pentagon instance is fixed"),
+}
+EXPERIMENT = {"edges": [["u", "v"]], "left": {"u": 0.5}, "right": {"v": 0.5}, "m": 4,
+              "m_prime": 4, "trials": 20}
+NOT_AN_EXPERIMENT = "an experiment definition needs 'edges' and 'left'"
+MALFORMED_EXPERIMENT = "malformed experiment definition: "
+WEIGHT = "every vertex weight must be a number in [0, 1]"
+SAMPLE_SIZE = "m and, for a bipartite experiment, m_prime must be at least 1"
+# experiment files birthday refuses, and what it says
+BAD_EXPERIMENTS = {
+    "edge_vertex_without_weight": ({**EXPERIMENT, "edges": [["u", "w"]]},
+                                   "edge ['u', 'w'] has a vertex without a weight"),
+    "right_vertex_only_on_the_left": (
+        {**EXPERIMENT, "left": {"u": 0.5, "v": 0.1}, "right": {"w": 0.5}},
+        "edge ['u', 'v'] has a vertex without a weight"),
+    "hyperedge_vertex_without_weight": (
+        {"edges": [["a", "b", "c"]], "left": {"a": 0.5, "b": 0.5}},
+        "edge ['a', 'b', 'c'] has a vertex without a weight"),
+    "negative_weight": ({**EXPERIMENT, "left": {"u": -0.5}}, WEIGHT),
+    "nan_weight": ({**EXPERIMENT, "left": {"u": float("nan")}}, WEIGHT),
+    "weight_not_a_number": ({**EXPERIMENT, "left": {"u": "0.5"}}, MALFORMED_EXPERIMENT),
+    "m_zero": ({**EXPERIMENT, "m": 0}, SAMPLE_SIZE),
+    "bipartite_m_prime_zero": ({**EXPERIMENT, "m_prime": 0}, SAMPLE_SIZE),
+    "m_null": ({**EXPERIMENT, "m": None}, MALFORMED_EXPERIMENT),
+    "edge_not_a_list": ({**EXPERIMENT, "edges": [1]}, MALFORMED_EXPERIMENT),
+    "vertex_not_a_name": ({**EXPERIMENT, "edges": [["u", ["v"]]]}, MALFORMED_EXPERIMENT),
+    "left_only": ({"left": {"u": 1.0}}, NOT_AN_EXPERIMENT),
+}
+NOT_BOOLEAN = "pentagon is a comparison instance, not a boolean function"
+NOT_COMPARISON = "is a boolean instance, not a comparison relation"
+TESTERS = ("test-total", "test-mdl", "test-dl")
+# the files the sweep writes into its folder, each with what the commands that
+# read --instance say of it; a command the entry does not name runs it
+INSTANCE_FILES = {
+    **{f"{name}.json": (doc, {**dict.fromkeys(TESTERS, says), "birthday": NOT_AN_EXPERIMENT})
+       for name, (doc, says) in MALFORMED_FILES.items()},
+    **{f"{name}.json": (doc, {**dict.fromkeys(TESTERS, "unsupported instance file version"),
+                              "birthday": says})
+       for name, (doc, says) in BAD_EXPERIMENTS.items()},
+    "pentagon.json": (save_bundle(gen_pentagon(20, SeededRng(5))),
+                      {"test-mdl": NOT_BOOLEAN, "test-dl": NOT_BOOLEAN,
+                       "birthday": NOT_AN_EXPERIMENT}),
+    "dl256.json": (save_bundle(gen_dl_yes(256, 8, SeededRng(256))),
+                   {"test-total": NOT_COMPARISON, "birthday": NOT_AN_EXPERIMENT}),
+}
+NO_EXACT_DISTANCES = "--n must lie in 3..6 for exact distances"
+NO_ROUND = "no round could accept"
+# refusals of one command: widths without exact distances, a tester that
+# cannot query the family, a round profile that cannot accept (at --n, an
+# --n-list entry or an --instance file's width whatever --n says), attempt
+# 2**20 of a round, whose stream is the next round's attempt 0, and flags a
+# command does not read
+ONE_OFF = [(["oracle-check", "--n", "2"], NO_EXACT_DISTANCES),
+           (["oracle-check", "--n", "9", "--bundles", "1", "--trials", "2"], NO_EXACT_DISTANCES),
+           (["test-dl", "--family", "pentagon", "--n", "255", "--trials", "3"], NOT_BOOLEAN),
+           (["test-total", "--family", "mdl-yes", "--trials", "3"], NOT_COMPARISON),
+           (["test-dl", "--family", "dl-yes", "--n", "256", *NO_THRESHOLD], NO_ROUND),
+           (["scaling", "--family", "dl-yes", "--n-list", "16,256", *NO_THRESHOLD], NO_ROUND),
+           (["test-dl", "--instance", "dl256.json", "--n", "16", *NO_THRESHOLD], NO_ROUND),
+           (["test-dl", "--n", "64", "--const", "inner_rounds=1048577"], "streams would repeat"),
+           (["scaling", "--instance", "x.json"], "unrecognized arguments"),
+           (["scaling", "--n", "64"], "unrecognized arguments"),
+           (["gen-instance", "--eps", "0.2"], "unrecognized arguments"),
+           (["gen-instance", "--const", "c_crowd=4"], "unrecognized arguments")]
 
 
 def _refusals():
     """(argv, what its error line says) for every value a command must refuse:
-    each numeric flag it reads out of range, not a number and empty; each bad
-    --const; a --support above what a total-yes ordering of width 16 holds;
-    each bad --n-list; and each --instance path that names no instance."""
+    a SUBLINTEST_SEED that is not an integer (a leading NAME=value sets the
+    environment); each numeric flag it reads out of range, not a number and
+    empty; each bad --const; an unknown --family; a --support above what a
+    family of width 16 draws from; each bad --n-list; each --instance
+    path that names no instance, and each instance file it cannot run; and
+    the ONE_OFF rows."""
     for cmd, (_, flags, _) in cli.COMMANDS.items():
         flags = flags.split()
+        yield ["SUBLINTEST_SEED=abc", cmd], "error: SUBLINTEST_SEED must be an integer, got 'abc'"
         for flag in NUMERIC_FLAGS:
             if flag in flags:
                 values, says = OUT_OF_RANGE[flag]
@@ -658,14 +545,19 @@ def _refusals():
                 yield from (([cmd, f"--{flag}", v], f"argument --{flag}") for v in ("x", ""))
         if "const" in flags:
             yield from (([cmd, "--const", c], says) for c, says in BAD_CONSTS.items())
+        if "family" in flags:
+            yield [cmd, "--family", "nope"], "unknown family 'nope'"
         if "support" in flags:
             width = ["--n", "16"] if "n" in flags else ["--n-list", "16"]
-            yield ([cmd, "--family", "total-yes", *width, "--support", "121"],
-                   "support larger than the number of pairs")
+            yield from (([cmd, "--family", family, *width, "--support", "121"], says)
+                        for family, says in OVERFULL.items())
         if "n-list" in flags:
             yield from (([cmd, *argv], says) for argv, says in BAD_N_LISTS)
         if "instance" in flags:
             yield from (([cmd, "--instance", path], says) for path, says in BAD_INSTANCES.items())
+            yield from (([cmd, "--instance", path, "--trials", "3"], says[cmd])
+                        for path, (_, says) in INSTANCE_FILES.items() if cmd in says)
+    yield from ONE_OFF
 
 
 def test_every_numeric_flag_has_a_range():
@@ -678,20 +570,27 @@ def test_cli_refuses_bad_value(argv, says, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "folder").mkdir()
     (tmp_path / "text.json").write_text("not json")
+    (tmp_path / "brace.json").write_text("{not json")
+    for path, (doc, _) in INSTANCE_FILES.items():
+        (tmp_path / path).write_text(json.dumps(doc))
+    if "=" in argv[0]:  # NAME=value: the environment the command runs in
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     work = []
     for module, name in ((harness, "run_one_trial"), (harness, "monotone_dl_tester"),
-                         (cli, "run_bipartite_birthday"), (cli, "run_hypergraph_birthday"),
-                         (cli, "_emit")):
+                         (harness, "dist_mdl"), (cli, "run_bipartite_birthday"),
+                         (cli, "run_hypergraph_birthday"), (cli, "_emit")):
         monkeypatch.setattr(module, name, lambda *args, _name=name: work.append(_name))
     out = tmp_path / "out"
     try:
         code = cli_main(argv + ["--out", str(out)])
-    except SystemExit as exc:  # argparse's refusal of a value it cannot convert
-        code = exc.code
-    captured = capsys.readouterr()
-    errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert code == 2 and captured.out == "" and "Traceback" not in captured.err
-    assert len(errors) == 1 and says in errors[0], captured.err
+    except SystemExit as exc:  # argparse's refusal: its usage lines, then one error line
+        code, captured = exc.code, capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        [line] = [line for line in captured.err.splitlines() if "error:" in line]
+    else:
+        line = _one_error_line(capsys)
+    assert code == 2 and says in line, line
     assert work == [] and not out.exists()
 
 
