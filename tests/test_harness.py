@@ -15,7 +15,8 @@ from sublintest.harness import (CONSTS, CSV_COLUMNS, EXIT_TRIAL_ERROR, RunConfig
                                 build_instance, generate, load_bundle, oracle_check, report_csv,
                                 run_one_trial, run_trials, save_bundle, scaling_experiment,
                                 wilson_interval)
-from sublintest.instances import gen_dl_yes, gen_mdl_yes, gen_pentagon, gen_random_table
+from sublintest.instances import (gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pentagon,
+                                  gen_random_table, gen_total_yes)
 from sublintest.mdl import monotone_dl_tester
 from sublintest.oracles import QueryLedger
 from sublintest.total_order import test_total_ordering as total_tester
@@ -112,6 +113,52 @@ def test_oracle_check_refuses_before_any_distance(eps, trials, says, monkeypatch
     assert calls == []
 
 
+def test_bundle_json_round_trip_boolean():
+    bundle = gen_mdl_yes(24, 10, SeededRng(15))
+    doc = save_bundle(bundle)
+    again = load_bundle(json.loads(json.dumps(doc)))
+    assert again.n == bundle.n
+    for x, w in zip(bundle.dist.atoms, bundle.dist.weights):
+        assert again.dist.mass(x) == pytest.approx(float(w))
+        assert again.target(x.v) == bundle.target(x.v)
+
+
+def test_bundle_json_round_trip_groups4():
+    bundle = gen_groups4(32, SeededRng(16), "no")
+    again = load_bundle(json.loads(json.dumps(save_bundle(bundle))))
+    for x in bundle.dist.atoms:
+        assert again.target(x.v) == bundle.target(x.v)
+
+
+def test_bundle_json_round_trip_dl_yes():
+    bundle = gen_dl_yes(10, 12, SeededRng(19))
+    again = load_bundle(json.loads(json.dumps(save_bundle(bundle))))
+    assert (again.family, again.n) == ("dl-yes", 10)
+    for x, w in zip(bundle.dist.atoms, bundle.dist.weights):
+        assert again.dist.mass(x) == pytest.approx(float(w))
+    assert [again.target(v) for v in range(1 << 10)] == [bundle.target(v) for v in range(1 << 10)]
+
+
+def test_bundle_json_round_trip_total_yes():
+    bundle = gen_total_yes(20, 30, SeededRng(20))
+    again = load_bundle(json.loads(json.dumps(save_bundle(bundle))))
+    assert again.family == "total-yes"
+    for (u, v), w in zip(bundle.dist.pairs, bundle.dist.weights):
+        assert again.dist.mass(u, v) == pytest.approx(float(w))
+    for u in range(1, 21):
+        for v in range(u + 1, 21):
+            assert again.less(u, v) == bundle.less(u, v)
+            assert again.less(v, u) == bundle.less(v, u)
+
+
+def test_bundle_json_round_trip_comparison():
+    bundle = gen_pentagon(20, SeededRng(17))
+    again = load_bundle(json.loads(json.dumps(save_bundle(bundle))))
+    for (u, v), w in zip(bundle.dist.pairs, bundle.dist.weights):
+        assert again.dist.mass(u, v) == pytest.approx(float(w))
+        assert again.less(u, v) == bundle.less(u, v)
+
+
 def test_hex_packing_little_endian_bit_one_first():
     bundle = gen_mdl_yes(16, 4, SeededRng(18))
     doc = save_bundle(bundle)
@@ -134,6 +181,13 @@ def test_cli_budget_exit_code(tmp_path):
     code = cli_main(["test-total", "--n", "64", "--eps", "0.2", "--trials", "1",
                      "--seed", "4", "--budget", "5", "--out", str(out)])
     assert code == 3
+
+
+@pytest.mark.parametrize("flag, value", [("--budget", "-5"), ("--jobs", "0"), ("--jobs", "-2")])
+def test_cli_negative_budget_or_jobs_is_usage_error(flag, value, capsys):
+    assert cli_main(["test-mdl", "--n", "16", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:] in err
 
 
 def test_failing_trial_is_recorded_and_the_run_goes_on(monkeypatch, capsys):
@@ -279,6 +333,17 @@ def test_cli_out_that_cannot_be_written_is_usage_error(argv, bad, tmp_path, monk
     assert kept.read_text() == "kept" and list(tmp_path.iterdir()) == [kept]
 
 
+@pytest.mark.parametrize("argv", [["birthday", "--m", "0"], ["birthday", "--size", "0"],
+                                  ["birthday", "--size", "-2"], ["oracle-check", "--bundles", "0"],
+                                  ["oracle-check", "--bundles", "-1"],
+                                  ["oracle-check", "--trials", "0"], ["test-mdl", "--trials", "0"],
+                                  ["scaling", "--trials", "-1"]], ids=" ".join)
+def test_cli_count_flag_below_one_is_usage_error(argv, capsys, command_calls):
+    assert cli_main(argv) == 2
+    assert _one_error_line(capsys).startswith(f"error: {argv[1][2:]} must be at least 1, got ")
+    assert command_calls == []
+
+
 @pytest.mark.parametrize("tester, family, n", [("total", "pentagon", 255),
                                                ("mdl", "groups4-no", 256)])
 def test_row_witness_is_the_verdicts_as_json(tester, family, n):
@@ -345,6 +410,11 @@ def test_cli_refuses_the_round_profile_only_at_the_instance_files_width(tmp_path
     assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "16"
 
 
+def test_const_of_another_tester_is_still_checked(capsys):
+    assert cli_main(["test-total", "--n", "64", "--const", "sketch_source=lite"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_tester_is_rejected():
     with pytest.raises(ValueError, match="unknown tester"):
         RunConfig(tester="nope", family="total-yes", n=64, eps=0.2).validate()
@@ -387,6 +457,21 @@ def test_empty_env_seed_means_the_default(argv, monkeypatch, capsys):
     monkeypatch.setenv("SUBLINTEST_SEED", "")
     assert cli_main(argv) == 0
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_birthday_rejects_nonpositive_trials(trials, capsys):
+    assert cli_main(["birthday", "--trials", trials]) == 2
+    assert "error: trials must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, '{"left": {"u": 1.0}}', "{not json"])
+def test_cli_birthday_bad_instance_is_usage_error(content, tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    if content is not None:
+        path.write_text(content)
+    assert cli_main(["birthday", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_birthday_hypergraph_file_ignores_m_prime(tmp_path, capsys):
