@@ -64,32 +64,36 @@ def experiment_from_json(doc: dict) -> CollisionExperiment:
     """Load an experiment definition from the harness JSON shape:
     {"edges": [[u, v, ...], ...], "left": {...}, "right": {...} | null,
      "m": ..., "m_prime": ..., "trials": ..., "epsilon": ..., "justification": ...}.
-    Refuses a field of the wrong type, a weight outside [0, 1], an edge vertex
-    without one and m < 1."""
+    Refuses a field of the wrong JSON type, naming it, a weight outside
+    [0, 1], an edge vertex without one and m < 1."""
     if not isinstance(doc, dict) or "edges" not in doc or "left" not in doc:
         raise ValueError("an experiment definition needs 'edges' and 'left'")
-    try:
-        exp = CollisionExperiment(
-            edges=[tuple(e) for e in doc["edges"]],
-            left=dict(doc["left"]),
-            right=dict(doc["right"]) if doc.get("right") else None,
-            m=int(doc.get("m", 1)),
-            m_prime=int(doc.get("m_prime", 1)),
-            trials=int(doc.get("trials", 1000)),
-            epsilon=doc.get("epsilon"),
-            justification=doc.get("justification"),
-        )
-        sides = (exp.left,) if exp.right is None else (exp.left, exp.right)
-        if not all(0 <= w <= 1 for side in sides for w in side.values()):
-            raise ValueError("every vertex weight must be a number in [0, 1]")
-        for e in exp.edges:
-            owners = sides * len(e) if exp.right is None else sides  # bipartite: (left, right)
-            if any(v not in side for v, side in zip(e, owners)):
-                raise ValueError(f"edge {list(e)} has a vertex without a weight")
-        if exp.m < 1 or (exp.right is not None and exp.m_prime < 1):
-            raise ValueError("m and, for a bipartite experiment, m_prime must be at least 1")
-    except TypeError as exc:  # a field of the wrong JSON type
-        raise ValueError(f"malformed experiment definition: {exc}") from None
+    edges, right = doc["edges"], doc.get("right") or None
+    sides = (doc["left"],) if right is None else (doc["left"], right)
+    counts = {k: doc.get(k, d) for k, d in (("m", 1), ("m_prime", 1), ("trials", 1000))}
+    if not (isinstance(edges, list)
+            and all(isinstance(e, list) and all(isinstance(v, str) for v in e) for e in edges)):
+        raise ValueError("edges must be a list of lists of vertex names")
+    if not all(isinstance(side, dict) for side in sides):
+        raise ValueError("left and right must map vertex names to weights")
+    if not all(type(w) in (int, float) and 0 <= w <= 1 for side in sides for w in side.values()):
+        raise ValueError("every vertex weight must be a number in [0, 1]")
+    for name, value in counts.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer")
+    if type(doc.get("epsilon")) not in (int, float, type(None)):
+        raise ValueError("epsilon must be a number or null")
+    if type(doc.get("justification")) not in (str, type(None)):
+        raise ValueError("justification must be a string or null")
+    exp = CollisionExperiment(edges=[tuple(e) for e in edges], left=dict(doc["left"]),
+                              right=dict(right) if right else None, epsilon=doc.get("epsilon"),
+                              justification=doc.get("justification"), **counts)
+    for e in exp.edges:
+        owners = sides * len(e) if exp.right is None else sides  # bipartite: (left, right)
+        if any(v not in side for v, side in zip(e, owners)):
+            raise ValueError(f"edge {list(e)} has a vertex without a weight")
+    if exp.m < 1 or (exp.right is not None and exp.m_prime < 1):
+        raise ValueError("m and, for a bipartite experiment, m_prime must be at least 1")
     return exp
 
 

@@ -99,28 +99,30 @@ def _scaling(args) -> int:
 
 
 def _birthday(args) -> int:
-    """The --instance experiment, else the canned family of --variant."""
-    size, variant = args.size, args.variant
+    """The --instance experiment, else the canned family of --variant.  --variant,
+    --size, --m and --trials default to None: an --instance file sets them all."""
+    size, variant, trials = args.size or 20, args.variant or "bipartite", args.trials or 1000
     if args.instance:
         variant, exp = "file", experiment_from_json(read_instance_file(args.instance))
+        for name in ("trials", "size", "m", "variant"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} cannot be given with --instance, whose file sets it")
     elif variant == "bipartite":
         left = {f"u{i}": 1.0 / (2 * size) for i in range(size)}
         right = {f"v{i}": 1.0 / (2 * size) for i in range(size)}
         edges = [(f"u{i}", f"v{j}") for i in range(size) for j in range(size)]
-        m = size if args.m is None else args.m
+        m = args.m or size
         exp = CollisionExperiment(
             edges=edges, left=left, right=right, m=m, m_prime=m,
-            trials=args.trials, epsilon=0.5, justification="uniform complete bipartite")
+            trials=trials, epsilon=0.5, justification="uniform complete bipartite")
     else:
         k = 3 if variant == "hyper3" else 4
         groups = max(1, size // k)
         left = {f"w{i}": 1.0 / (groups * k) for i in range(groups * k)}
         edges = [tuple(f"w{g * k + j}" for j in range(k)) for g in range(groups)]
         eps = 1.0 / k  # one vertex per edge must be covered
-        m = args.m
-        if m is None:
-            m = int(10 * k * k * (groups * k) ** ((k - 1) / k) / eps) + 1
-        exp = CollisionExperiment(edges=edges, left=left, m=m, trials=args.trials,
+        m = args.m or int(10 * k * k * (groups * k) ** ((k - 1) / k) / eps) + 1
+        exp = CollisionExperiment(edges=edges, left=left, m=m, trials=trials,
                                   epsilon=eps, justification="disjoint edges")
     runner = run_bipartite_birthday if exp.right is not None else run_hypergraph_birthday
     rate = runner(exp, SeededRng(args.seed, 0xB1))
@@ -172,8 +174,8 @@ FLAGS = {
     "const": dict(action="append", default=[],
                   help="override a tuning constant, e.g. --const c_crowd=4"),
     "n-list": dict(type=str, default="1024,4096,16384"),
-    "variant": dict(choices=["bipartite", "hyper3", "hyper4"], default="bipartite"),
-    "size": dict(type=int, default=20),
+    "variant": dict(choices=["bipartite", "hyper3", "hyper4"], default=None),
+    "size": dict(type=int, default=None),
     "m": dict(type=int, default=None),
     "bundles": dict(type=int, default=50),
 }
@@ -188,7 +190,7 @@ COMMANDS = {
                  {"family": "mdl-yes"}),
     "test-dl": (functools.partial(_test, "dl"), "n instance " + RUN_FLAGS, {"family": "dl-yes"}),
     "scaling": (_scaling, "n-list " + RUN_FLAGS, {"family": "total-yes"}),
-    "birthday": (_birthday, "variant size m trials seed instance out", {"trials": 1000}),
+    "birthday": (_birthday, "variant size m trials seed instance out", {"trials": None}),
     "oracle-check": (_oracle_check, "n eps bundles trials seed out",
                      {"n": 4, "eps": 0.2, "trials": 400}),
     "gen-instance": (_gen_instance, "n seed family support out", {"family": "mdl-yes"}),

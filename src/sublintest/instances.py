@@ -274,7 +274,23 @@ def groups4_from_pi(n: int, pi, side: str, seed: int = 0) -> InstanceBundle:
 
 # -- violation plants --------------------------------------------------------
 
-_WINDOW = {1: 4, 3: 3, 4: 6, 5: 4}
+# per windowed stage: the values forced on the window's ranks, the masked subcubes
+# (a string whose bits are all set, and the bit cleared before the base list answers),
+# the overridden pairs with their values, and the supported strings, as window offsets
+_PLANTS = {
+    # values 1,0,1,0 at the window; x = (3, 0) behaves like its deep index
+    # because the early one is masked out on the whole above-cube.  The four
+    # supported pairs close a dominance cycle, so every list errs on one
+    # of them (distance at least a quarter of the planted mass).
+    1: ((1, 0, 1, 0), [((3, 0), 0)], [], [(3, 0), (0, 1), (1, 2), (2, 3)]),
+    3: ((1, 0, 0), [((0, 1, 2), 0)], [], [(0, 1, 2), (0, 1), (0, 2)]),
+    # three samples carry indices at ranks a..a+2 paired with deeper
+    # same-value partners, so extraction probes 4-bit strings and stays
+    # natural while the two overridden pairs invert the index chain
+    4: ((0, 1, 0, 0, 1, 0), [], [((2, 1), 0), ((1, 0), 1)], [(0, 3), (1, 4), (2, 5)]),
+    # the two overrides close an alternating square
+    5: ((0, 0, 1, 1), [], [((0, 3), 1), ((1, 2), 1)], [(0,), (1,), (2,), (3,)]),
+}
 
 
 def _free_window(rep: MonotoneDLRep, dist: FiniteDistribution, width: int) -> int:
@@ -314,51 +330,23 @@ def gen_planted_violation(base: InstanceBundle, c: int, eps0: float,
         raise ValueError("eps0 must lie in (0,1)")
     if c == 2:
         return _plant_type2(base, eps0, rng)
-    if c not in _WINDOW:
+    if c not in _PLANTS:
         raise ValueError("plant type must be 1..5")
+    values, cubes, overrides, supported = _PLANTS[c]
     rep: MonotoneDLRep = base.params["rep"]
     n = base.n
-    a = _free_window(rep, base.dist, _WINDOW[c])
-    pi = rep.pi
+    a = _free_window(rep, base.dist, len(values))
+    idx = list(rep.pi[a:a + len(values)])
     nu = list(rep.nu)
-    idx = [pi[a + i] for i in range(_WINDOW[c])]
-    e = [1 << (i - 1) for i in idx]
+    nu[a:a + len(values)] = values
 
-    points: dict[int, int] = {}
-    subcubes = []
-    if c == 1:
-        # values 1,0,1,0 at the window; x behaves like its deep index because
-        # the early one is masked out on the whole above-cube.  The four
-        # supported pairs close a dominance cycle, so every list errs on one
-        # of them (distance at least a quarter of the planted mass).
-        nu[a], nu[a + 1], nu[a + 2], nu[a + 3] = 1, 0, 1, 0
-        x = e[3] | e[0]
-        y = e[0] | e[1]
-        subcubes.append((x, e[0]))
-        atoms = [x, y, e[1] | e[2], e[2] | e[3]]
-    elif c == 3:
-        nu[a], nu[a + 1], nu[a + 2] = 1, 0, 0
-        x = e[0] | e[1] | e[2]
-        y = e[0] | e[1]
-        subcubes.append((x, e[0]))
-        atoms = [x, y, e[0] | e[2]]
-    elif c == 4:
-        # three samples carry indices at ranks a..a+2 paired with deeper
-        # same-value partners, so extraction probes 4-bit strings and stays
-        # natural while the two overridden pairs invert the index chain
-        nu[a:a + 6] = [0, 1, 0, 0, 1, 0]
-        points[e[2] | e[1]] = 0
-        points[e[1] | e[0]] = 1
-        atoms = [e[0] | e[3], e[1] | e[4], e[2] | e[5]]
-    else:  # c == 5
-        nu[a], nu[a + 1], nu[a + 2], nu[a + 3] = 0, 0, 1, 1
-        points[e[0] | e[3]] = 1  # the two overrides close an alternating square
-        points[e[1] | e[2]] = 1
-        atoms = [e[0], e[1], e[2], e[3]]
+    def string(offsets) -> int:
+        return sum(1 << (idx[o] - 1) for o in offsets)
 
-    planted_rep = MonotoneDLRep(n, pi, nu)
-    target = _plant_target(planted_rep, points, subcubes)
-    dist = _merge_masses(n, base.dist, atoms, eps0)
+    target = _plant_target(MonotoneDLRep(n, rep.pi, nu),
+                           {string(pair): value for pair, value in overrides},
+                           [(string(cube), string((cleared,))) for cube, cleared in cubes])
+    dist = _merge_masses(n, base.dist, [string(s) for s in supported], eps0)
 
     truth = ("unknown",)
     cert = None

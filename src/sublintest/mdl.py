@@ -245,7 +245,12 @@ def _halving(g: FunctionOracle, or_range, c: int, y_v: int, b: int) -> int:
 
 def _rep_search(f: FunctionOracle, vs: list[int], y_v: int) -> int:
     """Halving search returning some v in vs; when the target is a monotone
-    list, v's rule outranks every other rule fired in vs or in the union y_v."""
+    list, v's rule outranks every other rule fired in vs or in the union y_v.
+    On the run's own sketch, MdlRun._max_index never meets _halving's summed return,
+    which needs f(y_v) == b: y_v, the chain element after x's block, has the checked
+    value opposite to f(x), while b is f(x), got on the same string by block location
+    or the small-block loop just before; past the chain's end y_v is 0, which no
+    nonempty half of vs ORs to."""
     b = f.query_raw(_or_all(vs) | y_v)
     return vs[_halving(f, lambda lo, hi: _or_all(vs[lo:hi]), len(vs), y_v, b)]
 
@@ -633,20 +638,19 @@ def monotone_dl_tester(f: FunctionOracle, d: FiniteDistribution, eps: float,
 
 
 def budget_mdl(n: int, eps: float, constants: MdlConstants = DEFAULT_MDL) -> tuple[int, int]:
-    """Closed-form ceilings on function queries and on samples for one tester run."""
+    """Closed-form ceilings on function queries and on samples for one tester run:
+    one (draws, queries per draw) row per stage, plus the sample-free unit probes."""
     sz = mdl_sizes(n, eps, constants)
     lg_m = ceil_pos(clamped_log2(max(sz.pre, 2)))
     fb = lg_m + 5
-    pre = sz.pre + sz.pre * (lg_m + 2) + 4 * sz.pre
-    fbb = sz.probes * fb + sz.rounds * sz.inner * fb
     mi = fb + (sz.block_cap + 1) * (ceil_pos(clamped_log2(n)) + 3) + sz.block_cap * (fb + 2) + 4
-    nil = sz.nil * mi
     per = 1 + fb + mi
-    t1 = 2 * sz.m1 * per
-    t2 = (sz.p2 + sz.q2) * per
-    t3 = 2 * sz.m1 * per + 2 * sz.m1 * sz.pair_cap
-    t4 = sz.m4 * per + 2 * sz.m4 * sz.pair_cap
-    t5 = sz.m5 * per + sz.m5 * sz.pair_cap
-    samples = (sz.pre + sz.rounds * sz.inner + sz.nil
-               + 4 * sz.m1 + sz.p2 + sz.q2 + sz.m4 + sz.m5)
-    return pre + fbb + nil + t1 + t2 + t3 + t4 + t5, samples
+    rows = ((sz.pre, lg_m + 7),                     # preprocessing: value, extraction, chain
+            (sz.rounds * sz.inner, fb),             # big-block growth
+            (sz.nil, mi),                           # nil probes
+            (2 * sz.m1, per),                       # type 1: P and Q
+            (sz.p2 + sz.q2, per),                   # type 2
+            (2 * sz.m1, per + sz.pair_cap),         # type 3: P and Q, one pair query per partner
+            (sz.m4, per + 2 * sz.pair_cap),         # type 4
+            (sz.m5, per + sz.pair_cap))             # type 5
+    return sz.probes * fb + sum(d * c for d, c in rows), sum(d for d, _ in rows)

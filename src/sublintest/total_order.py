@@ -17,9 +17,8 @@ class TotalConstants:
 DEFAULT_TOTAL = TotalConstants()
 
 
-# draw counts of the sketch and of the local stage (as many edges as
-# vertices), of the long-edge stage, and the per-block crowd cap;
-# budget_total reads them too
+# draw counts of the sketch and local stage (as many edges as vertices) and of
+# the long-edge stage, and the per-block crowd cap; budget_total reads them too
 def _sqrt_draws(n: int, eps: float) -> int:
     return ceil_pos(8.0 * (n ** 0.5) / eps)
 
@@ -263,13 +262,13 @@ def verify_total_witness(cmp: ComparisonOracle, sk, witness) -> bool:
 
 
 def budget_total(n: int, eps: float, constants: TotalConstants = DEFAULT_TOTAL) -> tuple[int, int]:
-    """Closed-form ceilings on comparison queries and on samples for one tester run."""
-    m = _sqrt_draws(n, eps)  # the sketch's draws, and each of the local stage's two sets
-    m_long = _long_draws(eps)
+    """Closed-form query and sample ceilings: one (draws, queries per draw) row per stage."""
+    m = _sqrt_draws(n, eps)
     lg = ceil_pos(clamped_log2(max(m, 2)))
     fb = lg + 2  # find_block_total ceiling
-    sketch = m * (lg + 1) + m
-    long_stage = m_long * (1 + 2 * fb)
     crowd = ceil_pos(_crowd_cap(n, constants))
-    local = 3 * m * fb + m + 2 * m * crowd
-    return sketch + long_stage + local, m + m_long + 2 * m
+    rows = ((m, lg + 2),                        # sketch: sort, then one adjacent check
+            (_long_draws(eps), 1 + 2 * fb),     # long edges: orient, locate both ends
+            (m, fb),                            # local vertices: locate
+            (m, 1 + 2 * fb + 2 * crowd))        # local edges: orient, locate, two per triangle
+    return sum(d * c for d, c in rows), sum(d for d, _ in rows)

@@ -551,7 +551,9 @@ MALFORMED_FILES = {
 EXPERIMENT = {"edges": [["u", "v"]], "left": {"u": 0.5}, "right": {"v": 0.5}, "m": 4,
               "m_prime": 4, "trials": 20}
 NOT_AN_EXPERIMENT = "an experiment definition needs 'edges' and 'left'"
-MALFORMED_EXPERIMENT = "malformed experiment definition: "
+NOT_VERTEX_NAMES = "edges must be a list of lists of vertex names"
+# what birthday says of a flag that an experiment file sets
+FILE_SETS = "cannot be given with --instance, whose file sets it"
 WEIGHT = "every vertex weight must be a number in [0, 1]"
 SAMPLE_SIZE = "m and, for a bipartite experiment, m_prime must be at least 1"
 # experiment files birthday refuses, and what it says
@@ -566,12 +568,12 @@ BAD_EXPERIMENTS = {
         "edge ['a', 'b', 'c'] has a vertex without a weight"),
     "negative_weight": ({**EXPERIMENT, "left": {"u": -0.5}}, WEIGHT),
     "nan_weight": ({**EXPERIMENT, "left": {"u": float("nan")}}, WEIGHT),
-    "weight_not_a_number": ({**EXPERIMENT, "left": {"u": "0.5"}}, MALFORMED_EXPERIMENT),
+    "weight_not_a_number": ({**EXPERIMENT, "left": {"u": "0.5"}}, WEIGHT),
     "m_zero": ({**EXPERIMENT, "m": 0}, SAMPLE_SIZE),
     "bipartite_m_prime_zero": ({**EXPERIMENT, "m_prime": 0}, SAMPLE_SIZE),
-    "m_null": ({**EXPERIMENT, "m": None}, MALFORMED_EXPERIMENT),
-    "edge_not_a_list": ({**EXPERIMENT, "edges": [1]}, MALFORMED_EXPERIMENT),
-    "vertex_not_a_name": ({**EXPERIMENT, "edges": [["u", ["v"]]]}, MALFORMED_EXPERIMENT),
+    "m_null": ({**EXPERIMENT, "m": None}, "error: m must be an integer"),
+    "edge_not_a_list": ({**EXPERIMENT, "edges": [1]}, NOT_VERTEX_NAMES),
+    "vertex_not_a_name": ({**EXPERIMENT, "edges": [["u", ["v"]]]}, NOT_VERTEX_NAMES),
     "left_only": ({"left": {"u": 1.0}}, NOT_AN_EXPERIMENT),
 }
 NOT_BOOLEAN = "pentagon is a comparison instance, not a boolean function"
@@ -590,14 +592,17 @@ INSTANCE_FILES = {
                        "birthday": NOT_AN_EXPERIMENT}),
     "dl256.json": (save_bundle(gen_dl_yes(256, 8, SeededRng(256))),
                    {"test-total": NOT_COMPARISON, "birthday": NOT_AN_EXPERIMENT}),
+    "experiment.json": (EXPERIMENT, {**dict.fromkeys(TESTERS, "unsupported instance file version"),
+                                     "birthday": f"error: --trials {FILE_SETS}"}),
 }
 NO_EXACT_DISTANCES = "--n must lie in 3..6 for exact distances"
 NO_ROUND = "no round could accept"
 # refusals of one command: widths without exact distances, a tester that
 # cannot query the family, a round profile that cannot accept (at --n, an
 # --n-list entry or an --instance file's width whatever --n says), attempt
-# 2**20 of a round, whose stream is the next round's attempt 0, and flags a
-# command does not read
+# 2**20 of a round, whose stream is the next round's attempt 0, flags a
+# command does not read, and the birthday flags besides --trials that an
+# experiment file sets
 ONE_OFF = [(["oracle-check", "--n", "2"], NO_EXACT_DISTANCES),
            (["oracle-check", "--n", "9", "--bundles", "1", "--trials", "2"], NO_EXACT_DISTANCES),
            (["test-dl", "--family", "pentagon", "--n", "255", "--trials", "3"], NOT_BOOLEAN),
@@ -609,7 +614,10 @@ ONE_OFF = [(["oracle-check", "--n", "2"], NO_EXACT_DISTANCES),
            (["scaling", "--instance", "x.json"], "unrecognized arguments"),
            (["scaling", "--n", "64"], "unrecognized arguments"),
            (["gen-instance", "--eps", "0.2"], "unrecognized arguments"),
-           (["gen-instance", "--const", "c_crowd=4"], "unrecognized arguments")]
+           (["gen-instance", "--const", "c_crowd=4"], "unrecognized arguments"),
+           *((["birthday", "--instance", "experiment.json", f"--{flag}", value],
+              f"error: --{flag} {FILE_SETS}")
+             for flag, value in (("size", "5"), ("m", "7"), ("variant", "hyper3")))]
 
 
 def _refusals():

@@ -99,6 +99,8 @@ def test_every_recharge_exhausts_a_budget_like_reference_mode(monkeypatch):
         unlisted = {rec[:2] for rec in program.recharges if not swapped & set(rec[:2])}
         assert not unlisted, f"(function, caller) recharging outside swaps(): {unlisted}"
         assert all(rec.amount > 0 for rec in program.recharges)
+        # the max-index search never repeats: see the argument at _rep_search
+        assert all(rec.caller != "_rep_search" for rec in program.recharges)
         assert got == want, (cfg, trial)
         assert not ref.recharges and ref.charge_calls == want["queries"], ref.recharges[:3]
         for rec in program.recharges:
