@@ -85,7 +85,7 @@ def _test(tester: str, args) -> int:
 
 
 def _scaling(args) -> int:
-    tester = lookup_family(args.family)[0]
+    tester = lookup_family(args.family).tester
     try:
         n_list = [int(x) for x in args.n_list.split(",")]
     except ValueError:

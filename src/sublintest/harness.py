@@ -13,12 +13,10 @@ import traceback
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
-from .core import BitString, FiniteDistribution, PairDistribution, SeededRng
-from .dlmodel import GeneralDLRep, MonotoneDLRep
+from .core import SeededRng
 from .exact import dist_mdl
-from .instances import (InstanceBundle, gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pentagon,
-                        gen_total_yes, groups4_from_pi, list_bundle, ordering_bundle,
-                        pentagon_from_order, table_bundle)
+# the family table and the file format live in instances, and stay importable here
+from .instances import InstanceBundle, generate, load_bundle, lookup_family, save_bundle
 from .mdl import MdlConstants, budget_mdl, monotone_dl_tester
 from .dl import DlConstants, budget_dl, decision_list_tester, round_profile
 from .oracles import BudgetExhausted, QueryLedger
@@ -122,37 +120,6 @@ class TrialReport:
 
     def total_samples(self) -> int:
         return sum(r["samples"] for r in self.rows)
-
-
-# family -> (the tester it is an instance for, its generator on (n, support,
-# rng)).  The generators are looked up when called, so a wrapper that rebinds
-# a gen_* name here (as bench/tracer.py does) sees every build.
-FAMILIES = {
-    "total-yes": ("total", lambda n, s, rng: gen_total_yes(n, s, rng)),
-    "pentagon": ("total", lambda n, s, rng: gen_pentagon(n, rng)),
-    "mdl-yes": ("mdl", lambda n, s, rng: gen_mdl_yes(n, s, rng)),
-    "dl-yes": ("dl", lambda n, s, rng: gen_dl_yes(n, s, rng)),
-    "groups4-yes": ("mdl", lambda n, s, rng: gen_groups4(n, rng, "yes")),
-    "groups4-no": ("mdl", lambda n, s, rng: gen_groups4(n, rng, "no")),
-}
-
-
-def lookup_family(name: str) -> tuple:
-    """(tester, generator) of a generated family."""
-    if name not in FAMILIES:
-        raise ValueError(f"unknown family {name!r} (accepted: {', '.join(FAMILIES)})")
-    return FAMILIES[name]
-
-
-def generate(name: str, n: int, support: int | None, seed: int) -> InstanceBundle:
-    """The instance of family name at width n; support defaults to n/2 within
-    [4, 2048], cut to the n(n-1)/2 pairs or weight-2 strings a family draws from."""
-    gen = lookup_family(name)[1]
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if support is None:
-        support = min(max(4, min(2048, n // 2)), n * (n - 1) // 2)
-    return gen(n, support, SeededRng(seed, 0xB00))
 
 
 def read_instance_file(path: str):
@@ -344,77 +311,3 @@ def oracle_check(bundles: list[InstanceBundle], eps: float, trials_per_stratum: 
     out["strata"]["middle"] = {"bundles": len(strata["middle"])}
     return out
 
-
-# -- instance file format ----------------------------------------------------
-
-def save_bundle(bundle: InstanceBundle) -> dict:
-    doc = {"version": 1, "n": bundle.n}
-    fam = bundle.family
-    params = bundle.params
-    if fam == "mdl-yes":
-        rep: MonotoneDLRep = params["rep"]
-        doc["function"] = {"type": "mdl", "pi": list(rep.pi), "nu": list(rep.nu)}
-    elif fam == "dl-yes":
-        rep: GeneralDLRep = params["rep"]
-        doc["function"] = {"type": "dl", "pi": list(rep.pi), "mu": list(rep.mu),
-                           "nu": list(rep.nu)}
-    elif fam in ("groups4-yes", "groups4-no"):
-        doc["function"] = {"type": fam, "pi": list(params["pi"])}
-    elif fam == "pentagon":
-        doc["function"] = {"type": "pentagon", "order": list(params["order"])}
-    elif fam == "total-yes":
-        doc["function"] = {"type": "ordering", "order": list(params["order"])}
-    elif fam == "table":
-        doc["function"] = {"type": "table", "bits": params["bits"]}
-    else:
-        raise ValueError(f"family {fam!r} has no serialized form")
-    if bundle.kind == "boolean":
-        doc["distribution"] = [{"x": x.to_hex(), "p": float(w)}
-                               for x, w in zip(bundle.dist.atoms, bundle.dist.weights)]
-    else:
-        doc["distribution"] = {"pairs": [{"u": u, "v": v, "p": float(w)}
-                                         for (u, v), w in zip(bundle.dist.pairs,
-                                                              bundle.dist.weights)]}
-    return doc
-
-
-def load_bundle(doc: dict) -> InstanceBundle:
-    """The bundle an instance file describes, built by the constructor that its
-    family's generator uses.  A malformed document raises ValueError."""
-    try:
-        if doc.get("version") != 1:
-            raise ValueError("unsupported instance file version")
-        n, fn, dist_doc = doc["n"], doc["function"], doc["distribution"]
-        if not isinstance(n, int) or n < 2:
-            raise ValueError("n must be an integer of at least 2")
-        kind = fn["type"]
-        if kind in ("pentagon", "ordering"):
-            if not isinstance(dist_doc, dict):
-                raise ValueError(f"function type {kind!r} needs a distribution over pairs")
-            dist = PairDistribution(n, [((e["u"], e["v"]), e["p"]) for e in dist_doc["pairs"]])
-        else:
-            if not isinstance(dist_doc, list):
-                raise ValueError(f"function type {kind!r} needs a distribution over strings")
-            dist = FiniteDistribution(n, [(BitString.from_hex(n, e["x"]), e["p"])
-                                          for e in dist_doc])
-        if kind == "ordering":
-            return ordering_bundle(n, fn["order"], dist)
-        if kind == "mdl":
-            return list_bundle("mdl-yes", MonotoneDLRep(n, fn["pi"], fn["nu"]), dist)
-        if kind == "dl":
-            return list_bundle("dl-yes", GeneralDLRep(n, fn["pi"], fn["mu"], fn["nu"]), dist)
-        if kind == "table":
-            return table_bundle(n, fn["bits"], dist)
-        if kind == "pentagon":
-            bundle = pentagon_from_order(n, fn["order"])
-        elif kind in ("groups4-yes", "groups4-no"):
-            bundle = groups4_from_pi(n, fn["pi"], kind[len("groups4-"):])
-        else:
-            raise ValueError(f"unknown function type {kind!r}")
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed instance file ({type(exc).__name__}: {exc})") from None
-    # the function fixes the distribution that the bundle's certificate is for
-    if dist._mass != bundle.dist._mass:
-        raise ValueError(f"the distribution of a {kind} instance is fixed by its function, "
-                         f"and the file's differs")
-    return bundle

@@ -1,10 +1,13 @@
 """Generators of benchmark instances: certified yes-cases, certified
 far-cases (the pentagon ordering and the group-of-four boolean family), and
-local violation plants targeting each cycle-pattern stage."""
+local violation plants targeting each cycle-pattern stage; and the family
+table, which is the one definition of each family's tester, generator and
+instance-file form."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (BitString, FiniteDistribution, PairDistribution, SeededRng, check_permutation,
                    clamped_log2)
@@ -270,6 +273,108 @@ def groups4_from_pi(n: int, pi, side: str, seed: int = 0) -> InstanceBundle:
     return InstanceBundle(kind="boolean", family=f"groups4-{side}", n=n, seed=seed,
                           params={"pi": pi, "nu": tuple(nu)}, dist=dist,
                           ground_truth=truth, certificate=cert, target=target)
+
+
+# -- the family table and the instance file format ---------------------------
+
+class Family(NamedTuple):
+    tester: str | None   # the tester it is an instance for; None if not generated
+    generate: object     # its generator on (n, support, rng); None if not generated
+    over: str            # what its file's distribution is over: "strings" or "pairs"
+    file_type: str       # the type of its instance file's function
+    fields: tuple        # the function's other fields, read from params or params["rep"]
+    build: object        # its constructor on a file's (n, *fields, distribution)
+
+
+# one row per family.  The generators look up their gen_* name when called, so
+# a wrapper that rebinds one here (as bench/tracer.py does) sees every build.
+FAMILIES = {
+    "total-yes": Family(
+        "total", lambda n, s, rng: gen_total_yes(n, s, rng), "pairs", "ordering", ("order",),
+        ordering_bundle),
+    "pentagon": Family(
+        "total", lambda n, s, rng: gen_pentagon(n, rng), "pairs", "pentagon", ("order",),
+        lambda n, order, d: pentagon_from_order(n, order)),
+    "mdl-yes": Family(
+        "mdl", lambda n, s, rng: gen_mdl_yes(n, s, rng), "strings", "mdl", ("pi", "nu"),
+        lambda n, pi, nu, d: list_bundle("mdl-yes", MonotoneDLRep(n, pi, nu), d)),
+    "dl-yes": Family(
+        "dl", lambda n, s, rng: gen_dl_yes(n, s, rng), "strings", "dl", ("pi", "mu", "nu"),
+        lambda n, pi, mu, nu, d: list_bundle("dl-yes", GeneralDLRep(n, pi, mu, nu), d)),
+    "groups4-yes": Family(
+        "mdl", lambda n, s, rng: gen_groups4(n, rng, "yes"), "strings", "groups4-yes", ("pi",),
+        lambda n, pi, d: groups4_from_pi(n, pi, "yes")),
+    "groups4-no": Family(
+        "mdl", lambda n, s, rng: gen_groups4(n, rng, "no"), "strings", "groups4-no", ("pi",),
+        lambda n, pi, d: groups4_from_pi(n, pi, "no")),
+    "table": Family(None, None, "strings", "table", ("bits",), table_bundle),
+}
+
+
+def lookup_family(name: str) -> Family:
+    """The row of a generated family."""
+    generated = [fam for fam, row in FAMILIES.items() if row.generate is not None]
+    if name not in generated:
+        raise ValueError(f"unknown family {name!r} (accepted: {', '.join(generated)})")
+    return FAMILIES[name]
+
+
+def generate(name: str, n: int, support: int | None, seed: int) -> InstanceBundle:
+    """The instance of family name at width n; support defaults to n/2 within
+    [4, 2048], cut to the n(n-1)/2 pairs or weight-2 strings a family draws from."""
+    gen = lookup_family(name).generate
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if support is None:
+        support = min(max(4, min(2048, n // 2)), n * (n - 1) // 2)
+    return gen(n, support, SeededRng(seed, 0xB00))
+
+
+def save_bundle(bundle: InstanceBundle) -> dict:
+    if bundle.family not in FAMILIES:
+        raise ValueError(f"family {bundle.family!r} has no serialized form")
+    row = FAMILIES[bundle.family]
+    rep = bundle.params.get("rep")  # a list's fields are its rep's
+    fn = {"type": row.file_type}
+    for f in row.fields:
+        fn[f] = list(bundle.params[f] if rep is None else getattr(rep, f))
+    if row.over == "strings":
+        dist = [{"x": x.to_hex(), "p": float(w)}
+                for x, w in zip(bundle.dist.atoms, bundle.dist.weights)]
+    else:
+        dist = {"pairs": [{"u": u, "v": v, "p": float(w)}
+                          for (u, v), w in zip(bundle.dist.pairs, bundle.dist.weights)]}
+    return {"version": 1, "n": bundle.n, "function": fn, "distribution": dist}
+
+
+def load_bundle(doc: dict) -> InstanceBundle:
+    """The bundle an instance file describes, built by the constructor that its
+    family's generator uses.  A malformed document raises ValueError."""
+    try:
+        if doc.get("version") != 1:
+            raise ValueError("unsupported instance file version")
+        n, fn, dist_doc = doc["n"], doc["function"], doc["distribution"]
+        if not isinstance(n, int) or n < 2:
+            raise ValueError("n must be an integer of at least 2")
+        kind = fn["type"]
+        row = next((row for row in FAMILIES.values() if row.file_type == kind), None)
+        if row is None:
+            raise ValueError(f"unknown function type {kind!r}")
+        if not isinstance(dist_doc, dict if row.over == "pairs" else list):
+            raise ValueError(f"function type {kind!r} needs a distribution over {row.over}")
+        if row.over == "pairs":
+            dist = PairDistribution(n, [((e["u"], e["v"]), e["p"]) for e in dist_doc["pairs"]])
+        else:
+            dist = FiniteDistribution(n, [(BitString.from_hex(n, e["x"]), e["p"])
+                                          for e in dist_doc])
+        bundle = row.build(n, *(fn[f] for f in row.fields), dist)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed instance file ({type(exc).__name__}: {exc})") from None
+    # pentagon and groups4-* fix the distribution that their certificate is for
+    if dist._mass != bundle.dist._mass:
+        raise ValueError(f"the distribution of a {kind} instance is fixed by its function, "
+                         f"and the file's differs")
+    return bundle
 
 
 # -- violation plants --------------------------------------------------------

@@ -16,7 +16,7 @@ from sublintest.harness import (CONSTS, CSV_COLUMNS, EXIT_TRIAL_ERROR, RunConfig
                                 run_one_trial, run_trials, save_bundle, scaling_experiment,
                                 wilson_interval)
 from sublintest.instances import (gen_dl_yes, gen_groups4, gen_mdl_yes, gen_pentagon,
-                                  gen_random_table, gen_total_yes)
+                                  gen_planted_violation, gen_random_table, gen_total_yes)
 from sublintest.mdl import monotone_dl_tester
 from sublintest.oracles import QueryLedger
 from sublintest.total_order import test_total_ordering as total_tester
@@ -157,6 +157,12 @@ def test_bundle_json_round_trip_comparison():
     for (u, v), w in zip(bundle.dist.pairs, bundle.dist.weights):
         assert again.dist.mass(u, v) == pytest.approx(float(w))
         assert again.less(u, v) == bundle.less(u, v)
+
+
+def test_save_refuses_a_family_without_a_file_form():
+    bundle = gen_planted_violation(gen_mdl_yes(64, 8, SeededRng(1)), 1, 0.2, SeededRng(2))
+    with pytest.raises(ValueError, match="family 'planted-type1' has no serialized form"):
+        save_bundle(bundle)
 
 
 def test_hex_packing_little_endian_bit_one_first():
@@ -482,6 +488,19 @@ def test_cli_birthday_hypergraph_file_ignores_m_prime(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["variant"] == "file"
 
 
+@pytest.mark.parametrize("variant", ["hyper3", "hyper4"])
+def test_cli_birthday_canned_hypergraph(variant, capsys):
+    """One draw cannot hold a whole edge, and a seed fixes the output."""
+    argv = ["birthday", "--variant", variant, "--size", "12", "--trials", "50", "--seed", "5"]
+    outputs = []
+    for extra in ([], [], ["--m", "1"]):
+        assert cli_main(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["variant"] == variant
+    assert json.loads(outputs[2])["rate"] == 0.0
+
+
 # values outside each numeric flag's range, for every command that reads it,
 # and what their refusal says, from the "error: " that opens the line (the
 # message of --n differs by command); --seed has no range
@@ -547,6 +566,11 @@ MALFORMED_FILES = {
                               "function type 'pentagon' needs a distribution over pairs"),
     "pentagon_with_another_distribution": ({**PENTAGON10, "distribution": PAIRS},
                                            "the distribution of a pentagon instance is fixed"),
+    # an unknown type is refused before its distribution is read
+    "unknown_type_over_strings": ({**MDL8, "function": {"type": "foo"}},
+                                  "unknown function type 'foo'"),
+    "unknown_type_over_pairs": ({**PENTAGON10, "function": {"type": "foo"}},
+                                "unknown function type 'foo'"),
 }
 EXPERIMENT = {"edges": [["u", "v"]], "left": {"u": 0.5}, "right": {"v": 0.5}, "m": 4,
               "m_prime": 4, "trials": 20}
